@@ -62,11 +62,6 @@ def load_checkpoint(path):
     return tensors, manifest
 
 
-def checkpoint_checksum(path) -> str:
-    manifest = json.loads((Path(path) / "manifest.json").read_text())
-    return manifest["checksum"]
-
-
 def save_denoiser(path, denoiser: Denoiser, sched: DiffusionSchedule,
                   config_echo: dict | None = None) -> None:
     save_checkpoint(path, denoiser.params, {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +18,9 @@ import numpy as np
 from .errors import ChecksumMismatch, EmptyDataset, LayoutMismatch, RejectionStall
 from .hand_model import HandParam, default_hand
 from .nn import TAG_DATA, TAG_SPLIT, rng_stream
-from .rotations import axis_angle_to_matrix, matrix_to_rot6d, rot6d_to_matrix
+from .rotations import axis_angle_to_matrix, geodesic_angle, matrix_to_rot6d, rot6d_to_matrix
 
 OBJECT_POINTS = 512
-
-
-@dataclass
-class TwoHandSample:
-    x_l: HandParam
-    x_r: HandParam
-    object_points: np.ndarray | None = None
-    category: str | None = None
 
 
 class Dataset:
@@ -55,12 +47,6 @@ class Dataset:
     def pair(self, i: int):
         row = self.params[i].astype(float)
         return HandParam(row[:64]), HandParam(row[64:])
-
-    def sample(self, i: int) -> TwoHandSample:
-        x_l, x_r = self.pair(i)
-        obj = self.objects_[i].astype(float) if self.has_objects else None
-        cat = self.categories[i] if self.categories else None
-        return TwoHandSample(x_l, x_r, obj, cat)
 
     def objects(self, idx) -> np.ndarray:
         return self.objects_[np.asarray(idx)].astype(float)
@@ -115,8 +101,7 @@ class SyntheticSpec:
         R = rot6d_to_matrix(x_r.omega)
         for m in self.modes:
             dt = np.linalg.norm(x_r.tau - m.rel_translation_mean)
-            c = (np.trace(m.rel_rotation.T @ R) - 1.0) / 2.0
-            da = float(np.arccos(np.clip(c, -1.0, 1.0)))
+            da = geodesic_angle(m.rel_rotation, R)
             dth = np.linalg.norm(x_l.theta - m.anchor_theta)
             scores.append(dt / 0.05 + da / np.pi + dth / max(np.linalg.norm(m.anchor_theta), 1e-6))
         return int(np.argmin(scores))

@@ -27,10 +27,13 @@ from .nn import (
     Adam,
     Linear,
     TransformerBlock,
-    dropout_backward,
-    dropout_forward,
+    _acc,
+    relu_backward,
+    relu_forward,
     rng_stream,
     sinusoidal_embedding,
+    swish_backward,
+    swish_forward,
 )
 from .pointset import PointSetEncoder
 
@@ -69,15 +72,11 @@ class _EmbedMLP:
         self.l2.init(params, rng)
 
     def forward(self, params, x, cache=None):
-        from .nn import swish_backward, swish_forward  # noqa: F401
-
         h = self.l1.forward(params, x, cache)
         h = swish_forward(h, self.name + ".swish", cache)
         return self.l2.forward(params, h, cache)
 
     def backward(self, params, grads, dy, cache):
-        from .nn import swish_backward
-
         dh = self.l2.backward(params, grads, dy, cache)
         dh = swish_backward(dh, self.name + ".swish", cache)
         return self.l1.backward(params, grads, dh, cache)
@@ -178,8 +177,6 @@ class Denoiser:
             x = block.forward(params, x, cache, rng)
         flat = x.reshape(B, self.n_tokens * self.d_token)
         h = self.to_global.forward(params, flat, cache)
-        from .nn import relu_backward, relu_forward  # noqa: F401
-
         for i, lin in enumerate(self.decoder, start=1):
             parts = [h, ec, et]
             if eo is not None:
@@ -198,8 +195,6 @@ class Denoiser:
 
     def backward(self, dout, cache) -> dict:
         """Accumulates parameter grads for a predict() call made with cache."""
-        from .nn import relu_backward
-
         params = self.params
         grads: dict[str, np.ndarray] = {}
         B, drop_mask, has_obj = cache["#meta"]
@@ -235,8 +230,6 @@ class Denoiser:
             if cache["obj_caches"] is not None:
                 self.obj_encoder.backward_batch(params, grads, d_eo, cache["obj_caches"])
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
-        from .nn import _acc
-
         _acc(grads, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)
         self.emb_c.backward(params, grads, d_ec_raw, cache)

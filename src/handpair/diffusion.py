@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDataset, InvalidSchedule, NonFiniteLoss, ScheduleSingularity
-from .hand_model import OMEGA, TAU, HandParam, mirror, reroot_pair
+from .hand_model import OMEGA, TAU, mirror, reroot_pair
 from .nn import rng_stream
 
 

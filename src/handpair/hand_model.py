@@ -10,12 +10,17 @@ Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
 and its mesh is the x-negation of that right-hand mesh with flipped faces.
 
-Two kinematic backends:
+Two backends share one kinematic chain: a forward sweep (_chain) that turns
+theta and per-joint rest offsets into joint rotations and positions, and its
+reverse sweep (_chain_vjp). They differ in the offsets fed to the chain and
+in how vertices hang off the joints:
   CapsuleHand  - built-in: 16 joints, one capsule per bone, analytic
-                 occupancy, watertight per component.
+                 occupancy, watertight per component. beta scales the
+                 offsets, so the offset cotangents flow back into beta.
   TemplateHand - external skinned template loaded from a JSON manifest plus
                  float32 blobs (rest vertices, skinning weights, joint
-                 regressor). No shape basis: beta has no effect here.
+                 regressor). Fixed offsets and no shape basis: beta has no
+                 effect here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LayoutMismatch, NonWatertight
-from .mesh import HandMesh, mirror_mesh, vertex_normals
+from .mesh import HandMesh, mirror_mesh
 from .rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
@@ -157,6 +162,47 @@ def compose_root(base: HandParam, rel: HandParam) -> HandParam:
 
 
 # ---------------------------------------------------------------------------
+# Kinematic chain shared by both backends
+
+
+def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray, root: np.ndarray):
+    """Forward sweep: per-joint rotation Q (J,3,3) and position p (J,3).
+
+    Joint j rotates by axis-angle theta[3(j-1):3j] relative to its parent and
+    sits at offsets[j], in the parent's frame, from it. Joint 0 has identity
+    rotation and sits at ``root``. Every parent must precede its children.
+    """
+    Q = np.zeros((N_JOINTS, 3, 3))
+    p = np.zeros((N_JOINTS, 3))
+    Q[0] = np.eye(3)
+    p[0] = root
+    for j in range(1, N_JOINTS):
+        par = parents[j]
+        p[j] = p[par] + Q[par] @ offsets[j]
+        Q[j] = Q[par] @ axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
+    return Q, p
+
+
+def _chain_vjp(parents, theta, offsets, Q, Q_bar, p_bar):
+    """Reverse sweep of _chain given the cotangents of its Q and p.
+
+    Accumulates into Q_bar and p_bar in place. Returns the theta gradient
+    (45,) and the offset cotangents (J,3).
+    """
+    theta_bar = np.zeros(45)
+    off_bar = np.zeros((N_JOINTS, 3))
+    for j in range(N_JOINTS - 1, 0, -1):
+        par = parents[j]
+        th = theta[3 * (j - 1): 3 * j]
+        Rj_bar = Q[par].T @ Q_bar[j]
+        Q_bar[par] += Q_bar[j] @ axis_angle_to_matrix(th).T + np.outer(p_bar[j], offsets[j])
+        off_bar[j] = Q[par].T @ p_bar[j]
+        p_bar[par] += p_bar[j]
+        theta_bar[3 * (j - 1): 3 * j] = axis_angle_vjp(th, Rj_bar)
+    return theta_bar, off_bar
+
+
+# ---------------------------------------------------------------------------
 # Built-in capsule hand
 
 _FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
@@ -271,19 +317,14 @@ class CapsuleHand:
     def __init__(self, n_seg: int = 8, n_cap: int = 2, n_side: int = 2):
         self.n_joints = N_JOINTS
         self.parents = np.full(N_JOINTS, -1, dtype=int)
-        # Per-joint rest offset = the bone vector ending at that joint.
-        self.offset_dir = np.zeros((N_JOINTS, 3))
-        self.offset_len0 = np.zeros(N_JOINTS)
 
         a, n_local, faces = _capsule_template(n_seg, n_cap, n_side)
         self._tmpl_a = a
         self._tmpl_faces = faces
-        self._tmpl_n_local = n_local
         self._n_seg = n_seg
         self._n_cap = n_cap
-        self._n_side = n_side
 
-        # Bones: (attach_joint, start_joint_or_-1, direction, len0, rad0)
+        # Bones: (attach_joint, direction, len0, rad0)
         attach, dirs, len0, rad0 = [], [], [], []
         for f in range(N_FINGERS):
             mcp, pip, dip = 1 + 3 * f, 2 + 3 * f, 3 + 3 * f
@@ -292,12 +333,6 @@ class CapsuleHand:
             self.parents[dip] = pip
             palm_len = np.linalg.norm(_MCP_POS[f])
             palm_dir = _MCP_POS[f] / palm_len
-            self.offset_dir[mcp] = palm_dir
-            self.offset_len0[mcp] = palm_len
-            self.offset_dir[pip] = _FINGER_DIR[f]
-            self.offset_len0[pip] = _SEG_LEN[f, 0]
-            self.offset_dir[dip] = _FINGER_DIR[f]
-            self.offset_len0[dip] = _SEG_LEN[f, 1]
             attach += [0, mcp, pip, dip]
             dirs += [palm_dir, _FINGER_DIR[f], _FINGER_DIR[f], _FINGER_DIR[f]]
             len0 += [palm_len, _SEG_LEN[f, 0], _SEG_LEN[f, 1], _SEG_LEN[f, 2]]
@@ -319,20 +354,19 @@ class CapsuleHand:
         self.rad_basis[3::4, 8] = -0.10         # distal taper
         self.rad_basis[0::4, 9] = 0.10          # palm thickness
         self.rad_basis[1::4, 9] = 0.05
-        # Joint offsets scale with the bone that ends at the joint.
-        self.offset_basis = np.zeros((N_JOINTS, 10))
-        for f in range(N_FINGERS):
-            mcp, pip, dip = 1 + 3 * f, 2 + 3 * f, 3 + 3 * f
-            self.offset_basis[mcp] = self.len_basis[4 * f]
-            self.offset_basis[pip] = self.len_basis[4 * f + 1]
-            self.offset_basis[dip] = self.len_basis[4 * f + 2]
+        # Joint 1 + 3f + s ends bone 4f + s (s < 3): its rest offset is that
+        # bone's axis and scales with that bone's length. The root row is 0.
+        self.joint_bone = np.flatnonzero(np.arange(self.n_bones) % 4 != 3)
+        self.offset_dir = np.vstack([np.zeros(3), self.bone_dir[self.joint_bone]])
+        self.offset_len0 = np.concatenate([[0.0], self.bone_len0[self.joint_bone]])
+        self.offset_basis = np.vstack([np.zeros(10), self.len_basis[self.joint_bone]])
 
         # Per-bone unit offsets rotated into the bone frame, fixed at build.
         self._bone_n = np.stack([n_local @ _frame_for(d).T for d in self.bone_dir])
         self.verts_per_bone = len(a)
         self.n_vertices = self.verts_per_bone * self.n_bones
-        all_faces = [self._tmpl_faces + b * self.verts_per_bone for b in range(self.n_bones)]
-        self.faces = np.concatenate(all_faces, axis=0)
+        bone_base = self.verts_per_bone * np.arange(self.n_bones)
+        self.faces = (self._tmpl_faces + bone_base[:, None, None]).reshape(-1, 3)
 
     # -- kinematics -------------------------------------------------------
 
@@ -342,30 +376,28 @@ class CapsuleHand:
     def bone_radii(self, beta: np.ndarray) -> np.ndarray:
         return self.bone_rad0 * (1.0 + self.rad_basis @ beta)
 
+    def joint_offsets(self, beta: np.ndarray) -> np.ndarray:
+        """Per-joint rest offsets from the parent, (J,3); the root row is 0."""
+        return (self.offset_len0 * (1.0 + self.offset_basis @ beta))[:, None] * self.offset_dir
+
     def joint_transforms(self, theta: np.ndarray, beta: np.ndarray):
         """Canonical-space (rotation, position) per joint; root is identity."""
-        Q = np.zeros((N_JOINTS, 3, 3))
-        p = np.zeros((N_JOINTS, 3))
-        Q[0] = np.eye(3)
-        lens = self.offset_len0 * (1.0 + self.offset_basis @ beta)
-        for j in range(1, N_JOINTS):
-            par = self.parents[j]
-            off = lens[j] * self.offset_dir[j]
-            p[j] = p[par] + Q[par] @ off
-            Q[j] = Q[par] @ axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
-        return Q, p
+        return _chain(self.parents, theta, self.joint_offsets(beta), np.zeros(3))
+
+    def _bone_local(self, beta: np.ndarray) -> np.ndarray:
+        """Bone-frame capsule vertices (B,K,3): axial point plus radial offset."""
+        lens = self.bone_lengths(beta)
+        rads = self.bone_radii(beta)
+        return (self._tmpl_a[None, :, None] * lens[:, None, None]) * self.bone_dir[:, None, :] \
+            + rads[:, None, None] * self._bone_n
+
+    def _attach(self, local: np.ndarray, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Carry (B,K,3) bone-frame points into canonical space by their joints."""
+        return local @ Q[self.bone_attach].transpose(0, 2, 1) + p[self.bone_attach, None]
 
     def canonical_vertices(self, theta: np.ndarray, beta: np.ndarray) -> np.ndarray:
         Q, p = self.joint_transforms(theta, beta)
-        lens = self.bone_lengths(beta)
-        rads = self.bone_radii(beta)
-        chunks = []
-        for b in range(self.n_bones):
-            local = (self._tmpl_a[:, None] * lens[b]) * self.bone_dir[b] \
-                + rads[b] * self._bone_n[b]
-            a = self.bone_attach[b]
-            chunks.append(local @ Q[a].T + p[a])
-        return np.concatenate(chunks, axis=0)
+        return self._attach(self._bone_local(beta), Q, p).reshape(-1, 3)
 
     def posed_mesh(self, params: HandParam) -> HandMesh:
         R = rot6d_to_matrix(params.omega)
@@ -375,16 +407,11 @@ class CapsuleHand:
     def posed_segments(self, params: HandParam):
         """World capsule axis endpoints (B,3),(B,3) and radii (B,)."""
         Q, p = self.joint_transforms(params.theta, params.beta)
-        lens = self.bone_lengths(params.beta)
-        rads = self.bone_radii(params.beta)
+        axis = self.bone_lengths(params.beta)[:, None] * self.bone_dir
+        e0 = p[self.bone_attach]
+        e1 = e0 + (Q[self.bone_attach] @ axis[:, :, None])[..., 0]
         R = rot6d_to_matrix(params.omega)
-        e0 = np.empty((self.n_bones, 3))
-        e1 = np.empty((self.n_bones, 3))
-        for b in range(self.n_bones):
-            a = self.bone_attach[b]
-            e0[b] = p[a]
-            e1[b] = p[a] + Q[a] @ (lens[b] * self.bone_dir[b])
-        return e0 @ R.T + params.tau, e1 @ R.T + params.tau, rads
+        return e0 @ R.T + params.tau, e1 @ R.T + params.tau, self.bone_radii(params.beta)
 
     def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
         """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool."""
@@ -405,51 +432,28 @@ class CapsuleHand:
         """Gradient of sum_k cotangent_k . vertex_k w.r.t. all 64 parameters."""
         theta, beta = params.theta, params.beta
         cot = np.asarray(cotangent, dtype=float).reshape(self.n_vertices, 3)
-        Q, p = self.joint_transforms(theta, beta)
-        lens = self.bone_lengths(beta)
-        rads = self.bone_radii(beta)
+        offsets = self.joint_offsets(beta)
+        Q, p = _chain(self.parents, theta, offsets, np.zeros(3))
+        local = self._bone_local(beta)
         R = rot6d_to_matrix(params.omega)
 
         grad = np.zeros(DIM)
         grad[TAU] = cot.sum(axis=0)
-
+        R_bar = cot.T @ self._attach(local, Q, p).reshape(-1, 3)
+        w_bar = cot.reshape(local.shape) @ R          # rows R^T c_k
         Q_bar = np.zeros((N_JOINTS, 3, 3))
         p_bar = np.zeros((N_JOINTS, 3))
-        beta_bar = np.zeros(10)
-        R_bar = np.zeros((3, 3))
+        np.add.at(Q_bar, self.bone_attach, w_bar.transpose(0, 2, 1) @ local)
+        np.add.at(p_bar, self.bone_attach, w_bar.sum(axis=1))
+        local_bar = w_bar @ Q[self.bone_attach]
+        len_bar = np.einsum("bki,bi,k->b", local_bar, self.bone_dir, self._tmpl_a)
+        rad_bar = np.einsum("bki,bki->b", local_bar, self._bone_n)
 
-        K = self.verts_per_bone
-        for b in range(self.n_bones):
-            a = self.bone_attach[b]
-            local = (self._tmpl_a[:, None] * lens[b]) * self.bone_dir[b] \
-                + rads[b] * self._bone_n[b]
-            canon = local @ Q[a].T + p[a]
-            c = cot[b * K:(b + 1) * K]
-            R_bar += c.T @ canon
-            w_bar = c @ R                      # rows R^T c_k
-            Q_bar[a] += w_bar.T @ local
-            p_bar[a] += w_bar.sum(axis=0)
-            local_bar = w_bar @ Q[a]
-            len_bar = float((local_bar @ self.bone_dir[b]) @ self._tmpl_a)
-            rad_bar = float(np.sum(local_bar * self._bone_n[b]))
-            beta_bar += self.bone_len0[b] * self.len_basis[b] * len_bar
-            beta_bar += self.bone_rad0[b] * self.rad_basis[b] * rad_bar
-
-        off_lens = self.offset_len0 * (1.0 + self.offset_basis @ beta)
-        for j in range(N_JOINTS - 1, 0, -1):
-            par = self.parents[j]
-            Rj = axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
-            off = off_lens[j] * self.offset_dir[j]
-            Rj_bar = Q[par].T @ Q_bar[j]
-            Q_bar[par] += Q_bar[j] @ Rj.T + np.outer(p_bar[j], off)
-            off_bar = Q[par].T @ p_bar[j]
-            beta_bar += self.offset_len0[j] * self.offset_basis[j] \
-                * float(off_bar @ self.offset_dir[j])
-            p_bar[par] += p_bar[j]
-            grad[THETA][3 * (j - 1): 3 * j] = axis_angle_vjp(
-                theta[3 * (j - 1): 3 * j], Rj_bar)
-
-        grad[BETA] = beta_bar
+        grad[THETA], off_bar = _chain_vjp(self.parents, theta, offsets, Q, Q_bar, p_bar)
+        off_len_bar = np.einsum("ji,ji->j", off_bar, self.offset_dir)
+        grad[BETA] = (self.bone_len0 * len_bar) @ self.len_basis \
+            + (self.bone_rad0 * rad_bar) @ self.rad_basis \
+            + (self.offset_len0 * off_len_bar) @ self.offset_basis
         grad[OMEGA] = rot6d_vjp(params.omega, R_bar)
         return grad
 
@@ -497,30 +501,20 @@ class TemplateHand:
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise LayoutMismatch("skinning weight rows must sum to 1")
         self.rest_joints = self.regressor @ self.rest_vertices
+        self.rest_offsets = self.rest_joints - self.rest_joints[np.maximum(self.parents, 0)]
         self.n_vertices = len(self.rest_vertices)
 
     def joint_transforms(self, theta: np.ndarray):
-        Q = np.zeros((N_JOINTS, 3, 3))
-        p = np.zeros((N_JOINTS, 3))
-        Q[0] = np.eye(3)
-        p[0] = self.rest_joints[0]
-        for j in range(1, N_JOINTS):
-            par = self.parents[j]
-            off = self.rest_joints[j] - self.rest_joints[par]
-            p[j] = p[par] + Q[par] @ off
-            Q[j] = Q[par] @ axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
-        return Q, p
+        return _chain(self.parents, theta, self.rest_offsets, self.rest_joints[0])
+
+    def _skin(self, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Linear blend skinning: sum_j w_vj (Q_j (v - rest_joint_j) + p_j)."""
+        blended = (self.weights @ Q.reshape(N_JOINTS, 9)).reshape(-1, 3, 3)
+        t = p - np.einsum("jab,jb->ja", Q, self.rest_joints)
+        return np.einsum("vab,vb->va", blended, self.rest_vertices) + self.weights @ t
 
     def canonical_vertices(self, theta: np.ndarray, beta=None) -> np.ndarray:
-        Q, p = self.joint_transforms(theta)
-        out = np.zeros_like(self.rest_vertices)
-        for j in range(N_JOINTS):
-            w = self.weights[:, j]
-            if not w.any():
-                continue
-            u = self.rest_vertices - self.rest_joints[j]
-            out += w[:, None] * (u @ Q[j].T + p[j])
-        return out
+        return self._skin(*self.joint_transforms(theta))
 
     def posed_mesh(self, params: HandParam) -> HandMesh:
         R = rot6d_to_matrix(params.omega)
@@ -543,34 +537,18 @@ class TemplateHand:
         theta = params.theta
         cot = np.asarray(cotangent, dtype=float).reshape(self.n_vertices, 3)
         Q, p = self.joint_transforms(theta)
-        canon = self.canonical_vertices(theta)
         R = rot6d_to_matrix(params.omega)
 
         grad = np.zeros(DIM)
         grad[TAU] = cot.sum(axis=0)
-        R_bar = cot.T @ canon
+        R_bar = cot.T @ self._skin(Q, p)
         canon_bar = cot @ R
 
-        Q_bar = np.zeros((N_JOINTS, 3, 3))
-        p_bar = np.zeros((N_JOINTS, 3))
-        for j in range(N_JOINTS):
-            w = self.weights[:, j]
-            if not w.any():
-                continue
-            wc = canon_bar * w[:, None]
-            Q_bar[j] += wc.T @ (self.rest_vertices - self.rest_joints[j])
-            p_bar[j] += wc.sum(axis=0)
-
-        for j in range(N_JOINTS - 1, 0, -1):
-            par = self.parents[j]
-            Rj = axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
-            off = self.rest_joints[j] - self.rest_joints[par]
-            Rj_bar = Q[par].T @ Q_bar[j]
-            Q_bar[par] += Q_bar[j] @ Rj.T + np.outer(p_bar[j], off)
-            p_bar[par] += p_bar[j]
-            grad[THETA][3 * (j - 1): 3 * j] = axis_angle_vjp(
-                theta[3 * (j - 1): 3 * j], Rj_bar)
-
+        p_bar = self.weights.T @ canon_bar
+        outer = np.einsum("va,vb->vab", canon_bar, self.rest_vertices).reshape(-1, 9)
+        Q_bar = (self.weights.T @ outer).reshape(N_JOINTS, 3, 3) \
+            - np.einsum("ja,jb->jab", p_bar, self.rest_joints)
+        grad[THETA], _ = _chain_vjp(self.parents, theta, self.rest_offsets, Q, Q_bar, p_bar)
         grad[OMEGA] = rot6d_vjp(params.omega, R_bar)
         return grad
 
@@ -666,18 +644,15 @@ def template_from_capsule(model: CapsuleHand) -> TemplateHand:
     V = model.n_vertices
     weights = np.zeros((V, N_JOINTS))
     K = model.verts_per_bone
-    for b in range(model.n_bones):
-        weights[b * K:(b + 1) * K, model.bone_attach[b]] = 1.0
+    weights[np.arange(V), np.repeat(model.bone_attach, K)] = 1.0
 
     n_seg, n_cap = model._n_seg, model._n_cap
     bottom_eq = 1 + (n_cap - 1) * n_seg           # first index of a=0 equator
     top_eq = K - 1 - model._n_cap * n_seg         # first index of a=1 equator
     regressor = np.zeros((N_JOINTS, V))
     regressor[0, 0 * K + bottom_eq: 0 * K + bottom_eq + n_seg] = 1.0 / n_seg
-    for f in range(N_FINGERS):
-        for seg, joint in enumerate((1 + 3 * f, 2 + 3 * f, 3 + 3 * f)):
-            b = 4 * f + seg                        # bone ending at `joint`
-            regressor[joint, b * K + top_eq: b * K + top_eq + n_seg] = 1.0 / n_seg
+    for joint, b in enumerate(model.joint_bone, start=1):
+        regressor[joint, b * K + top_eq: b * K + top_eq + n_seg] = 1.0 / n_seg
     return TemplateHand(model.parents, rest, model.faces, weights, regressor)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .hand_model import HandParam, default_hand, mirror, occupancy, occupancy_left, pair_meshes
-from .mesh import sample_surface_points
+from .hand_model import HandParam, default_hand, occupancy, occupancy_left, pair_meshes
+from .mesh import min_vertex_distance, sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 from .sampler import penetration_report
 
@@ -170,20 +170,6 @@ def penetration_volume(occ_a, occ_b, bounds_a, bounds_b, grid: float = 1e-3) -> 
     return count * (grid * 1000.0) ** 3
 
 
-def pair_penetration_volume(x_l: HandParam, x_r: HandParam, model=None,
-                            grid: float = 1e-3) -> float:
-    """Voxel-overlap volume of a stored pair, mm^3."""
-    model = model or default_hand()
-    mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-    return penetration_volume(
-        lambda pts: occupancy_left(model, x_l, pts),
-        lambda pts: occupancy(model, x_r, pts),
-        (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
-        (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
-        grid,
-    )
-
-
 def penetration_distance(mesh_a, mesh_b, aggregate: str = "mean") -> float:
     """Projected penetration depth of A's vertices into B, in cm (0 if none)."""
     report = penetration_report(mesh_a, mesh_b)
@@ -200,9 +186,16 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     report = penetration_report(mesh_r, mesh_l)
     penetrating = len(report.pairs) > 0
     pen_dist = float(report.depths.mean() * 100.0) if penetrating else 0.0
-    d, _ = cKDTree(mesh_l.vertices).query(mesh_r.vertices, k=1)
-    vol = pair_penetration_volume(x_l, x_r, model, grid) if penetrating else 0.0
-    return vol, pen_dist, float(d.min()), penetrating
+    vol = 0.0
+    if penetrating:
+        vol = penetration_volume(
+            lambda pts: occupancy_left(model, x_l, pts),
+            lambda pts: occupancy(model, x_r, pts),
+            (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
+            (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
+            grid,
+        )
+    return vol, pen_dist, min_vertex_distance(mesh_r, mesh_l), penetrating
 
 
 def proximity_ratio(min_distances, penetrating, tau: float = 0.02) -> float:

@@ -22,7 +22,6 @@ TAG_INIT = 1 << 62
 TAG_SAMPLE = 1 << 61
 TAG_DATA = 1 << 60
 TAG_SPLIT = 1 << 59
-TAG_SURFACE = 1 << 58
 TAG_METRIC = 1 << 57
 TAG_REG = 1 << 56
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooFewPoints
-from .nn import Linear, _acc, relu_backward, relu_forward
+from .nn import Linear, relu_backward, relu_forward
 
 
 def farthest_point_indices(xyz: np.ndarray, m: int) -> np.ndarray:

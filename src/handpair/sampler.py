@@ -118,13 +118,13 @@ def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
 
 def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
                  anchor: HandParam, sched: DiffusionSchedule, model=None,
-                 squared: bool = True, pairs: np.ndarray | None = None,
-                 anchor_mesh: HandMesh | None = None):
+                 squared: bool = True, anchor_mesh: HandMesh | None = None):
     """d L_pen / d x_prev through the clean-estimate map and the kinematics.
 
-    eps_hat is held constant; the pair set is frozen within the step (pass
-    ``pairs`` to reuse one across perturbed evaluations). Returns
-    (gradient (64,), pairs used).
+    eps_hat is held constant, and so is the pair set: it is found once from
+    the clean estimate and not differentiated. ``anchor_mesh``, when given,
+    is the anchor's posed left-hand mesh, reused instead of rebuilt.
+    Returns (gradient (64,), pairs used).
     """
     model = model or default_hand()
     sqrt_ab = float(np.sqrt(sched.alpha_bar[t_prev]))
@@ -133,8 +133,7 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     mesh_a = model.posed_mesh(x0_hat)
     if anchor_mesh is None:
         anchor_mesh = left_hand_mesh(anchor, model)
-    if pairs is None:
-        pairs = penetration_set(mesh_a, anchor_mesh)
+    pairs = penetration_set(mesh_a, anchor_mesh)
     if len(pairs) == 0:
         return np.zeros(64), pairs
     delta = mesh_a.vertices[pairs[:, 0]] - anchor_mesh.vertices[pairs[:, 1]]
@@ -182,7 +181,7 @@ class SampleResult:
         return HandParam(self.x_l[i].copy()), HandParam(self.x_r[i].copy())
 
 
-def _reverse_pass(denoiser, x, cond, drop, grid, sched, config, model,
+def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
                   object_embedding, anchors=None, anchor_meshes=None):
     n_steps = len(grid)
     for si, (t, t_prev) in enumerate(grid):
@@ -231,7 +230,7 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
         object_embedding = np.tile(denoiser.embed_object(config.object_points), (B, 1))
 
     # Phase 1: unconditional anchor in canonical right-hand space.
-    x = _reverse_pass(denoiser, noise[0].copy(), None, None, grid, sched,
+    x = _reverse_pass(denoiser, noise[0].copy(), None, grid, sched,
                       config, model, object_embedding)
     x_l = np.empty((B, 64))
     for i in range(B):
@@ -252,9 +251,8 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
                 anchor_meshes.append(left_hand_mesh(a, model))
             except DegenerateRotation:
                 anchor_meshes.append(None)
-    x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(),
-                        np.zeros(B, dtype=bool), grid, sched, config, model,
-                        object_embedding, anchors, anchor_meshes)
+    x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), grid, sched,
+                        config, model, object_embedding, anchors, anchor_meshes)
     return SampleResult(x_l=x_l, x_r=x_r, config=config)
 
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import icosphere, random_params
-from handpair.errors import NonWatertight, ZeroAreaStar
+from handpair.errors import LayoutMismatch, NonWatertight, ZeroAreaStar
 from handpair.hand_model import (
+    OMEGA,
+    TAU,
+    THETA,
     HandParam,
+    TemplateHand,
     default_hand,
     forward_kinematics,
     kinematics_vjp,
@@ -70,6 +74,21 @@ def test_single_bent_joint_matches_rigid_skinning_oracle(hand_model):
             sl = slice(b * K, (b + 1) * K)
             expected[sl] = (rest[sl] - pivot) @ R.T + pivot
     assert np.abs(posed - expected).max() < 1e-6
+
+
+def test_canonical_vertices_match_per_bone_reference(hand_model):
+    # One bone at a time with the same arithmetic as the batched form, so
+    # the bits must match exactly.
+    p = random_params(np.random.default_rng(29))
+    Q, joints = hand_model.joint_transforms(p.theta, p.beta)
+    lens, rads = hand_model.bone_lengths(p.beta), hand_model.bone_radii(p.beta)
+    K = hand_model.verts_per_bone
+    got = hand_model.canonical_vertices(p.theta, p.beta)
+    for b in range(hand_model.n_bones):
+        a = hand_model.bone_attach[b]
+        local = (hand_model._tmpl_a[:, None] * lens[b]) * hand_model.bone_dir[b] \
+            + rads[b] * hand_model._bone_n[b]
+        np.testing.assert_array_equal(got[b * K:(b + 1) * K], local @ Q[a].T + joints[a])
 
 
 def test_beta_changes_geometry_differentiably(hand_model):
@@ -341,6 +360,54 @@ def test_template_vjp_matches_finite_differences(hand_model):
     fd[45:55] = 0.0  # template has no shape response
     denom = np.maximum(np.abs(fd), 1e-4 * np.abs(fd).max())
     assert (np.abs(got - fd) / denom).max() < 1e-3
+
+
+def test_template_vjp_matches_capsule_vjp_at_zero_beta(hand_model):
+    # The baked template poses like the capsule hand at beta = 0, so the two
+    # backward passes must agree on every block the template drives.
+    tmpl = template_from_capsule(hand_model)
+    rng = np.random.default_rng(23)
+    blocks = np.r_[THETA, OMEGA, TAU]
+    for _ in range(3):
+        p = random_params(rng, beta_scale=0.0)
+        cot = rng.normal(size=(hand_model.n_vertices, 3))
+        np.testing.assert_allclose(tmpl.vjp(p, cot)[blocks], hand_model.vjp(p, cot)[blocks],
+                                   rtol=0.0, atol=1e-9)
+
+
+def _break_fifteen_joints(parts):
+    parts["parents"] = parts["parents"][:15]
+    parts["weights"] = parts["weights"][:, :15]
+    parts["regressor"] = parts["regressor"][:15]
+
+
+def _break_root_parent(parts):
+    parts["parents"][0] = 0
+
+
+def _break_parent_after_child(parts):
+    parts["parents"][4] = 5
+
+
+def _break_weight_rows(parts):
+    parts["weights"][0] *= 0.5
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (_break_fifteen_joints, "16 joints"),
+    (_break_root_parent, "root"),
+    (_break_parent_after_child, "tree"),
+    (_break_weight_rows, "sum to 1"),
+])
+def test_template_rejects_bad_layout(hand_model, breaker, message):
+    tmpl = template_from_capsule(hand_model)
+    parts = {"parents": tmpl.parents.copy(), "rest_vertices": tmpl.rest_vertices,
+             "faces": tmpl.faces, "weights": tmpl.weights.copy(),
+             "regressor": tmpl.regressor.copy()}
+    TemplateHand(**parts)
+    breaker(parts)
+    with pytest.raises(LayoutMismatch, match=message):
+        TemplateHand(**parts)
 
 
 def test_template_non_watertight_detected(hand_model):
