@@ -37,7 +37,7 @@ class BackboneConfig:
 
 def regression_target(x_l: HandParam, x_r: HandParam) -> np.ndarray:
     omega_rel, tau_rel = relative_root(x_l, x_r)
-    return np.concatenate([x_l.theta, x_r.theta, omega_rel, tau_rel])
+    return np.concatenate([x_l.theta, x_r.theta, omega_rel, tau_rel], axis=-1)
 
 
 class FeatureBackbone:
@@ -118,8 +118,7 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
     model = model or default_hand()
     bb = FeatureBackbone(config)
     clouds = build_clouds(dataset, config.n_surface, model, seed=config.seed)
-    targets = np.stack([regression_target(*dataset.pair(i))
-                        for i in range(len(dataset))])
+    targets = regression_target(*dataset.pair(np.arange(len(dataset))))
 
     train_frac = 1.0 - config.val_fraction
     train_ds, val_ds = split(dataset, (train_frac, config.val_fraction, 0.0),

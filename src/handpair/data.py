@@ -44,9 +44,10 @@ class Dataset:
     def has_objects(self) -> bool:
         return self.objects_ is not None
 
-    def pair(self, i: int):
-        row = self.params[i].astype(float)
-        return HandParam(row[:64]), HandParam(row[64:])
+    def pair(self, idx):
+        """(x_l, x_r) of record ``idx``, or stacked over an index array."""
+        rows = self.params[idx].astype(float)
+        return HandParam(rows[..., :64]), HandParam(rows[..., 64:])
 
     def objects(self, idx) -> np.ndarray:
         return self.objects_[np.asarray(idx)].astype(float)
@@ -197,8 +198,7 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
             x_r = HandParam.from_parts(theta=theta_r, beta=beta,
                                        omega=matrix_to_rot6d(R), tau=tau)
             row = np.concatenate([x_l.vector, x_r.vector]).astype("<f4")
-            stored_l = HandParam(row[:64].astype(float))
-            stored_r = HandParam(row[64:].astype(float))
+            stored_l, stored_r = Dataset(row).pair(0)
             if penetration_loss(stored_r, stored_l, model) <= spec.max_penetration:
                 break
             rejects += 1

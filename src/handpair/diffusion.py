@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDataset, InvalidSchedule, NonFiniteLoss, ScheduleSingularity
-from .hand_model import OMEGA, TAU, mirror, reroot_pair
+from .hand_model import OMEGA, TAU, HandParam, mirror, reroot_pair
 from .nn import rng_stream
 
 
@@ -121,25 +121,23 @@ class TrainResult:
     dropped_fraction: float = 0.0
 
 
-def assemble_batch(dataset, idx, flip_mask):
-    """Per sample: pick an orientation, then re-root into the condition frame.
+def orient(x_l: HandParam, x_r: HandParam, flip):
+    """(target, cond) per row: flip False gives (x_r | x_l), True gives the
+    mirrored pair (mirror(x_l) | mirror(x_r)). Broadcasts over rows."""
+    flip = np.asarray(flip, dtype=bool)[..., None]
+    target = np.where(flip, mirror(x_l).vector, x_r.vector)
+    cond = np.where(flip, mirror(x_r).vector, x_l.vector)
+    return HandParam(target), HandParam(cond)
 
-    Orientation False trains (target=x_r | cond=x_l); True trains the
-    mirrored pair (target=mirror(x_l) | cond=mirror(x_r)). Targets carry the
-    relative root transform after re-rooting; conditions are identity-rooted.
+
+def assemble_batch(dataset, idx, flip_mask):
+    """Orient each sampled pair, then re-root it into the condition frame.
+
+    Targets carry the relative root transform after re-rooting; conditions
+    are identity-rooted.
     """
-    targets = np.empty((len(idx), 64))
-    conds = np.empty((len(idx), 64))
-    for row, (i, flip) in enumerate(zip(idx, flip_mask)):
-        x_l, x_r = dataset.pair(i)
-        if flip:
-            target, cond = mirror(x_l), mirror(x_r)
-        else:
-            target, cond = x_r, x_l
-        target, cond = reroot_pair(target, cond)
-        targets[row] = target.vector
-        conds[row] = cond.vector
-    return targets, conds
+    target, cond = reroot_pair(*orient(*dataset.pair(idx), flip_mask))
+    return target.vector, cond.vector
 
 
 def train(dataset, denoiser, config: TrainConfig) -> TrainResult:

@@ -5,6 +5,10 @@ A hand is a 64-vector [theta | beta | omega | tau]:
   beta:  10 unitless shape coefficients
   omega: 6D root rotation (first two matrix columns, pre-orthonormalization)
   tau:   3 root translation, meters
+HandParam holds one hand (64,) or a stack of hands (..., 64). The
+parameter-space algebra (mirror, pin_root, relative_root, reroot_pair,
+compose_root) broadcasts over the leading axes; the kinematics, meshes,
+occupancy and VJPs take one hand.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -57,12 +61,15 @@ N_FINGERS = 5
 
 @dataclass
 class HandParam:
-    """Flat 64-vector with named views onto its blocks."""
+    """One hand (64,) or a stack (..., 64), with named views onto its blocks."""
 
     vector: np.ndarray
 
     def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=float).reshape(DIM)
+        self.vector = np.asarray(self.vector, dtype=float)
+        if self.vector.shape[-1:] != (DIM,):
+            raise ValueError(
+                f"hand parameters need a last axis of {DIM}, got shape {self.vector.shape}")
 
     @classmethod
     def from_parts(cls, theta=None, beta=None, omega=None, tau=None) -> "HandParam":
@@ -80,27 +87,24 @@ class HandParam:
 
     @property
     def theta(self) -> np.ndarray:
-        return self.vector[THETA]
+        return self.vector[..., THETA]
 
     @property
     def beta(self) -> np.ndarray:
-        return self.vector[BETA]
+        return self.vector[..., BETA]
 
     @property
     def omega(self) -> np.ndarray:
-        return self.vector[OMEGA]
+        return self.vector[..., OMEGA]
 
     @property
     def tau(self) -> np.ndarray:
-        return self.vector[TAU]
+        return self.vector[..., TAU]
 
     def validate(self) -> None:
         if not np.isfinite(self.vector).all():
             raise ValueError("non-finite hand parameters")
         rot6d_to_matrix(self.omega)  # raises DegenerateRotation when bad
-
-    def root_matrix(self) -> np.ndarray:
-        return rot6d_to_matrix(self.omega)
 
     def copy(self) -> "HandParam":
         return HandParam(self.vector.copy())
@@ -108,6 +112,11 @@ class HandParam:
 
 # ---------------------------------------------------------------------------
 # Parameter-space algebra
+
+
+def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product R v over (..., 3, 3) and (..., 3)."""
+    return (R @ v[..., None])[..., 0]
 
 
 def mirror(params: HandParam) -> HandParam:
@@ -118,24 +127,24 @@ def mirror(params: HandParam) -> HandParam:
     """
     out = params.copy()
     R = rot6d_to_matrix(params.omega)
-    out.vector[OMEGA] = matrix_to_rot6d(MIRROR_MAT @ R @ MIRROR_MAT)
-    out.vector[TAU] = MIRROR_MAT @ params.tau
+    out.vector[..., OMEGA] = matrix_to_rot6d(MIRROR_MAT @ R @ MIRROR_MAT)
+    out.vector[..., TAU] = _apply(MIRROR_MAT, params.tau)
     return out
 
 
 def pin_root(params: HandParam) -> HandParam:
     """Identity root rotation, zero translation; articulation untouched."""
     out = params.copy()
-    out.vector[OMEGA] = IDENTITY_6D
-    out.vector[TAU] = 0.0
+    out.vector[..., OMEGA] = IDENTITY_6D
+    out.vector[..., TAU] = 0.0
     return out
 
 
 def relative_root(base: HandParam, other: HandParam):
     """Root of ``other`` expressed in ``base``'s root frame: (omega6d, tau)."""
-    Rb = rot6d_to_matrix(base.omega)
+    Rb_T = np.swapaxes(rot6d_to_matrix(base.omega), -1, -2)
     Ro = rot6d_to_matrix(other.omega)
-    return matrix_to_rot6d(Rb.T @ Ro), Rb.T @ (other.tau - base.tau)
+    return matrix_to_rot6d(Rb_T @ Ro), _apply(Rb_T, other.tau - base.tau)
 
 
 def reroot_pair(target: HandParam, cond: HandParam):
@@ -146,8 +155,8 @@ def reroot_pair(target: HandParam, cond: HandParam):
     """
     omega_rel, tau_rel = relative_root(cond, target)
     new_target = target.copy()
-    new_target.vector[OMEGA] = omega_rel
-    new_target.vector[TAU] = tau_rel
+    new_target.vector[..., OMEGA] = omega_rel
+    new_target.vector[..., TAU] = tau_rel
     return new_target, pin_root(cond)
 
 
@@ -156,8 +165,8 @@ def compose_root(base: HandParam, rel: HandParam) -> HandParam:
     Rb = rot6d_to_matrix(base.omega)
     Rr = rot6d_to_matrix(rel.omega)
     out = rel.copy()
-    out.vector[OMEGA] = matrix_to_rot6d(Rb @ Rr)
-    out.vector[TAU] = Rb @ rel.tau + base.tau
+    out.vector[..., OMEGA] = matrix_to_rot6d(Rb @ Rr)
+    out.vector[..., TAU] = _apply(Rb, rel.tau) + base.tau
     return out
 
 

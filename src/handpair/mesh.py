@@ -5,9 +5,11 @@ Vertices are meters; faces are counter-clockwise when viewed from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ZeroAreaStar
 from .rotations import MIRROR_MAT
@@ -15,26 +17,31 @@ from .rotations import MIRROR_MAT
 
 @dataclass
 class HandMesh:
+    """Vertices and faces; normals and a k-d tree are derived on first use
+    and cached, so the vertices must not change after either is read."""
+
     vertices: np.ndarray          # (V, 3) float
     faces: np.ndarray             # (F, 3) int, CCW outward
-    normals: np.ndarray = field(default=None)  # (V, 3) unit, area-weighted
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.faces = np.asarray(self.faces, dtype=np.int64)
-        if self.normals is None:
-            self.normals = vertex_normals(self.vertices, self.faces)
-        else:
-            self.normals = np.asarray(self.normals, dtype=float)
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """(V, 3) unit, area-weighted vertex normals."""
+        return vertex_normals(self.vertices, self.faces)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over the vertices, for nearest-vertex queries."""
+        return cKDTree(self.vertices)
 
     def validate(self) -> None:
         if not np.isfinite(self.vertices).all():
             raise ValueError("non-finite vertices")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
             raise ValueError("face index out of range")
-        norms = np.linalg.norm(self.normals, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-6):
-            raise ValueError("normals not unit length")
 
 
 def face_normals_areas(vertices: np.ndarray, faces: np.ndarray):
@@ -145,8 +152,5 @@ def edge_manifold_ok(faces: np.ndarray) -> bool:
 
 def min_vertex_distance(mesh_a: HandMesh, mesh_b: HandMesh) -> float:
     """Minimum vertex-to-vertex distance between two meshes, meters."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(mesh_b.vertices)
-    d, _ = tree.query(mesh_a.vertices, k=1)
+    d, _ = mesh_b.tree.query(mesh_a.vertices, k=1)
     return float(d.min())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, forward_diffuse
+from .diffusion import DiffusionSchedule, forward_diffuse, orient
 from .hand_model import HandParam, compose_root, mirror, reroot_pair
 from .nn import TAG_REG, rng_stream
 
@@ -44,18 +44,14 @@ def forward_reverse_step(denoiser, sched: DiffusionSchedule, x_l: HandParam,
     Row 0 of ``noise`` perturbs the right-hand direction, row 1 the mirrored
     left-hand direction. Returns (x_l_hat, x_r_hat) in the input frames.
     """
-    rel_r, cond_r = reroot_pair(x_r, x_l)
-    target_l, cond_l_raw = mirror(x_l), mirror(x_r)
-    rel_l, cond_l = reroot_pair(target_l, cond_l_raw)
-
-    targets = np.stack([rel_r.vector, rel_l.vector])
-    conds = np.stack([cond_r.vector, cond_l.vector])
-    diffused = forward_diffuse(targets, np.array([t_reg, t_reg]), noise, sched)
-    denoised = denoiser.predict(diffused, conds, np.zeros(2, dtype=bool),
-                                np.array([t_reg, t_reg]))
-    x_r_hat = compose_root(x_l, HandParam(denoised[0]))
-    x_l_hat = mirror(compose_root(cond_l_raw, HandParam(denoised[1])))
-    return x_l_hat, x_r_hat
+    target, cond = orient(x_l, x_r, [False, True])
+    rel, cond_pinned = reroot_pair(target, cond)
+    t = np.array([t_reg, t_reg])
+    diffused = forward_diffuse(rel.vector, t, noise, sched)
+    denoised = denoiser.predict(diffused, cond_pinned.vector, np.zeros(2, dtype=bool), t)
+    hat = compose_root(cond, HandParam(denoised))
+    # Row 1 was denoised in mirrored space; mirror is its own inverse.
+    return mirror(HandParam(hat.vector[1])), HandParam(hat.vector[0])
 
 
 def reg_loss(denoiser, sched: DiffusionSchedule, x_l: HandParam, x_r: HandParam,

@@ -3,6 +3,10 @@
 The 6D encoding stores the first two columns of a rotation matrix as
 [c1x, c1y, c1z, c2x, c2y, c2z]; decoding runs Gram-Schmidt on the two
 columns and completes the triad with a cross product.
+
+rot6d_to_matrix and matrix_to_rot6d broadcast over leading axes: they map
+(..., 6) to (..., 3, 3) and back. The VJPs and the axis-angle functions
+take one rotation.
 """
 
 from __future__ import annotations
@@ -20,32 +24,33 @@ _EPS = 1e-8
 
 
 def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
-    """Decode a 6D rotation to an orthonormal 3x3 matrix (det +1).
+    """Decode 6D rotations (..., 6) to orthonormal (..., 3, 3) matrices (det +1).
 
-    Raises DegenerateRotation when either column is near zero or the two
-    columns are near collinear (cross-product norm <= 1e-8).
+    Raises DegenerateRotation when, in any entry, either column is near zero
+    or the two columns are near collinear (cross-product norm <= 1e-8).
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (6,):
-        raise DegenerateRotation(f"expected 6 entries, got shape {omega.shape}")
-    a1, a2 = omega[:3], omega[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 <= _EPS:
+    if omega.shape[-1:] != (6,):
+        raise DegenerateRotation(f"expected 6 entries on the last axis, got shape {omega.shape}")
+    a1, a2 = omega[..., :3], omega[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    if np.any(n1 <= _EPS):
         raise DegenerateRotation("first column norm below 1e-8")
     b1 = a1 / n1
-    u2 = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(u2)
-    if n2 <= _EPS or np.linalg.norm(np.cross(a1, a2)) <= _EPS * n1:
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    if np.any(n2 <= _EPS) or np.any(
+            np.linalg.norm(np.cross(a1, a2), axis=-1, keepdims=True) <= _EPS * n1):
         raise DegenerateRotation("columns are (near-)collinear")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
+    return np.stack([b1, b2, b3], axis=-1)
 
 
 def matrix_to_rot6d(mat: np.ndarray) -> np.ndarray:
-    """First two columns of ``mat`` flattened into the 6D layout."""
+    """First two columns of each (..., 3, 3) matrix flattened into the 6D layout."""
     mat = np.asarray(mat, dtype=float)
-    return np.concatenate([mat[:, 0], mat[:, 1]])
+    return np.concatenate([mat[..., :, 0], mat[..., :, 1]], axis=-1)
 
 
 def rot6d_vjp(omega: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:

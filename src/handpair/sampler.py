@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0
+from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0, x0_from_eps
 from .errors import DegenerateRotation
 from .hand_model import (
     HandParam,
@@ -87,8 +86,7 @@ def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> np.ndarray:
     Nearest neighbors come from a k-d tree; exact distance ties resolve to
     the lowest index.
     """
-    tree = cKDTree(mesh_b.vertices)
-    _, nearest = tree.query(mesh_a.vertices, k=1)
+    _, nearest = mesh_b.tree.query(mesh_a.vertices, k=1)
     delta = mesh_a.vertices - mesh_b.vertices[nearest]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[nearest], delta)
     idx = np.flatnonzero(depth > 0.0)
@@ -127,9 +125,7 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     Returns (gradient (64,), pairs used).
     """
     model = model or default_hand()
-    sqrt_ab = float(np.sqrt(sched.alpha_bar[t_prev]))
-    sqrt_1mab = float(np.sqrt(1.0 - sched.alpha_bar[t_prev]))
-    x0_hat = HandParam((np.asarray(x_prev, dtype=float) - sqrt_1mab * eps_hat) / sqrt_ab)
+    x0_hat = HandParam(x0_from_eps(x_prev, eps_hat, t_prev, sched))
     mesh_a = model.posed_mesh(x0_hat)
     if anchor_mesh is None:
         anchor_mesh = left_hand_mesh(anchor, model)
@@ -144,7 +140,7 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
         norms = np.maximum(np.linalg.norm(delta, axis=1, keepdims=True), 1e-12)
         np.add.at(cot, pairs[:, 0], delta / norms)
     grad_x0 = kinematics_vjp(x0_hat, model, cot)
-    return grad_x0 / sqrt_ab, pairs
+    return grad_x0 / sched.sqrt_ab(t_prev), pairs
 
 
 def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
@@ -232,25 +228,16 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     # Phase 1: unconditional anchor in canonical right-hand space.
     x = _reverse_pass(denoiser, noise[0].copy(), None, grid, sched,
                       config, model, object_embedding)
-    x_l = np.empty((B, 64))
-    for i in range(B):
-        anchor = HandParam(x[i])
-        if object_embedding is None:
-            # Unconditional roots are unsupervised; only the relative
-            # transform is meaningful, so the anchor frame is canonical.
-            anchor = pin_root(anchor)
-        x_l[i] = mirror(anchor).vector
+    anchor = HandParam(x)
+    if object_embedding is None:
+        # Unconditional roots are unsupervised; only the relative
+        # transform is meaningful, so the anchor frame is canonical.
+        anchor = pin_root(anchor)
+    x_l = mirror(anchor).vector
 
     # Phase 2: conditional partner with CFG and optional APG.
     anchors = [HandParam(x_l[i].copy()) for i in range(B)]
-    anchor_meshes = None
-    if config.apg:
-        anchor_meshes = []
-        for a in anchors:
-            try:
-                anchor_meshes.append(left_hand_mesh(a, model))
-            except DegenerateRotation:
-                anchor_meshes.append(None)
+    anchor_meshes = [left_hand_mesh(a, model) for a in anchors] if config.apg else None
     x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), grid, sched,
                         config, model, object_embedding, anchors, anchor_meshes)
     return SampleResult(x_l=x_l, x_r=x_r, config=config)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PointMassDenoiser
-from handpair.data import generate_synthetic, two_mode_spec
+from conftest import PointMassDenoiser, random_params
+from handpair.data import Dataset, generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import (
     TrainConfig,
@@ -22,6 +22,7 @@ from handpair.errors import (
     NonFiniteLoss,
     ScheduleSingularity,
 )
+from handpair.hand_model import mirror, reroot_pair
 
 
 # -- schedule -----------------------------------------------------------------
@@ -178,6 +179,21 @@ def test_dropout_fraction_statistics():
     result = train(ds, spy, TrainConfig(epochs=10_000, batch_size=1, p_uncond=0.5, seed=9))
     assert result.steps == 10_000
     assert 0.48 <= result.dropped_fraction <= 0.52
+
+
+def test_assemble_batch_matches_per_row_reference():
+    rng = np.random.default_rng(8)
+    ds = Dataset(np.stack([np.concatenate([random_params(rng).vector, random_params(rng).vector])
+                           for _ in range(32)]))
+    idx = rng.integers(0, len(ds), size=64)
+    flip = rng.random(64) < 0.5
+    assert 0 < flip.sum() < len(flip)
+    targets, conds = assemble_batch(ds, idx, flip)
+    for row, (i, f) in enumerate(zip(idx, flip)):
+        x_l, x_r = ds.pair(i)
+        target, cond = reroot_pair(*((mirror(x_l), mirror(x_r)) if f else (x_r, x_l)))
+        np.testing.assert_allclose(targets[row], target.vector, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(conds[row], cond.vector, rtol=0, atol=1e-14)
 
 
 class _DatasetOracle:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import icosphere, random_params
 from handpair.errors import LayoutMismatch, NonWatertight, ZeroAreaStar
@@ -9,6 +10,7 @@ from handpair.hand_model import (
     THETA,
     HandParam,
     TemplateHand,
+    compose_root,
     default_hand,
     forward_kinematics,
     kinematics_vjp,
@@ -18,6 +20,8 @@ from handpair.hand_model import (
     occupancy,
     occupancy_left,
     pin_root,
+    relative_root,
+    reroot_pair,
     save_template,
     template_from_capsule,
 )
@@ -151,6 +155,33 @@ def test_mirror_is_involution():
         assert np.abs(back.vector - p.vector).max() < 1e-8
 
 
+def test_stacked_algebra_matches_per_row_calls():
+    rng = np.random.default_rng(17)
+    a = np.stack([random_params(rng).vector for _ in range(200)])
+    b = np.stack([random_params(rng).vector for _ in range(200)])
+    rows = [(HandParam(u), HandParam(v)) for u, v in zip(a, b)]
+    for op in (mirror, pin_root):
+        np.testing.assert_array_equal(op(HandParam(a)).vector,
+                                      np.stack([op(p).vector for p, _ in rows]))
+    omega, tau = relative_root(HandParam(a), HandParam(b))
+    ref = [relative_root(p, q) for p, q in rows]
+    np.testing.assert_array_equal(omega, np.stack([o for o, _ in ref]))
+    np.testing.assert_array_equal(tau, np.stack([t for _, t in ref]))
+    target, cond = reroot_pair(HandParam(a), HandParam(b))
+    ref = [reroot_pair(p, q) for p, q in rows]
+    np.testing.assert_array_equal(target.vector, np.stack([t.vector for t, _ in ref]))
+    np.testing.assert_array_equal(cond.vector, np.stack([c.vector for _, c in ref]))
+    np.testing.assert_array_equal(compose_root(HandParam(a), HandParam(b)).vector,
+                                  np.stack([compose_root(p, q).vector for p, q in rows]))
+
+
+def test_hand_param_rejects_wrong_last_axis():
+    with pytest.raises(ValueError):
+        HandParam(np.zeros(63))
+    with pytest.raises(ValueError):
+        HandParam(np.zeros((4, 65)))
+
+
 def test_mirror_mesh_commutation(hand_model):
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -215,6 +246,20 @@ def test_zero_area_star_raises():
     faces = np.array([[0, 1, 2], [0, 2, 1], [0, 3, 4]])  # vertex 1's star cancels
     with pytest.raises(ZeroAreaStar):
         vertex_normals(verts, faces)
+
+
+def test_hand_mesh_derives_normals_and_tree_on_first_use():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    faces = np.array([[0, 1, 2], [0, 2, 1], [0, 3, 4]])
+    mesh = HandMesh(verts, faces)  # a zero-area star is fine until normals are read
+    with pytest.raises(ZeroAreaStar):
+        mesh.normals
+    verts, faces = icosphere(1)
+    mesh = HandMesh(verts, faces)
+    np.testing.assert_array_equal(mesh.normals, vertex_normals(verts, faces))
+    probes = np.random.default_rng(4).normal(size=(50, 3))
+    for got, expected in zip(mesh.tree.query(probes, k=1), cKDTree(verts).query(probes, k=1)):
+        np.testing.assert_array_equal(got, expected)
 
 
 # -- occupancy ----------------------------------------------------------------

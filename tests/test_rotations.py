@@ -36,6 +36,19 @@ def test_collinear_columns_raise():
         rot6d_to_matrix([0, 0, 0, 0, 1, 0])
 
 
+def test_stacked_decode_matches_rows_and_rejects_one_collinear_row():
+    rng = np.random.default_rng(12)
+    omegas = np.stack([matrix_to_rot6d(random_rotation(rng)) for _ in range(8)]).reshape(2, 4, 6)
+    got = rot6d_to_matrix(omegas)
+    assert got.shape == (2, 4, 3, 3)
+    np.testing.assert_array_equal(got, [[rot6d_to_matrix(o) for o in row] for row in omegas])
+    np.testing.assert_array_equal(matrix_to_rot6d(got), [[matrix_to_rot6d(m) for m in row]
+                                                         for row in got])
+    omegas[1, 2] = [1, 0, 0, 2, 0, 0]
+    with pytest.raises(DegenerateRotation):
+        rot6d_to_matrix(omegas)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_decode_is_orthonormal_and_roundtrips(seed):
