@@ -8,7 +8,9 @@ A hand is a 64-vector [theta | beta | omega | tau]:
 HandParam holds one hand (64,) or a stack of hands (..., 64). The
 parameter-space algebra (mirror, pin_root, relative_root, reroot_pair,
 compose_root) broadcasts over the leading axes; the kinematics, meshes,
-occupancy and VJPs take one hand.
+occupancy and VJPs take one hand. Occupancy takes any number of query
+points and works through them in fixed-size chunks, so its memory stays
+bounded.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -181,6 +183,7 @@ def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray, root: np
     sits at offsets[j], in the parent's frame, from it. Joint 0 has identity
     rotation and sits at ``root``. Every parent must precede its children.
     """
+    local = axis_angle_to_matrix(theta.reshape(-1, 3))
     Q = np.zeros((N_JOINTS, 3, 3))
     p = np.zeros((N_JOINTS, 3))
     Q[0] = np.eye(3)
@@ -188,7 +191,7 @@ def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray, root: np
     for j in range(1, N_JOINTS):
         par = parents[j]
         p[j] = p[par] + Q[par] @ offsets[j]
-        Q[j] = Q[par] @ axis_angle_to_matrix(theta[3 * (j - 1): 3 * j])
+        Q[j] = Q[par] @ local[j - 1]
     return Q, p
 
 
@@ -198,23 +201,21 @@ def _chain_vjp(parents, theta, offsets, Q, Q_bar, p_bar):
     Accumulates into Q_bar and p_bar in place. Returns the theta gradient
     (45,) and the offset cotangents (J,3).
     """
-    theta_bar = np.zeros(45)
+    theta = theta.reshape(-1, 3)
+    local = axis_angle_to_matrix(theta)
+    local_bar = np.empty_like(local)
     off_bar = np.zeros((N_JOINTS, 3))
     for j in range(N_JOINTS - 1, 0, -1):
         par = parents[j]
-        th = theta[3 * (j - 1): 3 * j]
-        Rj_bar = Q[par].T @ Q_bar[j]
-        Q_bar[par] += Q_bar[j] @ axis_angle_to_matrix(th).T + np.outer(p_bar[j], offsets[j])
+        local_bar[j - 1] = Q[par].T @ Q_bar[j]
+        Q_bar[par] += Q_bar[j] @ local[j - 1].T + np.outer(p_bar[j], offsets[j])
         off_bar[j] = Q[par].T @ p_bar[j]
         p_bar[par] += p_bar[j]
-        theta_bar[3 * (j - 1): 3 * j] = axis_angle_vjp(th, Rj_bar)
-    return theta_bar, off_bar
+    return axis_angle_vjp(theta, local_bar).reshape(-1), off_bar
 
 
 # ---------------------------------------------------------------------------
 # Built-in capsule hand
-
-_FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
 # Rest metacarpal head positions (offsets from the wrist), meters.
 _MCP_POS = np.array([
@@ -427,13 +428,14 @@ class CapsuleHand:
         points = np.asarray(points, dtype=float)
         e0, e1, rads = self.posed_segments(params)
         w = e1 - e0                                    # (B,3)
-        ww = np.einsum("bi,bi->b", w, w)
-        pe = points[:, None, :] - e0[None, :, :]       # (N,B,3)
-        t = np.einsum("nbi,bi->nb", pe, w) / np.maximum(ww, 1e-30)
-        t = np.clip(t, 0.0, 1.0)
-        closest = e0[None] + t[..., None] * w[None]
-        d2 = np.sum((points[:, None, :] - closest) ** 2, axis=2)
-        return (d2 <= (rads**2)[None, :]).any(axis=1)
+        ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
+        out = np.empty(len(points), dtype=bool)
+        for lo in range(0, len(points), 4096):  # bounds the (n,B,3) temporaries
+            pts = points[lo:lo + 4096, None, :]
+            t = np.clip(np.einsum("nbi,bi->nb", pts - e0, w) / ww, 0.0, 1.0)  # (n,B)
+            d2 = np.sum((pts - (e0 + t[..., None] * w)) ** 2, axis=2)
+            out[lo:lo + 4096] = (d2 <= rads**2).any(axis=1)
+        return out
 
     # -- reverse-mode kinematics -------------------------------------------
 
@@ -531,8 +533,7 @@ class TemplateHand:
         return HandMesh(verts, self.faces)
 
     def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
-        R = rot6d_to_matrix(params.omega)
-        verts = self.canonical_vertices(params.theta) @ R.T + params.tau
+        verts = self.posed_mesh(params).vertices
         points = np.asarray(points, dtype=float)
         parities = np.stack([
             _ray_parity(points, verts, self.faces, d) for d in _RAY_DIRS

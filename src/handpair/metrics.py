@@ -20,8 +20,6 @@ from .mesh import min_vertex_distance, sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 from .sampler import penetration_report
 
-MM3_PER_M3 = 1e9
-
 
 class DegenerateCovariance(UserWarning):
     """Covariance is rank deficient; the value is still returned."""
@@ -47,6 +45,10 @@ def fhid(features_a: np.ndarray, features_b: np.ndarray) -> float:
 
     ||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa Sb)^(1/2)), with the square root
     evaluated as (Sa^(1/2) Sb Sa^(1/2))^(1/2) after eigenvalue clamping.
+
+    With no more samples than feature dimensions the covariances are rank
+    deficient, and the value moves by ~1e8 times the relative change of the
+    features; compare such values only within a loose tolerance.
     """
     a = np.atleast_2d(np.asarray(features_a, dtype=float))
     b = np.atleast_2d(np.asarray(features_b, dtype=float))
@@ -149,7 +151,8 @@ def penetration_volume(occ_a, occ_b, bounds_a, bounds_b, grid: float = 1e-3) -> 
 
     occ_a/occ_b: callables (N,3)->bool; bounds: (lo (3,), hi (3,)) AABBs.
     The grid covers the AABB intersection padded by one cell; disjoint
-    boxes short-circuit to 0.
+    boxes short-circuit to 0. occ_a is called once on every cell and occ_b
+    once on the cells inside A, so each must bound its own memory.
     """
     lo = np.maximum(np.asarray(bounds_a[0]), np.asarray(bounds_b[0])) - grid
     hi = np.minimum(np.asarray(bounds_a[1]), np.asarray(bounds_b[1])) + grid
@@ -158,15 +161,8 @@ def penetration_volume(occ_a, occ_b, bounds_a, bounds_b, grid: float = 1e-3) -> 
     i0 = np.floor(lo / grid).astype(np.int64)
     i1 = np.ceil(hi / grid).astype(np.int64)
     axes = [(np.arange(i0[k], i1[k]) + 0.5) * grid for k in range(3)]
-    count = 0
-    for z in axes[2]:  # chunk by z-plane to bound memory
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel(), np.full(X.size, z)], axis=1)
-        inside_a = occ_a(pts)
-        if inside_a.any():
-            both = inside_a.copy()
-            both[inside_a] = occ_b(pts[inside_a])
-            count += int(both.sum())
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    count = int(occ_b(pts[occ_a(pts)]).sum())
     return count * (grid * 1000.0) ** 3
 
 

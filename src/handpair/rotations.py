@@ -5,8 +5,8 @@ The 6D encoding stores the first two columns of a rotation matrix as
 columns and completes the triad with a cross product.
 
 rot6d_to_matrix and matrix_to_rot6d broadcast over leading axes: they map
-(..., 6) to (..., 3, 3) and back. The VJPs and the axis-angle functions
-take one rotation.
+(..., 6) to (..., 3, 3) and back. axis_angle_to_matrix and axis_angle_vjp
+broadcast too, over (..., 3) vectors. rot6d_vjp takes one rotation.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ _EPS = 1e-8
 def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     """Decode 6D rotations (..., 6) to orthonormal (..., 3, 3) matrices (det +1).
 
-    Raises DegenerateRotation when, in any entry, either column is near zero
-    or the two columns are near collinear (cross-product norm <= 1e-8).
+    Raises DegenerateRotation when, in any entry, the first column is near
+    zero (|a1| <= 1e-8) or the second has almost no part orthogonal to the
+    first (|u2| <= 1e-8, with u2 = a2 - (b1.a2) b1 and b1 = a1/|a1|).
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (6,):
@@ -39,8 +40,7 @@ def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     b1 = a1 / n1
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    if np.any(n2 <= _EPS) or np.any(
-            np.linalg.norm(np.cross(a1, a2), axis=-1, keepdims=True) <= _EPS * n1):
+    if np.any(n2 <= _EPS):
         raise DegenerateRotation("columns are (near-)collinear")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
@@ -80,50 +80,49 @@ def rot6d_vjp(omega: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
 
 
 def axis_angle_to_matrix(vec: np.ndarray) -> np.ndarray:
-    """Rodrigues formula; series expansion below 1e-8 rad."""
+    """Rodrigues formula, (..., 3) -> (..., 3, 3); series I + K + K^2/2 below 1e-8 rad."""
     vec = np.asarray(vec, dtype=float)
-    angle = np.linalg.norm(vec)
-    K = _skew(vec)
-    if angle < _EPS:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    s, c = np.sin(angle), np.cos(angle)
-    K = K / angle
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+    angle = np.sqrt(_dot(vec, vec))
+    small = angle < _EPS
+    K = _skew(vec) / np.where(small, 1.0, angle)[..., None, None]
+    s = np.where(small, 1.0, np.sin(angle))[..., None, None]
+    c = np.where(small, 0.5, 1.0 - np.cos(angle))[..., None, None]
+    return np.eye(3) + s * K + c * (K @ K)
 
 
 def axis_angle_vjp(vec: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
-    """VJP of axis_angle_to_matrix.
+    """VJP of axis_angle_to_matrix: (..., 3) vectors, (..., 3, 3) cotangents.
 
     Uses the compact exponential-coordinates derivative
     dR/dv_i = ((v_i [v]x + [v x (I - R) e_i]x) / |v|^2) R, with the
     [e_i]x limit at the origin.
     """
     vec = np.asarray(vec, dtype=float)
-    angle_sq = float(vec @ vec)
+    G = np.asarray(mat_cotangent, dtype=float)
+    angle_sq = _dot(vec, vec)
+    small = angle_sq < _EPS**2
     R = axis_angle_to_matrix(vec)
-    grad = np.empty(3)
-    if angle_sq < _EPS**2:
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            grad[i] = np.tensordot(_skew(e), mat_cotangent)
-        return grad
-    V = _skew(vec)
-    ImR = np.eye(3) - R
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        dR = ((vec[i] * V + _skew(np.cross(vec, ImR @ e))) / angle_sq) @ R
-        grad[i] = np.tensordot(dR, mat_cotangent)
-    return grad
+    # Row i of vxc is v x (I - R) e_i; dR[..., i, :, :] is dR/dv_i.
+    vxc = np.cross(vec[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2))
+    dR = ((vec[..., :, None, None] * _skew(vec)[..., None, :, :] + _skew(vxc))
+          / np.where(small, 1.0, angle_sq)[..., None, None, None]) @ R[..., None, :, :]
+    lead = vec.shape[:-1]
+    grad = (dR.reshape(*lead, 3, 1, 9) @ G.reshape(*lead, 1, 9, 1))[..., 0, 0]
+    limit = np.stack([G[..., 2, 1] - G[..., 1, 2], G[..., 0, 2] - G[..., 2, 0],
+                      G[..., 1, 0] - G[..., 0, 1]], axis=-1)
+    return np.where(small[..., None], limit, grad)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.b over the last axis, summed by BLAS ddot like the one-vector a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Cross-product matrices [v]x, (..., 3) -> (..., 3, 3)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(*v.shape, 3)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -351,6 +351,25 @@ def test_vjp_matches_finite_differences(hand_model):
         assert (np.abs(got - fd) / denom).max() < 1e-3
 
 
+def test_chain_builds_local_rotations_in_one_call(hand_model, monkeypatch):
+    from handpair import hand_model as hm
+
+    calls = []
+    original = hm.axis_angle_to_matrix
+
+    def counting(vec):
+        calls.append(np.shape(vec))
+        return original(vec)
+
+    monkeypatch.setattr(hm, "axis_angle_to_matrix", counting)
+    p = random_params(np.random.default_rng(9))
+    hand_model.posed_mesh(p)
+    assert calls == [(15, 3)]
+    calls.clear()
+    hand_model.vjp(p, np.ones((hand_model.n_vertices, 3)))
+    assert len(calls) <= 2
+
+
 # -- template backend ---------------------------------------------------------
 
 

@@ -104,3 +104,23 @@ def test_random_rotation_is_rotation():
     R = random_rotation(np.random.default_rng(0))
     np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
     assert np.linalg.det(R) == pytest.approx(1.0)
+
+
+def test_stacked_axis_angle_matches_per_row_calls():
+    rng = np.random.default_rng(21)
+    vecs = rng.normal(size=(4, 5, 3)) * np.logspace(-6, 0.5, 20).reshape(4, 5, 1)
+    vecs[1, 2] = 0.0
+    vecs[3, 4] = [1e-10, 0.0, 0.0]
+    cots = rng.normal(size=(4, 5, 3, 3))
+    mats = axis_angle_to_matrix(vecs)
+    grads = axis_angle_vjp(vecs, cots)
+    assert mats.shape == (4, 5, 3, 3) and grads.shape == (4, 5, 3)
+    for i in np.ndindex(4, 5):
+        np.testing.assert_array_equal(mats[i], axis_angle_to_matrix(vecs[i]))
+        np.testing.assert_array_equal(grads[i], axis_angle_vjp(vecs[i], cots[i]))
+
+
+def test_axis_angle_vjp_takes_skew_limit_near_zero():
+    G = np.random.default_rng(5).normal(size=(3, 3))
+    limit = [G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]]
+    np.testing.assert_array_equal(axis_angle_vjp(np.array([1e-10, 0.0, 0.0]), G), limit)
