@@ -161,7 +161,9 @@ def save_backbone(path, backbone: FeatureBackbone) -> None:
         "val_loss_curve": [float(v) for v in backbone.val_loss_curve],
         "config": {"epochs": backbone.config.epochs,
                    "batch_size": backbone.config.batch_size,
-                   "lr": backbone.config.lr, "seed": backbone.config.seed},
+                   "lr": backbone.config.lr,
+                   "val_fraction": backbone.config.val_fraction,
+                   "seed": backbone.config.seed},
     })
 
 
@@ -170,7 +172,8 @@ def load_backbone(path) -> FeatureBackbone:
     if manifest.get("kind") != "backbone":
         raise LayoutMismatch(f"expected a backbone checkpoint, got {manifest.get('kind')!r}")
     config = BackboneConfig(feature_dim=int(manifest["feature_dim"]),
-                            n_surface=int(manifest["n_surface"]))
+                            n_surface=int(manifest["n_surface"]),
+                            **manifest.get("config", {}))
     bb = FeatureBackbone(config, params=tensors)
     bb.val_loss_curve = list(manifest.get("val_loss_curve", []))
     return bb

@@ -179,23 +179,16 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             if config.mask_root_when_uncond:
                 mask[drop, OMEGA.start:TAU.stop] = 0.0
 
+            cache = {}
+            pred = denoiser.predict(x_t, conds, drop, t, objects=objects, rng=rng, cache=cache)
+            denom = mask.sum()
+            loss = float(np.sum(mask * (pred - targets) ** 2) / denom)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(
+                    f"step {step}: non-finite loss on records {np.unique(idx)[:16].tolist()}")
             if trainable:
-                cache = {}
-                pred = denoiser.predict(x_t, conds, drop, t, objects=objects,
-                                        rng=rng, cache=cache)
-                denom = mask.sum()
-                loss = float(np.sum(mask * (pred - targets) ** 2) / denom)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(
-                        f"step {step}: non-finite loss on records {np.unique(idx)[:16].tolist()}")
                 grads = denoiser.backward(2.0 * mask * (pred - targets) / denom, cache)
                 opt.step(denoiser.params, grads, lr)
-            else:
-                pred = denoiser.predict(x_t, conds, drop, t, objects=objects)
-                loss = float(np.sum(mask * (pred - targets) ** 2) / mask.sum())
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(
-                        f"step {step}: non-finite loss on records {np.unique(idx)[:16].tolist()}")
 
             losses.append(loss)
             dropped += int(drop.sum())

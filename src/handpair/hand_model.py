@@ -5,12 +5,15 @@ A hand is a 64-vector [theta | beta | omega | tau]:
   beta:  10 unitless shape coefficients
   omega: 6D root rotation (first two matrix columns, pre-orthonormalization)
   tau:   3 root translation, meters
-HandParam holds one hand (64,) or a stack of hands (..., 64). The
-parameter-space algebra (mirror, pin_root, relative_root, reroot_pair,
-compose_root) broadcasts over the leading axes; the kinematics, meshes,
-occupancy and VJPs take one hand. Occupancy takes any number of query
-points and works through them in fixed-size chunks, so its memory stays
-bounded.
+HandParam holds one hand (64,) or a stack of hands (..., 64). One rule holds
+for every function on hands: it broadcasts over the leading axes. That
+covers the parameter-space algebra (mirror, pin_root, relative_root,
+reroot_pair, compose_root), the chain and its reverse sweep, posed_vertices
+(..., V, 3) and the VJPs (..., 64). The exceptions return one object per
+hand: posed_mesh (a HandMesh with its own cached k-d tree), and
+posed_segments and occupancy, which serve one pair's voxel grid. Occupancy
+takes any number of query points and works through them in fixed-size
+chunks, so its memory stays bounded.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -177,21 +180,22 @@ def compose_root(base: HandParam, rel: HandParam) -> HandParam:
 
 
 def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray, root: np.ndarray):
-    """Forward sweep: per-joint rotation Q (J,3,3) and position p (J,3).
+    """Forward sweep: per-joint rotations Q (..., J, 3, 3) and positions p (..., J, 3).
 
-    Joint j rotates by axis-angle theta[3(j-1):3j] relative to its parent and
-    sits at offsets[j], in the parent's frame, from it. Joint 0 has identity
-    rotation and sits at ``root``. Every parent must precede its children.
+    Joint j rotates by axis-angle theta[..., 3(j-1):3j] relative to its
+    parent and sits at offsets[..., j, :], in the parent's frame, from it.
+    Joint 0 has identity rotation and sits at ``root``. Every parent must
+    precede its children.
     """
-    local = axis_angle_to_matrix(theta.reshape(-1, 3))
-    Q = np.zeros((N_JOINTS, 3, 3))
-    p = np.zeros((N_JOINTS, 3))
-    Q[0] = np.eye(3)
-    p[0] = root
+    local = axis_angle_to_matrix(theta.reshape(*theta.shape[:-1], N_JOINTS - 1, 3))
+    Q = np.zeros((*theta.shape[:-1], N_JOINTS, 3, 3))
+    p = np.zeros((*theta.shape[:-1], N_JOINTS, 3))
+    Q[..., 0, :, :] = np.eye(3)
+    p[..., 0, :] = root
     for j in range(1, N_JOINTS):
         par = parents[j]
-        p[j] = p[par] + Q[par] @ offsets[j]
-        Q[j] = Q[par] @ local[j - 1]
+        p[..., j, :] = p[..., par, :] + _apply(Q[..., par, :, :], offsets[..., j, :])
+        Q[..., j, :, :] = Q[..., par, :, :] @ local[..., j - 1, :, :]
     return Q, p
 
 
@@ -199,19 +203,21 @@ def _chain_vjp(parents, theta, offsets, Q, Q_bar, p_bar):
     """Reverse sweep of _chain given the cotangents of its Q and p.
 
     Accumulates into Q_bar and p_bar in place. Returns the theta gradient
-    (45,) and the offset cotangents (J,3).
+    (..., 45) and the offset cotangents (..., J, 3).
     """
-    theta = theta.reshape(-1, 3)
-    local = axis_angle_to_matrix(theta)
-    local_bar = np.empty_like(local)
-    off_bar = np.zeros((N_JOINTS, 3))
+    axes = theta.reshape(*theta.shape[:-1], N_JOINTS - 1, 3)
+    local_T = np.swapaxes(axis_angle_to_matrix(axes), -1, -2)
+    Q_T = np.swapaxes(Q, -1, -2)
+    local_bar = np.empty_like(local_T)
+    off_bar = np.zeros(p_bar.shape)
     for j in range(N_JOINTS - 1, 0, -1):
         par = parents[j]
-        local_bar[j - 1] = Q[par].T @ Q_bar[j]
-        Q_bar[par] += Q_bar[j] @ local[j - 1].T + np.outer(p_bar[j], offsets[j])
-        off_bar[j] = Q[par].T @ p_bar[j]
-        p_bar[par] += p_bar[j]
-    return axis_angle_vjp(theta, local_bar).reshape(-1), off_bar
+        local_bar[..., j - 1, :, :] = Q_T[..., par, :, :] @ Q_bar[..., j, :, :]
+        Q_bar[..., par, :, :] += Q_bar[..., j, :, :] @ local_T[..., j - 1, :, :] \
+            + p_bar[..., j, :, None] * offsets[..., j, None, :]
+        off_bar[..., j, :] = _apply(Q_T[..., par, :, :], p_bar[..., j, :])
+        p_bar[..., par, :] += p_bar[..., j, :]
+    return axis_angle_vjp(axes, local_bar).reshape(theta.shape), off_bar
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +383,54 @@ class CapsuleHand:
         self.n_vertices = self.verts_per_bone * self.n_bones
         bone_base = self.verts_per_bone * np.arange(self.n_bones)
         self.faces = (self._tmpl_faces + bone_base[:, None, None]).reshape(-1, 3)
+        # (J, bones) one-hot: sums per-bone cotangents onto their attach joints.
+        self._joint_of_bone = (np.arange(N_JOINTS)[:, None] == self.bone_attach).astype(float)
 
     # -- kinematics -------------------------------------------------------
 
     def bone_lengths(self, beta: np.ndarray) -> np.ndarray:
-        return self.bone_len0 * (1.0 + self.len_basis @ beta)
+        return self.bone_len0 * (1.0 + _apply(self.len_basis, beta))
 
     def bone_radii(self, beta: np.ndarray) -> np.ndarray:
-        return self.bone_rad0 * (1.0 + self.rad_basis @ beta)
+        return self.bone_rad0 * (1.0 + _apply(self.rad_basis, beta))
 
     def joint_offsets(self, beta: np.ndarray) -> np.ndarray:
-        """Per-joint rest offsets from the parent, (J,3); the root row is 0."""
-        return (self.offset_len0 * (1.0 + self.offset_basis @ beta))[:, None] * self.offset_dir
+        """Per-joint rest offsets from the parent, (..., J, 3); the root row is 0."""
+        return (self.offset_len0 * (1.0 + _apply(self.offset_basis, beta)))[..., None] \
+            * self.offset_dir
 
     def joint_transforms(self, theta: np.ndarray, beta: np.ndarray):
         """Canonical-space (rotation, position) per joint; root is identity."""
         return _chain(self.parents, theta, self.joint_offsets(beta), np.zeros(3))
 
     def _bone_local(self, beta: np.ndarray) -> np.ndarray:
-        """Bone-frame capsule vertices (B,K,3): axial point plus radial offset."""
+        """Bone-frame capsule vertices (..., bones, K, 3): axial point plus radial offset."""
         lens = self.bone_lengths(beta)
         rads = self.bone_radii(beta)
-        return (self._tmpl_a[None, :, None] * lens[:, None, None]) * self.bone_dir[:, None, :] \
-            + rads[:, None, None] * self._bone_n
+        return (self._tmpl_a[:, None] * lens[..., None, None]) * self.bone_dir[:, None, :] \
+            + rads[..., None, None] * self._bone_n
 
     def _attach(self, local: np.ndarray, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Carry (B,K,3) bone-frame points into canonical space by their joints."""
-        return local @ Q[self.bone_attach].transpose(0, 2, 1) + p[self.bone_attach, None]
+        """Carry (..., bones, K, 3) bone-frame points into canonical space by their joints."""
+        return local @ np.swapaxes(Q[..., self.bone_attach, :, :], -1, -2) \
+            + p[..., self.bone_attach, None, :]
 
     def canonical_vertices(self, theta: np.ndarray, beta: np.ndarray) -> np.ndarray:
         Q, p = self.joint_transforms(theta, beta)
-        return self._attach(self._bone_local(beta), Q, p).reshape(-1, 3)
+        return self._attach(self._bone_local(beta), Q, p).reshape(*theta.shape[:-1],
+                                                                  self.n_vertices, 3)
+
+    def posed_vertices(self, params: HandParam) -> np.ndarray:
+        """World vertices (..., V, 3)."""
+        R = rot6d_to_matrix(params.omega)
+        return self.canonical_vertices(params.theta, params.beta) @ np.swapaxes(R, -1, -2) \
+            + params.tau[..., None, :]
 
     def posed_mesh(self, params: HandParam) -> HandMesh:
-        R = rot6d_to_matrix(params.omega)
-        verts = self.canonical_vertices(params.theta, params.beta) @ R.T + params.tau
-        return HandMesh(verts, self.faces)
+        return HandMesh(self.posed_vertices(params), self.faces)
 
     def posed_segments(self, params: HandParam):
-        """World capsule axis endpoints (B,3),(B,3) and radii (B,)."""
+        """World capsule axis endpoints (B,3),(B,3) and radii (B,) of one hand."""
         Q, p = self.joint_transforms(params.theta, params.beta)
         axis = self.bone_lengths(params.beta)[:, None] * self.bone_dir
         e0 = p[self.bone_attach]
@@ -440,32 +455,32 @@ class CapsuleHand:
     # -- reverse-mode kinematics -------------------------------------------
 
     def vjp(self, params: HandParam, cotangent: np.ndarray) -> np.ndarray:
-        """Gradient of sum_k cotangent_k . vertex_k w.r.t. all 64 parameters."""
+        """Gradient (..., 64) of sum_k cotangent_k . vertex_k w.r.t. the parameters."""
         theta, beta = params.theta, params.beta
-        cot = np.asarray(cotangent, dtype=float).reshape(self.n_vertices, 3)
+        lead = theta.shape[:-1]
+        cot = np.asarray(cotangent, dtype=float).reshape(*lead, self.n_vertices, 3)
         offsets = self.joint_offsets(beta)
         Q, p = _chain(self.parents, theta, offsets, np.zeros(3))
         local = self._bone_local(beta)
         R = rot6d_to_matrix(params.omega)
 
-        grad = np.zeros(DIM)
-        grad[TAU] = cot.sum(axis=0)
-        R_bar = cot.T @ self._attach(local, Q, p).reshape(-1, 3)
-        w_bar = cot.reshape(local.shape) @ R          # rows R^T c_k
-        Q_bar = np.zeros((N_JOINTS, 3, 3))
-        p_bar = np.zeros((N_JOINTS, 3))
-        np.add.at(Q_bar, self.bone_attach, w_bar.transpose(0, 2, 1) @ local)
-        np.add.at(p_bar, self.bone_attach, w_bar.sum(axis=1))
-        local_bar = w_bar @ Q[self.bone_attach]
-        len_bar = np.einsum("bki,bi,k->b", local_bar, self.bone_dir, self._tmpl_a)
-        rad_bar = np.einsum("bki,bki->b", local_bar, self._bone_n)
+        grad = np.zeros((*lead, DIM))
+        grad[..., TAU] = cot.sum(axis=-2)
+        R_bar = np.swapaxes(cot, -1, -2) @ self._attach(local, Q, p).reshape(cot.shape)
+        w_bar = cot.reshape(local.shape) @ R[..., None, :, :]    # rows R^T c_k
+        Q_bar = (self._joint_of_bone @ (np.swapaxes(w_bar, -1, -2) @ local).reshape(
+            *lead, self.n_bones, 9)).reshape(*lead, N_JOINTS, 3, 3)
+        p_bar = self._joint_of_bone @ w_bar.sum(axis=-2)
+        local_bar = w_bar @ Q[..., self.bone_attach, :, :]
+        len_bar = np.einsum("...bki,bi,k->...b", local_bar, self.bone_dir, self._tmpl_a)
+        rad_bar = np.einsum("...bki,bki->...b", local_bar, self._bone_n)
 
-        grad[THETA], off_bar = _chain_vjp(self.parents, theta, offsets, Q, Q_bar, p_bar)
-        off_len_bar = np.einsum("ji,ji->j", off_bar, self.offset_dir)
-        grad[BETA] = (self.bone_len0 * len_bar) @ self.len_basis \
-            + (self.bone_rad0 * rad_bar) @ self.rad_basis \
-            + (self.offset_len0 * off_len_bar) @ self.offset_basis
-        grad[OMEGA] = rot6d_vjp(params.omega, R_bar)
+        grad[..., THETA], off_bar = _chain_vjp(self.parents, theta, offsets, Q, Q_bar, p_bar)
+        off_len_bar = np.einsum("...ji,ji->...j", off_bar, self.offset_dir)
+        grad[..., BETA] = _apply(self.len_basis.T, self.bone_len0 * len_bar) \
+            + _apply(self.rad_basis.T, self.bone_rad0 * rad_bar) \
+            + _apply(self.offset_basis.T, self.offset_len0 * off_len_bar)
+        grad[..., OMEGA] = rot6d_vjp(params.omega, R_bar)
         return grad
 
 
@@ -520,20 +535,26 @@ class TemplateHand:
 
     def _skin(self, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Linear blend skinning: sum_j w_vj (Q_j (v - rest_joint_j) + p_j)."""
-        blended = (self.weights @ Q.reshape(N_JOINTS, 9)).reshape(-1, 3, 3)
-        t = p - np.einsum("jab,jb->ja", Q, self.rest_joints)
-        return np.einsum("vab,vb->va", blended, self.rest_vertices) + self.weights @ t
+        lead = Q.shape[:-3]
+        blended = (self.weights @ Q.reshape(*lead, N_JOINTS, 9)).reshape(
+            *lead, self.n_vertices, 3, 3)
+        t = p - np.einsum("...jab,jb->...ja", Q, self.rest_joints)
+        return np.einsum("...vab,vb->...va", blended, self.rest_vertices) + self.weights @ t
 
     def canonical_vertices(self, theta: np.ndarray, beta=None) -> np.ndarray:
         return self._skin(*self.joint_transforms(theta))
 
-    def posed_mesh(self, params: HandParam) -> HandMesh:
+    def posed_vertices(self, params: HandParam) -> np.ndarray:
+        """World vertices (..., V, 3)."""
         R = rot6d_to_matrix(params.omega)
-        verts = self.canonical_vertices(params.theta) @ R.T + params.tau
-        return HandMesh(verts, self.faces)
+        return self.canonical_vertices(params.theta) @ np.swapaxes(R, -1, -2) \
+            + params.tau[..., None, :]
+
+    def posed_mesh(self, params: HandParam) -> HandMesh:
+        return HandMesh(self.posed_vertices(params), self.faces)
 
     def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
-        verts = self.posed_mesh(params).vertices
+        verts = self.posed_vertices(params)
         points = np.asarray(points, dtype=float)
         parities = np.stack([
             _ray_parity(points, verts, self.faces, d) for d in _RAY_DIRS
@@ -545,21 +566,23 @@ class TemplateHand:
 
     def vjp(self, params: HandParam, cotangent: np.ndarray) -> np.ndarray:
         theta = params.theta
-        cot = np.asarray(cotangent, dtype=float).reshape(self.n_vertices, 3)
+        lead = theta.shape[:-1]
+        cot = np.asarray(cotangent, dtype=float).reshape(*lead, self.n_vertices, 3)
         Q, p = self.joint_transforms(theta)
         R = rot6d_to_matrix(params.omega)
 
-        grad = np.zeros(DIM)
-        grad[TAU] = cot.sum(axis=0)
-        R_bar = cot.T @ self._skin(Q, p)
+        grad = np.zeros((*lead, DIM))
+        grad[..., TAU] = cot.sum(axis=-2)
+        R_bar = np.swapaxes(cot, -1, -2) @ self._skin(Q, p)
         canon_bar = cot @ R
 
         p_bar = self.weights.T @ canon_bar
-        outer = np.einsum("va,vb->vab", canon_bar, self.rest_vertices).reshape(-1, 9)
-        Q_bar = (self.weights.T @ outer).reshape(N_JOINTS, 3, 3) \
-            - np.einsum("ja,jb->jab", p_bar, self.rest_joints)
-        grad[THETA], _ = _chain_vjp(self.parents, theta, self.rest_offsets, Q, Q_bar, p_bar)
-        grad[OMEGA] = rot6d_vjp(params.omega, R_bar)
+        outer = np.einsum("...va,vb->...vab", canon_bar, self.rest_vertices).reshape(
+            *lead, self.n_vertices, 9)
+        Q_bar = (self.weights.T @ outer).reshape(*lead, N_JOINTS, 3, 3) \
+            - np.einsum("...ja,jb->...jab", p_bar, self.rest_joints)
+        grad[..., THETA], _ = _chain_vjp(self.parents, theta, self.rest_offsets, Q, Q_bar, p_bar)
+        grad[..., OMEGA] = rot6d_vjp(params.omega, R_bar)
         return grad
 
 

@@ -44,27 +44,18 @@ class HandMesh:
             raise ValueError("face index out of range")
 
 
-def face_normals_areas(vertices: np.ndarray, faces: np.ndarray):
-    """Unnormalized face normals (cross product) and triangle areas."""
-    v0 = vertices[faces[:, 0]]
-    v1 = vertices[faces[:, 1]]
-    v2 = vertices[faces[:, 2]]
-    cross = np.cross(v1 - v0, v2 - v0)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    return cross, areas
-
-
 def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Area-weighted vertex normals, normalized to unit length.
 
     The unnormalized face cross products already carry the area weighting;
-    each vertex accumulates the cross products of its incident faces.
+    each vertex accumulates the cross products of its incident faces, in
+    the order of faces[:, 0], then faces[:, 1], then faces[:, 2].
     Raises ZeroAreaStar if any accumulated normal has norm < 1e-12.
     """
-    cross, _ = face_normals_areas(vertices, faces)
-    acc = np.zeros_like(vertices, dtype=float)
-    for k in range(3):
-        np.add.at(acc, faces[:, k], cross)
+    v0, v1, v2 = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
+    cross = np.tile(np.cross(v1 - v0, v2 - v0), (3, 1))
+    acc = np.stack([np.bincount(faces.T.ravel(), cross[:, c], minlength=len(vertices))
+                    for c in range(3)], axis=1)
     norms = np.linalg.norm(acc, axis=1)
     bad = np.flatnonzero(norms < 1e-12)
     if bad.size:
@@ -87,14 +78,9 @@ def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
     """
     if isinstance(meshes, HandMesh):
         meshes = [meshes]
-    tri_verts = []
-    for m in meshes:
-        tri_verts.append(m.vertices[m.faces])
-    tris = np.concatenate(tri_verts, axis=0)         # (F, 3, 3)
-    _, areas = face_normals_areas(
-        np.concatenate([m.vertices for m in meshes]),
-        _offset_faces(meshes),
-    )
+    tris = np.concatenate([m.vertices[m.faces] for m in meshes], axis=0)   # (F, 3, 3)
+    areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
+                                 axis=1)
     probs = areas / areas.sum()
     rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x5A3E]))
     idx = rng.choice(len(tris), size=n, p=probs)
@@ -105,14 +91,6 @@ def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
     c = r1 * r2
     chosen = tris[idx]
     return a[:, None] * chosen[:, 0] + b[:, None] * chosen[:, 1] + c[:, None] * chosen[:, 2]
-
-
-def _offset_faces(meshes) -> np.ndarray:
-    out, off = [], 0
-    for m in meshes:
-        out.append(m.faces + off)
-        off += len(m.vertices)
-    return np.concatenate(out, axis=0)
 
 
 def write_obj(path, mesh: HandMesh) -> None:

@@ -244,14 +244,8 @@ def dataset_features(dataset, backbone, model=None, seed: int = 0,
 
 
 def _geometry_stats(dataset, model, grid):
-    vols, dists, mins, pens = [], [], [], []
-    for i in range(len(dataset)):
-        x_l, x_r = dataset.pair(i)
-        vol, dist, dmin, pen = pair_stats(x_l, x_r, model, grid)
-        vols.append(vol)
-        dists.append(dist)
-        mins.append(dmin)
-        pens.append(pen)
+    vols, dists, mins, pens = zip(*(pair_stats(*dataset.pair(i), model, grid)
+                                    for i in range(len(dataset))))
     return (float(np.mean(vols)), float(np.mean(dists)),
             proximity_ratio(mins, pens))
 

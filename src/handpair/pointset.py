@@ -53,13 +53,10 @@ class SetAbstraction:
         d2 = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
         inside = d2 <= self.radius**2           # (M,N); includes the centroid
         kmax = int(inside.sum(axis=1).max())
-        M = len(cidx)
-        member = np.zeros((M, kmax), dtype=np.int64)
-        valid = np.zeros((M, kmax), dtype=bool)
-        for i in range(M):
-            members = np.flatnonzero(inside[i])
-            member[i, : len(members)] = members
-            valid[i, : len(members)] = True
+        # Members first, in index order; the rest pad with point 0.
+        order = np.argsort(~inside, axis=1, kind="stable")[:, :kmax]
+        valid = np.take_along_axis(inside, order, axis=1)
+        member = np.where(valid, order, 0)
         rel = xyz[member] - centroids[:, None, :]
         if feats is None:
             h = rel

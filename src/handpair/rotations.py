@@ -4,9 +4,11 @@ The 6D encoding stores the first two columns of a rotation matrix as
 [c1x, c1y, c1z, c2x, c2y, c2z]; decoding runs Gram-Schmidt on the two
 columns and completes the triad with a cross product.
 
-rot6d_to_matrix and matrix_to_rot6d broadcast over leading axes: they map
-(..., 6) to (..., 3, 3) and back. axis_angle_to_matrix and axis_angle_vjp
-broadcast too, over (..., 3) vectors. rot6d_vjp takes one rotation.
+Every function here broadcasts over leading axes: rot6d_to_matrix and
+matrix_to_rot6d map (..., 6) to (..., 3, 3) and back, rot6d_vjp takes
+(..., 6) encodings with (..., 3, 3) cotangents, and axis_angle_to_matrix and
+axis_angle_vjp take (..., 3) vectors. rot6d_degenerate is the one place
+that says which encodings the decode rejects.
 """
 
 from __future__ import annotations
@@ -23,28 +25,37 @@ MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
 _EPS = 1e-8
 
 
+def rot6d_degenerate(omega: np.ndarray) -> np.ndarray:
+    """(...) bool: True where rot6d_to_matrix rejects the (..., 6) encoding.
+
+    Rejected are a near-zero first column (|a1| <= 1e-8) and a second column
+    with almost no part orthogonal to the first (|u2| <= 1e-8, with
+    u2 = a2 - (b1.a2) b1 and b1 = a1/|a1|). A zero column gives a True
+    entry, not a floating-point warning.
+    """
+    omega = np.asarray(omega, dtype=float)
+    a1, a2 = omega[..., :3], omega[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    b1 = a1 / np.where(n1 <= _EPS, 1.0, n1)
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    return (n1[..., 0] <= _EPS) | (np.linalg.norm(u2, axis=-1) <= _EPS)
+
+
 def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     """Decode 6D rotations (..., 6) to orthonormal (..., 3, 3) matrices (det +1).
 
-    Raises DegenerateRotation when, in any entry, the first column is near
-    zero (|a1| <= 1e-8) or the second has almost no part orthogonal to the
-    first (|u2| <= 1e-8, with u2 = a2 - (b1.a2) b1 and b1 = a1/|a1|).
+    Raises DegenerateRotation when any entry is rot6d_degenerate.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (6,):
         raise DegenerateRotation(f"expected 6 entries on the last axis, got shape {omega.shape}")
+    if np.any(rot6d_degenerate(omega)):
+        raise DegenerateRotation("first column near zero or columns (near-)collinear")
     a1, a2 = omega[..., :3], omega[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    if np.any(n1 <= _EPS):
-        raise DegenerateRotation("first column norm below 1e-8")
-    b1 = a1 / n1
+    b1 = a1 / np.linalg.norm(a1, axis=-1, keepdims=True)
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    if np.any(n2 <= _EPS):
-        raise DegenerateRotation("columns are (near-)collinear")
-    b2 = u2 / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
+    b2 = u2 / np.linalg.norm(u2, axis=-1, keepdims=True)
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
 
 
 def matrix_to_rot6d(mat: np.ndarray) -> np.ndarray:
@@ -54,29 +65,28 @@ def matrix_to_rot6d(mat: np.ndarray) -> np.ndarray:
 
 
 def rot6d_vjp(omega: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
-    """VJP of rot6d_to_matrix: maps a 3x3 cotangent to a 6-vector gradient."""
+    """VJP of rot6d_to_matrix: (..., 3, 3) cotangents to (..., 6) gradients."""
     omega = np.asarray(omega, dtype=float)
-    a1, a2 = omega[:3], omega[3:]
-    n1 = np.linalg.norm(a1)
+    G = np.asarray(mat_cotangent, dtype=float)
+    a1, a2 = omega[..., :3], omega[..., 3:]
+    n1 = np.sqrt(_dot(a1, a1))[..., None]
     b1 = a1 / n1
-    d = b1 @ a2
+    d = _dot(b1, a2)[..., None]
     u2 = a2 - d * b1
-    n2 = np.linalg.norm(u2)
+    n2 = np.sqrt(_dot(u2, u2))[..., None]
     b2 = u2 / n2
-    b1_bar = mat_cotangent[:, 0].copy()
-    b2_bar = mat_cotangent[:, 1].copy()
-    b3_bar = mat_cotangent[:, 2]
     # b3 = b1 x b2: triple-product identities route the cross backward.
-    b1_bar += np.cross(b2, b3_bar)
-    b2_bar += np.cross(b3_bar, b1)
+    b1_bar = G[..., :, 0] + np.cross(b2, G[..., :, 2])
+    b2_bar = G[..., :, 1] + np.cross(G[..., :, 2], b1)
     # b2 = u2/|u2|
-    u2_bar = (b2_bar - (b2 @ b2_bar) * b2) / n2
+    u2_bar = (b2_bar - _dot(b2, b2_bar)[..., None] * b2) / n2
     # u2 = a2 - (b1.a2) b1
-    a2_bar = u2_bar - (b1 @ u2_bar) * b1
-    b1_bar += -(b1 @ u2_bar) * a2 - d * u2_bar
+    b1_u2_bar = _dot(b1, u2_bar)[..., None]
+    a2_bar = u2_bar - b1_u2_bar * b1
+    b1_bar += -b1_u2_bar * a2 - d * u2_bar
     # b1 = a1/|a1|
-    a1_bar = (b1_bar - (b1 @ b1_bar) * b1) / n1
-    return np.concatenate([a1_bar, a2_bar])
+    a1_bar = (b1_bar - _dot(b1, b1_bar)[..., None] * b1) / n1
+    return np.concatenate([a1_bar, a2_bar], axis=-1)
 
 
 def axis_angle_to_matrix(vec: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0, x0_from_eps
-from .errors import DegenerateRotation
 from .hand_model import (
+    OMEGA,
     HandParam,
     default_hand,
     kinematics_vjp,
@@ -27,6 +27,7 @@ from .hand_model import (
 )
 from .mesh import HandMesh
 from .nn import TAG_SAMPLE, rng_stream
+from .rotations import rot6d_degenerate
 
 IDENTITY_COND = np.zeros(64)
 
@@ -115,52 +116,49 @@ def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
 
 
 def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
-                 anchor: HandParam, sched: DiffusionSchedule, model=None,
-                 squared: bool = True, anchor_mesh: HandMesh | None = None):
-    """d L_pen / d x_prev through the clean-estimate map and the kinematics.
+                 anchor_meshes: list[HandMesh], sched: DiffusionSchedule, model=None,
+                 squared: bool = True) -> np.ndarray:
+    """d L_pen / d x_prev (B, 64) through the clean-estimate map and the kinematics.
 
+    Row i of x_prev and eps_hat (B, 64) is a right hand whose loss is taken
+    against anchor_meshes[i], the posed left-hand mesh of its anchor.
     eps_hat is held constant, and so is the pair set: it is found once from
-    the clean estimate and not differentiated. ``anchor_mesh``, when given,
-    is the anchor's posed left-hand mesh, reused instead of rebuilt.
-    Returns (gradient (64,), pairs used).
+    the clean estimate and not differentiated. All rows are posed in one
+    call and differentiated in one call; only the pair set is found row by
+    row. A row whose clean root rotation is rot6d_degenerate (possible under
+    untrained weights) gets a zero gradient, as does a row with no pairs.
     """
     model = model or default_hand()
-    x0_hat = HandParam(x0_from_eps(x_prev, eps_hat, t_prev, sched))
-    mesh_a = model.posed_mesh(x0_hat)
-    if anchor_mesh is None:
-        anchor_mesh = left_hand_mesh(anchor, model)
-    pairs = penetration_set(mesh_a, anchor_mesh)
-    if len(pairs) == 0:
-        return np.zeros(64), pairs
-    delta = mesh_a.vertices[pairs[:, 0]] - anchor_mesh.vertices[pairs[:, 1]]
-    cot = np.zeros((model.n_vertices, 3))
-    if squared:
-        np.add.at(cot, pairs[:, 0], 2.0 * delta)
-    else:
-        norms = np.maximum(np.linalg.norm(delta, axis=1, keepdims=True), 1e-12)
-        np.add.at(cot, pairs[:, 0], delta / norms)
-    grad_x0 = kinematics_vjp(x0_hat, model, cot)
-    return grad_x0 / sched.sqrt_ab(t_prev), pairs
+    x0_hat = x0_from_eps(x_prev, eps_hat, t_prev, sched)
+    grad = np.zeros_like(x0_hat)
+    ok = np.flatnonzero(~rot6d_degenerate(x0_hat[:, OMEGA]))
+    verts = model.posed_vertices(HandParam(x0_hat[ok]))
+    cot = np.zeros_like(verts)
+    for r, i in enumerate(ok):
+        pairs = penetration_set(HandMesh(verts[r], model.faces), anchor_meshes[i])
+        delta = verts[r, pairs[:, 0]] - anchor_meshes[i].vertices[pairs[:, 1]]
+        cot[r, pairs[:, 0]] = 2.0 * delta if squared else \
+            delta / np.maximum(np.linalg.norm(delta, axis=1, keepdims=True), 1e-12)
+    active = cot.any(axis=(1, 2))    # rows with at least one pair
+    if active.any():
+        grad[ok[active]] = kinematics_vjp(HandParam(x0_hat[ok[active]]), model,
+                                          cot[active]) / sched.sqrt_ab(t_prev)
+    return grad
 
 
 def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
-             anchor: HandParam, w_pen: float, sched: DiffusionSchedule,
-             model=None, squared: bool = True,
-             anchor_mesh: HandMesh | None = None) -> np.ndarray:
-    """One anti-penetration descent step on x_prev; no-op when disjoint.
+             anchor_meshes: list[HandMesh], w_pen: float, sched: DiffusionSchedule,
+             model=None, squared: bool = True) -> np.ndarray:
+    """One anti-penetration descent step on every row of x_prev (B, 64).
 
-    A clean estimate whose root rotation cannot be orthonormalized (possible
-    under untrained weights) is left unadjusted rather than failing the run.
+    Rows that do not penetrate their anchor, and rows whose clean root
+    rotation is degenerate, are returned unchanged; see apg_gradient.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     if w_pen == 0.0:
         return x_prev
-    try:
-        grad, _ = apg_gradient(x_prev, eps_hat, t_prev, anchor, sched, model,
-                               squared, anchor_mesh=anchor_mesh)
-    except DegenerateRotation:
-        return x_prev
-    return x_prev - w_pen * grad
+    return x_prev - w_pen * apg_gradient(x_prev, eps_hat, t_prev, anchor_meshes, sched,
+                                         model, squared)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +176,16 @@ class SampleResult:
 
 
 def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
-                  object_embedding, anchors=None, anchor_meshes=None):
+                  object_embedding, anchor_meshes=None):
     n_steps = len(grid)
     for si, (t, t_prev) in enumerate(grid):
         tt = np.full(len(x), t)
-        if config.w_cfg != 0.0 or anchors is None:
+        if config.w_cfg != 0.0 or cond is None:
             x0_u = denoiser.predict(x, np.tile(IDENTITY_COND, (len(x), 1)),
                                     np.ones(len(x), dtype=bool), tt,
                                     object_embedding=object_embedding)
             eps_u = eps_from_x0(x, x0_u, t, sched)
-        if anchors is None:
+        if cond is None:
             eps = eps_u
         else:
             x0_c = denoiser.predict(x, cond, np.zeros(len(x), dtype=bool), tt,
@@ -195,12 +193,9 @@ def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
             eps_c = eps_from_x0(x, x0_c, t, sched)
             eps = cfg_mix(eps_c, eps_u, config.w_cfg) if config.w_cfg != 0.0 else eps_c
         x = ddim_step(x, eps, t, t_prev, sched)
-        if anchors is not None and config.apg:
+        if anchor_meshes is not None:
             w = w_pen_at(n_steps - 1 - si, config.w_pen_start, config.w_pen_decay)
-            for i in range(len(x)):
-                x[i] = apg_step(x[i], eps[i], t_prev, anchors[i], w, sched,
-                                model, config.pen_squared,
-                                anchor_mesh=anchor_meshes[i])
+            x = apg_step(x, eps, t_prev, anchor_meshes, w, sched, model, config.pen_squared)
     return x
 
 
@@ -236,10 +231,9 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     x_l = mirror(anchor).vector
 
     # Phase 2: conditional partner with CFG and optional APG.
-    anchors = [HandParam(x_l[i].copy()) for i in range(B)]
-    anchor_meshes = [left_hand_mesh(a, model) for a in anchors] if config.apg else None
+    anchor_meshes = [left_hand_mesh(HandParam(row), model) for row in x_l] if config.apg else None
     x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), grid, sched,
-                        config, model, object_embedding, anchors, anchor_meshes)
+                        config, model, object_embedding, anchor_meshes)
     return SampleResult(x_l=x_l, x_r=x_r, config=config)
 
 

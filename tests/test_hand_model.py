@@ -175,6 +175,25 @@ def test_stacked_algebra_matches_per_row_calls():
                                   np.stack([compose_root(p, q).vector for p, q in rows]))
 
 
+@pytest.mark.parametrize("backend", ["capsule", "template"])
+def test_stacked_kinematics_match_per_row_calls(hand_model, backend):
+    model = hand_model if backend == "capsule" else template_from_capsule(hand_model)
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_params(rng).vector for _ in range(6)]).reshape(2, 3, 64)
+    stack[0, 1, 3:6] = 0.0          # a straight joint takes the Rodrigues series branch
+    cots = rng.normal(size=(2, 3, model.n_vertices, 3))
+    verts = model.posed_vertices(HandParam(stack))
+    grads = model.vjp(HandParam(stack), cots)
+    assert verts.shape == (2, 3, model.n_vertices, 3) and grads.shape == (2, 3, 64)
+    for i in np.ndindex(2, 3):
+        np.testing.assert_array_equal(verts[i], model.posed_vertices(HandParam(stack[i])))
+        np.testing.assert_array_equal(verts[i], model.posed_mesh(HandParam(stack[i])).vertices)
+        np.testing.assert_array_equal(grads[i], model.vjp(HandParam(stack[i]), cots[i]))
+    empty = HandParam(np.zeros((0, 64)))
+    assert model.posed_vertices(empty).shape == (0, model.n_vertices, 3)
+    assert model.vjp(empty, np.zeros((0, model.n_vertices, 3))).shape == (0, 64)
+
+
 def test_hand_param_rejects_wrong_last_axis():
     with pytest.raises(ValueError):
         HandParam(np.zeros(63))
@@ -226,6 +245,18 @@ def test_cube_normals_match_accumulation_oracle():
             expected[v] += n
     expected /= np.linalg.norm(expected, axis=1, keepdims=True)
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_vertex_normals_match_three_pass_add_at(hand_model):
+    # The same add order as the reference, so the bits must match exactly.
+    mesh = hand_model.posed_mesh(random_params(np.random.default_rng(41)))
+    v, f = mesh.vertices, mesh.faces
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    acc = np.zeros_like(v)
+    for k in range(3):
+        np.add.at(acc, f[:, k], cross)
+    np.testing.assert_array_equal(vertex_normals(v, f),
+                                  acc / np.linalg.norm(acc, axis=1)[:, None])
 
 
 def test_icosphere_normals_are_radial():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from handpair.rotations import (
     axis_angle_vjp,
     matrix_to_rot6d,
     random_rotation,
+    rot6d_degenerate,
     rot6d_to_matrix,
     rot6d_vjp,
 )
@@ -118,6 +121,37 @@ def test_stacked_axis_angle_matches_per_row_calls():
     for i in np.ndindex(4, 5):
         np.testing.assert_array_equal(mats[i], axis_angle_to_matrix(vecs[i]))
         np.testing.assert_array_equal(grads[i], axis_angle_vjp(vecs[i], cots[i]))
+
+
+def test_stacked_rot6d_vjp_matches_per_row_calls():
+    rng = np.random.default_rng(23)
+    omegas = rng.normal(size=(2, 3, 6))
+    cots = rng.normal(size=(2, 3, 3, 3))
+    grads = rot6d_vjp(omegas, cots)
+    assert grads.shape == (2, 3, 6)
+    for i in np.ndindex(2, 3):
+        np.testing.assert_array_equal(grads[i], rot6d_vjp(omegas[i], cots[i]))
+
+
+def test_rot6d_degenerate_is_where_the_decode_raises():
+    rows = np.array([
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],     # zero first column
+        [1.0, 0.0, 0.0, 2.0, 0.0, 0.0],     # collinear
+        [1.0, 0.0, 0.0, 2.0, 1e-9, 0.0],    # collinear plus 1e-9
+        [1.0, 0.1, 0.0, 0.0, 1.0, 0.0],     # valid
+    ])
+    raises = []
+    for row in rows:
+        try:
+            rot6d_to_matrix(row)
+            raises.append(False)
+        except DegenerateRotation:
+            raises.append(True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = rot6d_degenerate(rows.reshape(2, 2, 6))
+    assert mask.shape == (2, 2)
+    assert mask.ravel().tolist() == raises == [True, True, True, False]
 
 
 def test_axis_angle_vjp_takes_skew_limit_near_zero():

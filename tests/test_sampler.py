@@ -4,8 +4,15 @@ import pytest
 from conftest import NearestModeDenoiser, PointMassDenoiser, icosphere, random_params
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
-from handpair.diffusion import forward_diffuse, make_schedule
-from handpair.hand_model import HandParam, default_hand, left_hand_mesh, mirror, pin_root
+from handpair.diffusion import forward_diffuse, make_schedule, x0_from_eps
+from handpair.hand_model import (
+    CapsuleHand,
+    HandParam,
+    default_hand,
+    left_hand_mesh,
+    mirror,
+    pin_root,
+)
 from handpair.mesh import HandMesh
 from handpair.nn import TAG_SAMPLE, rng_stream
 from handpair.sampler import (
@@ -163,8 +170,9 @@ def test_apg_zero_weight_is_identity(hand_model):
     sched = make_schedule(256)
     rng = np.random.default_rng(3)
     x = rng.normal(size=64)
-    out = apg_step(x, rng.normal(size=64), 8, HandParam.from_parts(), 0.0, sched,
-                   hand_model)
+    anchor_mesh = left_hand_mesh(HandParam.from_parts(), hand_model)
+    out = apg_step(x[None], rng.normal(size=64)[None], 8, [anchor_mesh], 0.0, sched,
+                   hand_model)[0]
     np.testing.assert_array_equal(out, x)
 
 
@@ -175,7 +183,8 @@ def test_apg_noop_when_disjoint(hand_model):
     eps = np.zeros(64)
     t_prev = 8
     x_prev = forward_diffuse(x_r.vector, t_prev, eps, sched)
-    out = apg_step(x_prev, eps, t_prev, x_l, 1.0, sched, hand_model)
+    out = apg_step(x_prev[None], eps[None], t_prev, [left_hand_mesh(x_l, hand_model)], 1.0,
+                   sched, hand_model)[0]
     np.testing.assert_array_equal(out, x_prev)
 
 
@@ -189,9 +198,13 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
     sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar[t_prev])
     x_prev = sqrt_ab * x_r.vector + sqrt_1mab * eps_hat
 
-    grad, pairs = apg_gradient(x_prev, eps_hat, t_prev, x_l, sched, hand_model)
-    assert len(pairs) > 0
     anchor_mesh = left_hand_mesh(x_l, hand_model)
+    grad = apg_gradient(x_prev[None], eps_hat[None], t_prev, [anchor_mesh], sched,
+                        hand_model)[0]
+    pairs = penetration_set(
+        hand_model.posed_mesh(HandParam(x0_from_eps(x_prev, eps_hat, t_prev, sched))),
+        anchor_mesh)
+    assert len(pairs) > 0
 
     def frozen_loss(xp):
         x0 = HandParam((xp - sqrt_1mab * eps_hat) / sqrt_ab)
@@ -210,10 +223,66 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
 
     before = penetration_loss(HandParam((x_prev - sqrt_1mab * eps_hat) / sqrt_ab),
                               x_l, hand_model)
-    stepped = apg_step(x_prev, eps_hat, t_prev, x_l, 1e-3, sched, hand_model)
+    stepped = apg_step(x_prev[None], eps_hat[None], t_prev, [anchor_mesh], 1e-3, sched,
+                       hand_model)[0]
     after = penetration_loss(HandParam((stepped - sqrt_1mab * eps_hat) / sqrt_ab),
                              x_l, hand_model)
     assert after < before
+
+
+def test_batched_apg_gradient_matches_one_row_calls(hand_model):
+    sched = make_schedule(256)
+    rng = np.random.default_rng(13)
+    t_prev = 8
+    anchors = [HandParam.from_parts(theta=rng.normal(0.0, 0.1, 45)) for _ in range(4)]
+    anchor_meshes = [left_hand_mesh(a, hand_model) for a in anchors]
+    clean = np.stack([HandParam.from_parts(tau=[x, 0.0, 0.0]).vector
+                      for x in (0.045, 0.05, 0.5, 0.04)])   # row 2 stays clear
+    eps = rng.normal(0.0, 0.01, (4, 64))
+    x_prev = forward_diffuse(clean, t_prev, eps, sched)
+    grads = apg_gradient(x_prev, eps, t_prev, anchor_meshes, sched, hand_model)
+    for i in range(4):
+        np.testing.assert_array_equal(
+            grads[i], apg_gradient(x_prev[i:i + 1], eps[i:i + 1], t_prev,
+                                   [anchor_meshes[i]], sched, hand_model)[0])
+    assert np.abs(grads[[0, 1, 3]]).max(axis=1).min() > 0
+    np.testing.assert_array_equal(grads[2], np.zeros(64))
+
+    # A clean estimate with a zero root column: that row gets a zero gradient,
+    # the others are unchanged.
+    x_bad, eps_bad = x_prev.copy(), eps.copy()
+    x_bad[1, 55:61] = 0.0
+    eps_bad[1, 55:61] = 0.0
+    masked = apg_gradient(x_bad, eps_bad, t_prev, anchor_meshes, sched, hand_model)
+    np.testing.assert_array_equal(masked[1], np.zeros(64))
+    np.testing.assert_array_equal(masked[[0, 2, 3]], grads[[0, 2, 3]])
+
+
+def test_apg_poses_all_rows_in_one_call_per_step(monkeypatch):
+    from handpair import sampler
+
+    model = CapsuleHand()
+    posed, vjps = [], []
+    pose, vjp = model.posed_vertices, sampler.kinematics_vjp
+
+    def counting_pose(params):
+        posed.append(params.vector.shape)
+        return pose(params)
+
+    def counting_vjp(params, *args):
+        vjps.append(params.vector.shape)
+        return vjp(params, *args)
+
+    monkeypatch.setattr(model, "posed_vertices", counting_pose)
+    monkeypatch.setattr(sampler, "kinematics_vjp", counting_vjp)
+    mode = HandParam.from_parts(tau=[0.045, 0.0, 0.0])   # partner overlaps its anchor
+    sample_pairs(PointMassDenoiser(mode.vector), SampleConfig(seed=2, count=4, steps=4),
+                 make_schedule(256), model)
+    anchors = [s for s in posed if len(s) == 1]
+    steps = [s for s in posed if len(s) == 2]
+    assert anchors == [(64,)] * 4
+    assert steps == [(4, 64)] * 4
+    assert 0 < len(vjps) <= 4
 
 
 # -- cascaded sampling -----------------------------------------------------------
