@@ -260,6 +260,12 @@ _RADII = np.array([
     [0.0120, 0.0082, 0.0074, 0.0070],
 ])
 
+# CapsuleHand.occupancy sweeps this many query points at a time, and pads
+# each capsule's box by _BOX_MARGIN meters so that rounding at a tangent
+# point cannot drop a point from the exact test.
+_OCC_CHUNK = 1 << 16
+_BOX_MARGIN = 1e-9
+
 
 def _capsule_template(n_seg: int = 8, n_cap: int = 2, n_side: int = 2):
     """Shared capsule tessellation in (axial fraction, unit offset) form.
@@ -439,17 +445,38 @@ class CapsuleHand:
         return e0 @ R.T + params.tau, e1 @ R.T + params.tau, self.bone_radii(params.beta)
 
     def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
-        """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool."""
+        """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool.
+
+        A sweep, not a broadcast: the points go through in chunks of
+        _OCC_CHUNK (2**16) rows, each sorted by x once. Each capsule
+        binary-searches the x-slab of its axis-aligned box (segment endpoints
+        +- radius, padded by _BOX_MARGIN), keeps the slab rows inside the box
+        in y and z, and runs the exact segment-distance test on those rows
+        only. Memory is bounded by the chunk, whatever N is.
+        """
         points = np.asarray(points, dtype=float)
         e0, e1, rads = self.posed_segments(params)
         w = e1 - e0                                    # (B,3)
         ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
-        out = np.empty(len(points), dtype=bool)
-        for lo in range(0, len(points), 4096):  # bounds the (n,B,3) temporaries
-            pts = points[lo:lo + 4096, None, :]
-            t = np.clip(np.einsum("nbi,bi->nb", pts - e0, w) / ww, 0.0, 1.0)  # (n,B)
-            d2 = np.sum((pts - (e0 + t[..., None] * w)) ** 2, axis=2)
-            out[lo:lo + 4096] = (d2 <= rads**2).any(axis=1)
+        pad = rads[:, None] + _BOX_MARGIN
+        box_lo, box_hi = np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
+        out = np.zeros(len(points), dtype=bool)
+        for lo in range(0, len(points), _OCC_CHUNK):
+            chunk = points[lo:lo + _OCC_CHUNK]
+            order = np.argsort(chunk[:, 0], kind="stable")
+            xs, ys, zs = (chunk[:, k][order] for k in range(3))
+            for b in range(len(rads)):
+                i0, i1 = np.searchsorted(xs, (box_lo[b, 0], box_hi[b, 0]))
+                y, z = ys[i0:i1], zs[i0:i1]
+                idx = order[i0:i1][(y >= box_lo[b, 1]) & (y <= box_hi[b, 1])
+                                   & (z >= box_lo[b, 2]) & (z <= box_hi[b, 2])]
+                # The dense test's arithmetic on a one-capsule slice, so the
+                # verdicts are bit-identical to testing every capsule at once.
+                cand = chunk[idx][:, None, :]
+                e0b, wb = e0[b:b + 1], w[b:b + 1]
+                t = np.clip(np.einsum("nbi,bi->nb", cand - e0b, wb) / ww[b:b + 1], 0.0, 1.0)
+                d2 = np.sum((cand - (e0b + t[..., None] * wb)) ** 2, axis=2)
+                out[lo + idx[d2[:, 0] <= rads[b] ** 2]] = True
         return out
 
     # -- reverse-mode kinematics -------------------------------------------

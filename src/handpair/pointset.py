@@ -2,8 +2,12 @@
 
 Two set-abstraction levels followed by a global max pool. Grouping keeps
 every point inside the radius (no per-group cap), so the embedding is
-exactly invariant to input permutation up to floating ties. Gradients flow
-through features and weights only; point coordinates are treated as data.
+exactly invariant to input permutation up to floating ties. Groups are
+ragged, as in PointNet++ (Qi et al. 2017): the member rows of all groups
+are stacked one group after another, with no padding, the shared MLP runs
+on those rows only, and each group is max-pooled over its own rows.
+Gradients flow through features and weights only; point coordinates are
+treated as data.
 """
 
 from __future__ import annotations
@@ -14,17 +18,28 @@ from .errors import TooFewPoints
 from .nn import Linear, relu_backward, relu_forward
 
 
+def _sq_dist(xyz: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from (N,3) points to (..., 3) centers -> (..., N).
+
+    Summed by coordinate, ((dx^2 + dy^2) + dz^2), as np.sum over a length-3
+    axis sums them, without the slow small-axis reduction.
+    """
+    x, y, z = xyz.T
+    cx, cy, cz = (centers[..., k, None] for k in range(3))
+    return (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
+
+
 def farthest_point_indices(xyz: np.ndarray, m: int) -> np.ndarray:
     """Deterministic FPS seeded at the point farthest from the centroid."""
     n = len(xyz)
     m = min(m, n)
-    d0 = np.sum((xyz - xyz.mean(axis=0)) ** 2, axis=1)
+    d0 = _sq_dist(xyz, xyz.mean(axis=0))
     idx = np.empty(m, dtype=np.int64)
     idx[0] = int(np.argmax(d0))
-    dist = np.sum((xyz - xyz[idx[0]]) ** 2, axis=1)
+    dist = _sq_dist(xyz, xyz[idx[0]])
     for k in range(1, m):
         idx[k] = int(np.argmax(dist))
-        dist = np.minimum(dist, np.sum((xyz - xyz[idx[k]]) ** 2, axis=1))
+        dist = np.minimum(dist, _sq_dist(xyz, xyz[idx[k]]))
     return idx
 
 
@@ -50,44 +65,36 @@ class SetAbstraction:
         """xyz: (N,3); feats: (N,C) or None -> (centroid xyz (M,3), (M,dims[-1]))."""
         cidx = farthest_point_indices(xyz, self.n_centroid)
         centroids = xyz[cidx]
-        d2 = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
-        inside = d2 <= self.radius**2           # (M,N); includes the centroid
-        kmax = int(inside.sum(axis=1).max())
-        # Members first, in index order; the rest pad with point 0.
-        order = np.argsort(~inside, axis=1, kind="stable")[:, :kmax]
-        valid = np.take_along_axis(inside, order, axis=1)
-        member = np.where(valid, order, 0)
-        rel = xyz[member] - centroids[:, None, :]
-        if feats is None:
-            h = rel
-        else:
-            h = np.concatenate([rel, feats[member]], axis=2)
+        # Ragged groups, centroid-major, members in index order; every group
+        # holds at least its own centroid, so no group is empty.
+        rows, cols = np.nonzero(_sq_dist(xyz, centroids) <= self.radius**2)
+        bounds = np.searchsorted(rows, np.arange(len(centroids) + 1))
+        rel = xyz[cols] - centroids[rows]
+        h = rel if feats is None else np.concatenate([rel, feats[cols]], axis=1)
         local_cache = {} if cache is not None else None
         for k, lin in enumerate(self.linears):
             h = lin.forward(params, h, local_cache)
             h = relu_forward(h, f"{self.name}.relu{k}", local_cache)
-        h = np.where(valid[:, :, None], h, -np.inf)
-        arg = h.argmax(axis=1)                  # (M, C_out)
-        pooled = np.take_along_axis(h, arg[:, None, :], axis=1)[:, 0, :]
+        # Max pool: per group and channel, the first member row that reaches
+        # the max (a loop over groups beats np.maximum.reduceat here).
+        arg = np.stack([h[lo:hi].argmax(axis=0) + lo
+                        for lo, hi in zip(bounds[:-1], bounds[1:])])
         if cache is not None:
-            cache[self.name] = (local_cache, member, valid, arg, h.shape,
-                                feats is not None)
-        return centroids, pooled
+            cache[self.name] = (local_cache, cols, arg, feats is not None)
+        return centroids, h[arg, np.arange(h.shape[1])]
 
     def backward(self, params, grads, dpooled, cache, n_points):
         """Returns gradient w.r.t. the input feats (None when feats was None)."""
-        local_cache, member, valid, arg, h_shape, had_feats = cache[self.name]
-        dh = np.zeros(h_shape)
-        np.put_along_axis(dh, arg[:, None, :], dpooled[:, None, :], axis=1)
+        local_cache, cols, arg, had_feats = cache[self.name]
+        dh = np.zeros((len(cols), dpooled.shape[1]))
+        dh[arg, np.arange(dpooled.shape[1])] = dpooled
         for k in range(len(self.linears) - 1, -1, -1):
             dh = relu_backward(dh, f"{self.name}.relu{k}", local_cache)
             dh = self.linears[k].backward(params, grads, dh, local_cache)
         if not had_feats:
             return None
-        dfeats_members = dh[:, :, 3:]
-        dfeats = np.zeros((n_points, dfeats_members.shape[2]))
-        flat_idx = member[valid]
-        np.add.at(dfeats, flat_idx, dfeats_members[valid])
+        dfeats = np.zeros((n_points, dh.shape[1] - 3))
+        np.add.at(dfeats, cols, dh[:, 3:])
         return dfeats
 
 

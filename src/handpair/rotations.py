@@ -55,7 +55,7 @@ def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     b1 = a1 / np.linalg.norm(a1, axis=-1, keepdims=True)
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
     b2 = u2 / np.linalg.norm(u2, axis=-1, keepdims=True)
-    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+    return np.stack([b1, b2, _cross(b1, b2)], axis=-1)
 
 
 def matrix_to_rot6d(mat: np.ndarray) -> np.ndarray:
@@ -76,8 +76,8 @@ def rot6d_vjp(omega: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
     n2 = np.sqrt(_dot(u2, u2))[..., None]
     b2 = u2 / n2
     # b3 = b1 x b2: triple-product identities route the cross backward.
-    b1_bar = G[..., :, 0] + np.cross(b2, G[..., :, 2])
-    b2_bar = G[..., :, 1] + np.cross(G[..., :, 2], b1)
+    b1_bar = G[..., :, 0] + _cross(b2, G[..., :, 2])
+    b2_bar = G[..., :, 1] + _cross(G[..., :, 2], b1)
     # b2 = u2/|u2|
     u2_bar = (b2_bar - _dot(b2, b2_bar)[..., None] * b2) / n2
     # u2 = a2 - (b1.a2) b1
@@ -113,7 +113,7 @@ def axis_angle_vjp(vec: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
     small = angle_sq < _EPS**2
     R = axis_angle_to_matrix(vec)
     # Row i of vxc is v x (I - R) e_i; dR[..., i, :, :] is dR/dv_i.
-    vxc = np.cross(vec[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2))
+    vxc = _cross(vec[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2))
     dR = ((vec[..., :, None, None] * _skew(vec)[..., None, :, :] + _skew(vxc))
           / np.where(small, 1.0, angle_sq)[..., None, None, None]) @ R[..., None, :, :]
     lead = vec.shape[:-1]
@@ -126,6 +126,13 @@ def axis_angle_vjp(vec: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a.b over the last axis, summed by BLAS ddot like the one-vector a @ b."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, (..., 3); the products np.cross forms, minus for minus."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:

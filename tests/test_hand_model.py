@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,6 +7,7 @@ from scipy.spatial import cKDTree
 from conftest import icosphere, random_params
 from handpair.errors import LayoutMismatch, NonWatertight, ZeroAreaStar
 from handpair.hand_model import (
+    _OCC_CHUNK,
     OMEGA,
     TAU,
     THETA,
@@ -340,6 +343,102 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
     right = occupancy(hand_model, mirror(p), pts @ MIRROR_MAT.T)
     np.testing.assert_array_equal(occupancy_left(hand_model, p, pts), right)
+
+
+def _dense_occupancy(model, params, points):
+    """Reference: every point against every capsule, 4096 rows at a time."""
+    points = np.asarray(points, dtype=float)
+    e0, e1, rads = model.posed_segments(params)
+    w = e1 - e0
+    ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
+    out = np.empty(len(points), dtype=bool)
+    for lo in range(0, len(points), 4096):
+        pts = points[lo:lo + 4096, None, :]
+        t = np.clip(np.einsum("nbi,bi->nb", pts - e0, w) / ww, 0.0, 1.0)
+        d2 = np.sum((pts - (e0 + t[..., None] * w)) ** 2, axis=2)
+        out[lo:lo + 4096] = (d2 <= rads**2).any(axis=1)
+    return out
+
+
+@pytest.fixture(scope="module")
+def posed_hands():
+    rng = np.random.default_rng(40)
+    return [random_params(rng, theta_scale=s) for s in (0.0, 0.3, 0.6, 1.0, 1.5)]
+
+
+def _occupancy_checked_against_dense(model, p, pts):
+    got = model.occupancy(p, pts)
+    assert got.dtype == bool and got.shape == (len(pts),)
+    np.testing.assert_array_equal(got, _dense_occupancy(model, p, pts))
+    return got
+
+
+def test_occupancy_sweep_matches_dense_on_random_points(hand_model, posed_hands):
+    rng = np.random.default_rng(41)
+    inside = 0
+    for p in posed_hands:
+        e0, e1, _ = hand_model.posed_segments(p)
+        lo = np.minimum(e0, e1).min(axis=0) - 0.03
+        hi = np.maximum(e0, e1).max(axis=0) + 0.03
+        pts = rng.uniform(lo, hi, size=(50_000, 3))
+        inside += _occupancy_checked_against_dense(hand_model, p, pts).sum()
+    assert inside > 5_000
+
+
+def test_occupancy_sweep_matches_dense_on_box_faces_and_surfaces(hand_model, posed_hands):
+    rng = np.random.default_rng(42)
+    for p in posed_hands:
+        e0, e1, rads = hand_model.posed_segments(p)
+        box_lo = np.minimum(e0, e1) - rads[:, None]
+        box_hi = np.maximum(e0, e1) + rads[:, None]
+        pts = []
+        for b in range(len(rads)):
+            # Random points on the six faces of the capsule's box.
+            face = rng.uniform(box_lo[b], box_hi[b], size=(60, 3))
+            axis = rng.integers(0, 3, 60)
+            face[np.arange(60), axis] = np.where(rng.random(60) < 0.5, box_lo[b, axis],
+                                                 box_hi[b, axis])
+            # The tangent points where the capsule touches its box.
+            tangent = np.concatenate([e0[b] + rads[b] * np.eye(3), e0[b] - rads[b] * np.eye(3),
+                                      e1[b] + rads[b] * np.eye(3), e1[b] - rads[b] * np.eye(3)])
+            # Points on the capsule surface: axis point plus a radial offset.
+            u = rng.normal(size=(60, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            t = rng.uniform(0.0, 1.0, (60, 1))
+            surface = e0[b] + t * (e1[b] - e0[b]) + rads[b] * u
+            pts += [face, tangent, surface]
+        _occupancy_checked_against_dense(hand_model, p, np.concatenate(pts))
+
+
+def test_occupancy_sweep_handles_nan_empty_and_chunk_edges(hand_model, posed_hands):
+    p = posed_hands[1]
+    e0, _, _ = hand_model.posed_segments(p)
+    rng = np.random.default_rng(43)
+    pts = e0[rng.integers(0, len(e0), 20)] + rng.normal(0.0, 0.01, (20, 3))
+    pts[3] = np.nan
+    pts[7, 1] = np.nan
+    got = _occupancy_checked_against_dense(hand_model, p, pts)
+    assert not got[3] and not got[7] and got.any()
+    assert hand_model.occupancy(p, np.empty((0, 3))).shape == (0,)
+    # Two chunks, the second short; both ends of the straddle hit the hand.
+    n = _OCC_CHUNK + 1000
+    pts = e0[rng.integers(0, len(e0), n)] + rng.normal(0.0, 0.02, (n, 3))
+    got = _occupancy_checked_against_dense(hand_model, p, pts)
+    assert got[:_OCC_CHUNK].any() and got[_OCC_CHUNK:].any()
+
+
+def test_occupancy_memory_stays_bounded(hand_model, posed_hands):
+    p = posed_hands[1]
+    e0, e1, _ = hand_model.posed_segments(p)
+    pts = np.random.default_rng(44).uniform(np.minimum(e0, e1).min(axis=0),
+                                            np.maximum(e0, e1).max(axis=0), (10**6, 3))
+    tracemalloc.start()
+    try:
+        hand_model.occupancy(p, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6   # the points alone are 24 MB; an unchunked sort is ~40 MB
 
 
 # -- kinematics VJP -----------------------------------------------------------

@@ -1,9 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from handpair.data import generate_synthetic, overlapping_spec
+from handpair import pointset
+from handpair.backbone import FeatureBackbone
+from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.hand_model import CapsuleHand, occupancy, occupancy_left, pair_meshes
-from handpair.metrics import fhid, khid, pair_stats, penetration_volume, precision_recall
+from handpair.metrics import (
+    DegenerateCovariance,
+    MetricReport,
+    evaluate,
+    fhid,
+    khid,
+    pair_stats,
+    penetration_volume,
+    precision_recall,
+)
+from handpair.pointset import PointSetEncoder
 
 
 def _ball(center, r):
@@ -126,3 +141,81 @@ def test_penetration_volume_calls_each_occupancy_once():
     box = (np.zeros(3), np.full(3, 0.01))
     assert penetration_volume(occ, occ, box, box, grid=1e-3) == calls[0]
     assert len(calls) == 2 and calls[0] == calls[1] >= 10**3
+
+
+def _frechet_closed_form(mu_a, cov_a, mu_b, cov_b):
+    """Heusel et al. 2017: |mu_a - mu_b|^2 + Tr(Sa + Sb - 2 (Sa Sb)^(1/2))."""
+    root = scipy.linalg.sqrtm(cov_a @ cov_b).real
+    return float(((mu_a - mu_b) ** 2).sum() + np.trace(cov_a + cov_b - 2.0 * root))
+
+
+def test_fhid_matches_gaussian_closed_form():
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(4, 4))
+    cov_a = A @ A.T + 0.2 * np.eye(4)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    cov_b = Q @ np.diag([0.3, 1.0, 2.0, 4.0]) @ Q.T
+    mu_a, mu_b = np.zeros(4), np.array([0.5, -0.2, 0.1, 0.3])
+    a = rng.multivariate_normal(mu_a, cov_a, 200_000)
+    b = rng.multivariate_normal(mu_b, cov_b, 200_000)
+    got = fhid(a, b)
+    # Exact on the samples' own moments, through an independent matrix root.
+    sample = _frechet_closed_form(a.mean(axis=0), np.cov(a, rowvar=False),
+                                  b.mean(axis=0), np.cov(b, rowvar=False))
+    assert got == pytest.approx(sample, rel=1e-12)
+    # Near the population value: at 2e5 samples per set the estimate spread
+    # 0.6% over six seeds, so 2% leaves room for sampling error only.
+    assert got == pytest.approx(_frechet_closed_form(mu_a, cov_a, mu_b, cov_b), rel=0.02)
+
+
+def test_metric_report_json_round_trips_exactly():
+    report = MetricReport(
+        fhid=0.1 + 0.2, khid=-1e-300, diversity=np.pi, precision=1.0 / 3.0, recall=0.0,
+        pen_vol_mm3=1234.5678901234567, pen_vol_cm3=1.2345678901234567,
+        pen_dist_cm=5e-324, prox_ratio=0.75, n_reference=16, n_generated=4,
+        backbone_checksum="ab" * 32,
+        per_category={"cup": {"fhid": 2.0 / 7.0, "recall": 1e308}},
+    )
+    back = MetricReport.from_json(report.to_json())
+    assert back == report
+    assert back.to_json() == report.to_json()
+
+
+@pytest.fixture(scope="module")
+def traced_evaluate(hand_model):
+    """metrics.evaluate on 4-pair sets, counting calls of the traced hot spots."""
+    calls = {"occupancy": 0, "forward_one": 0, "farthest_point_indices": 0}
+    originals = (CapsuleHand.occupancy, PointSetEncoder.forward_one,
+                 pointset.farthest_point_indices)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    reference = generate_synthetic(two_mode_spec(count=4, seed=1))
+    generated = generate_synthetic(overlapping_spec(count=4, seed=2))
+    with pytest.MonkeyPatch.context() as mp:
+        # The lookup sites the benchmark's tracer wraps (bench/spans.py).
+        mp.setattr(CapsuleHand, "occupancy", counted("occupancy", originals[0]))
+        mp.setattr(PointSetEncoder, "forward_one", counted("forward_one", originals[1]))
+        mp.setattr(pointset, "farthest_point_indices",
+                   counted("farthest_point_indices", originals[2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateCovariance)
+            report = evaluate(reference, generated, FeatureBackbone(), hand_model, grid=2e-3)
+    return report, calls
+
+
+def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
+    report, calls = traced_evaluate
+    assert report.pen_vol_mm3 > 0.0
+    assert calls["forward_one"] == 8                       # one cloud per pair, both sets
+    assert calls["farthest_point_indices"] == 16           # two levels per cloud
+    assert calls["occupancy"] >= 2
+
+
+def test_evaluate_report_round_trips_exactly(traced_evaluate):
+    report, _ = traced_evaluate
+    assert MetricReport.from_json(report.to_json()) == report

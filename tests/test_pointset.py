@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from handpair.pointset import SetAbstraction, farthest_point_indices
+from handpair.data import generate_synthetic, two_mode_spec
+from handpair.hand_model import pair_meshes
+from handpair.mesh import sample_surface_points
+from handpair.nn import relu_backward, relu_forward
+from handpair.pointset import PointSetEncoder, SetAbstraction, farthest_point_indices
 
 
 def test_grouping_matches_per_centroid_loop():
@@ -11,16 +16,113 @@ def test_grouping_matches_per_centroid_loop():
     sa.init(params, rng)
     cache = {}
     sa.forward(params, xyz, None, cache)
-    _, member, valid, *_ = cache["sa"]
-    # Reference: each centroid's members in index order, padded with point 0.
+    _, cols, arg, _ = cache["sa"]
+    # Reference: each centroid's members in index order, one group after another.
     centroids = xyz[farthest_point_indices(xyz, sa.n_centroid)]
     inside = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2) <= sa.radius**2
-    ref_member = np.zeros_like(member)
-    ref_valid = np.zeros_like(valid)
-    for i in range(len(inside)):
-        members = np.flatnonzero(inside[i])
-        ref_member[i, :len(members)] = members
-        ref_valid[i, :len(members)] = True
-    assert not valid.all()          # groups of different sizes, so padding is exercised
-    np.testing.assert_array_equal(member, ref_member)
-    np.testing.assert_array_equal(valid, ref_valid)
+    groups = [np.flatnonzero(inside[i]) for i in range(len(inside))]
+    sizes = np.array([len(g) for g in groups])
+    assert len(set(sizes)) > 1      # groups of different sizes, so the layout is ragged
+    np.testing.assert_array_equal(cols, np.concatenate(groups))
+    # Each group's pooling rows lie inside that group's segment.
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    assert ((arg >= starts[:, None]) & (arg < (starts + sizes)[:, None])).all()
+
+
+class PaddedSetAbstraction(SetAbstraction):
+    """Reference: every group padded to the largest one, pooled with -inf fill."""
+
+    def forward(self, params, xyz, feats, cache=None):
+        cidx = farthest_point_indices(xyz, self.n_centroid)
+        centroids = xyz[cidx]
+        d2 = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
+        inside = d2 <= self.radius**2
+        kmax = int(inside.sum(axis=1).max())
+        order = np.argsort(~inside, axis=1, kind="stable")[:, :kmax]
+        valid = np.take_along_axis(inside, order, axis=1)
+        member = np.where(valid, order, 0)
+        rel = xyz[member] - centroids[:, None, :]
+        h = rel if feats is None else np.concatenate([rel, feats[member]], axis=2)
+        local_cache = {} if cache is not None else None
+        for k, lin in enumerate(self.linears):
+            h = lin.forward(params, h, local_cache)
+            h = relu_forward(h, f"{self.name}.relu{k}", local_cache)
+        h = np.where(valid[:, :, None], h, -np.inf)
+        arg = h.argmax(axis=1)
+        pooled = np.take_along_axis(h, arg[:, None, :], axis=1)[:, 0, :]
+        if cache is not None:
+            cache[self.name] = (local_cache, member, valid, arg, h.shape,
+                                feats is not None)
+        return centroids, pooled
+
+    def backward(self, params, grads, dpooled, cache, n_points):
+        local_cache, member, valid, arg, h_shape, had_feats = cache[self.name]
+        dh = np.zeros(h_shape)
+        np.put_along_axis(dh, arg[:, None, :], dpooled[:, None, :], axis=1)
+        for k in range(len(self.linears) - 1, -1, -1):
+            dh = relu_backward(dh, f"{self.name}.relu{k}", local_cache)
+            dh = self.linears[k].backward(params, grads, dh, local_cache)
+        if not had_feats:
+            return None
+        dfeats_members = dh[:, :, 3:]
+        dfeats = np.zeros((n_points, dfeats_members.shape[2]))
+        np.add.at(dfeats, member[valid], dfeats_members[valid])
+        return dfeats
+
+
+def _padded(enc: PointSetEncoder) -> PointSetEncoder:
+    ref = PointSetEncoder(enc.name, enc.out_dim)
+    for level in ("sa1", "sa2"):
+        sa = getattr(enc, level)
+        setattr(ref, level, PaddedSetAbstraction(sa.name, sa.n_centroid, sa.radius, sa.dims))
+    return ref
+
+
+@pytest.fixture(scope="module")
+def hand_clouds(hand_model):
+    ds = generate_synthetic(two_mode_spec(count=3, seed=5))
+    return [sample_surface_points(pair_meshes(*ds.pair(i), hand_model), 512, seed=i)
+            for i in range(len(ds))]
+
+
+def test_ragged_encoder_matches_padded_reference(hand_clouds):
+    enc = PointSetEncoder("enc", 16)
+    params = {}
+    enc.init(params, np.random.default_rng(3))
+    ref = _padded(enc)
+    rng = np.random.default_rng(8)
+    for cloud in hand_clouds:
+        cache, ref_cache = {}, {}
+        out = enc.forward_one(params, cloud, cache)
+        np.testing.assert_array_equal(out, ref.forward_one(params, cloud, ref_cache))
+        np.testing.assert_array_equal(out, enc.forward_one(params, cloud))
+        # Both levels must group unevenly for the comparison to mean anything.
+        for sa in (ref.sa1, ref.sa2):
+            assert not ref_cache[sa.name][2].all()
+        dout = rng.normal(size=enc.out_dim)
+        grads, ref_grads = {}, {}
+        enc.backward_one(params, grads, dout, cache)
+        ref.backward_one(params, ref_grads, dout, ref_cache)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grads[name]).max())
+
+
+def test_ragged_feature_gradient_matches_padded_reference(hand_clouds):
+    sa = SetAbstraction("sa", 32, 0.09, [19, 24, 20])
+    ref = PaddedSetAbstraction(sa.name, sa.n_centroid, sa.radius, sa.dims)
+    rng = np.random.default_rng(9)
+    params = {}
+    sa.init(params, rng)
+    xyz = hand_clouds[0][:128]
+    feats = rng.normal(size=(len(xyz), 16))
+    cache, ref_cache = {}, {}
+    _, pooled = sa.forward(params, xyz, feats, cache)
+    _, ref_pooled = ref.forward(params, xyz, feats, ref_cache)
+    np.testing.assert_array_equal(pooled, ref_pooled)
+    dpooled = rng.normal(size=pooled.shape)
+    dfeats = sa.backward(params, {}, dpooled, cache, len(xyz))
+    ref_dfeats = ref.backward(params, {}, dpooled, ref_cache, len(xyz))
+    np.testing.assert_allclose(dfeats, ref_dfeats, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_dfeats).max())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from handpair.errors import DegenerateRotation
 from handpair.rotations import (
+    _cross,
     axis_angle_to_matrix,
     axis_angle_vjp,
     matrix_to_rot6d,
@@ -158,3 +159,15 @@ def test_axis_angle_vjp_takes_skew_limit_near_zero():
     G = np.random.default_rng(5).normal(size=(3, 3))
     limit = [G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]]
     np.testing.assert_array_equal(axis_angle_vjp(np.array([1e-10, 0.0, 0.0]), G), limit)
+
+
+def test_cross_is_bit_equal_to_np_cross_on_stacks():
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(4, 5, 3)) * np.logspace(-9, 3, 20).reshape(4, 5, 1)
+    b = rng.normal(size=(4, 5, 3))
+    b[0, 0] = a[0, 0]                      # parallel: exact zero
+    np.testing.assert_array_equal(_cross(a, b), np.cross(a, b))
+    # Broadcast as axis_angle_vjp uses it: one vector against three rows.
+    c = rng.normal(size=(4, 5, 3, 3))
+    np.testing.assert_array_equal(_cross(a[..., None, :], c), np.cross(a[..., None, :], c))
+    np.testing.assert_array_equal(_cross(a[0, 0], b[0, 1]), np.cross(a[0, 0], b[0, 1]))
