@@ -7,10 +7,8 @@ from .hand_model import (  # noqa: F401
     CapsuleHand,
     TemplateHand,
     default_hand,
-    forward_kinematics,
     kinematics_vjp,
     mirror,
-    occupancy,
     pin_root,
 )
 from .mesh import HandMesh, sample_surface_points, vertex_normals, write_obj  # noqa: F401

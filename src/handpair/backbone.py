@@ -56,34 +56,26 @@ class FeatureBackbone:
             self.reg_head.init(self.params, rng)
         self.val_loss_curve: list[float] = []
 
-    def features(self, clouds, caches=None) -> np.ndarray:
+    def features(self, clouds, cache=None) -> np.ndarray:
         """Penultimate activations (rectified encoder output), (B, feature_dim)."""
-        enc = self.encoder.forward_batch(self.params, clouds, caches)
-        name = "bb.feat_relu"
-        if caches is not None:
-            out = np.empty_like(enc)
-            for i, cache in enumerate(caches):
-                out[i] = relu_forward(enc[i], name, cache)
-            return out
-        return relu_forward(enc, name, None)
+        enc = self.encoder.forward_batch(self.params, clouds, cache)
+        return relu_forward(enc, "bb.feat_relu", cache)
 
     def predict(self, clouds) -> np.ndarray:
         feats = self.features(clouds)
         return feats @ self.params["bb_reg.W"] + self.params["bb_reg.b"]
 
     def train_step(self, clouds, targets, opt: Adam, lr: float) -> float:
-        caches = []
-        feats = self.features(clouds, caches)
-        head_cache = {}
-        pred = self.reg_head.forward(self.params, feats, head_cache)
+        cache = {}
+        feats = self.features(clouds, cache)
+        pred = self.reg_head.forward(self.params, feats, cache)
         err = pred - targets
         loss = float((err**2).mean())
         grads: dict[str, np.ndarray] = {}
         dpred = 2.0 * err / err.size
-        dfeats = self.reg_head.backward(self.params, grads, dpred, head_cache)
-        for i, cache in enumerate(caches):
-            dfeat = relu_backward(dfeats[i], "bb.feat_relu", cache)
-            self.encoder.backward_one(self.params, grads, dfeat, cache)
+        dfeats = self.reg_head.backward(self.params, grads, dpred, cache)
+        dfeats = relu_backward(dfeats, "bb.feat_relu", cache)
+        self.encoder.backward_batch(self.params, grads, dfeats, cache)
         opt.step(self.params, grads, lr)
         return loss
 

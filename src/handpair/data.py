@@ -172,6 +172,9 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
     rule checks the stored float32 values, so the candidate is cast to f32
     before the penetration test.
     """
+    # Imported here, not at the top: the name is then read from the sampler
+    # module on each call, so a wrapper installed on sampler.penetration_loss
+    # (bench/spans.py's tracer) also sees the rejection loop's calls.
     from .sampler import penetration_loss
 
     model = model or default_hand()

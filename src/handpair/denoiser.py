@@ -95,7 +95,6 @@ class Denoiser:
         w = config.widths()
         d = w["d_token"]
         self.d_token = d
-        self.drop_rate = w["drop_rate"]
         self.n_tokens = 4 if config.object_conditional else 3
 
         self.emb_x = _EmbedMLP("emb_x", X_DIM, w["d_embed_hidden"], d)
@@ -164,13 +163,8 @@ class Denoiser:
         if self.obj_encoder is not None:
             if object_embedding is not None:
                 eo = np.asarray(object_embedding, dtype=float).reshape(B, self.d_token)
-                if cache is not None:
-                    cache["obj_caches"] = None
             else:
-                obj_caches = [] if cache is not None else None
-                eo = self.obj_encoder.forward_batch(params, objects, obj_caches)
-                if cache is not None:
-                    cache["obj_caches"] = obj_caches
+                eo = self.obj_encoder.forward_batch(params, objects, cache)
             toks.append(eo)
         x = np.stack(toks, axis=1)                      # (B, S, d)
         for i, block in enumerate(self.blocks):
@@ -227,8 +221,8 @@ class Denoiser:
         d_et += dx[:, 2]
         if has_obj:
             d_eo += dx[:, 3]
-            if cache["obj_caches"] is not None:
-                self.obj_encoder.backward_batch(params, grads, d_eo, cache["obj_caches"])
+            if self.obj_encoder.name in cache:
+                self.obj_encoder.backward_batch(params, grads, d_eo, cache)
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
         _acc(grads, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)

@@ -104,7 +104,6 @@ class TrainConfig:
     beta1: float = 1e-4
     betaT: float = 0.01
     seed: int = 0
-    mask_root_when_uncond: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p_uncond <= 1.0:
@@ -175,9 +174,10 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             targets, conds = assemble_batch(dataset, idx, flip)
             objects = dataset.objects(idx) if has_objects else None
             x_t = forward_diffuse(targets, t, eps, sched)
+            # A dropped row's target root is relative to a condition the
+            # network does not see, so the loss skips that block.
             mask = np.ones((batch, 64))
-            if config.mask_root_when_uncond:
-                mask[drop, OMEGA.start:TAU.stop] = 0.0
+            mask[drop, OMEGA.start:TAU.stop] = 0.0
 
             cache = {}
             pred = denoiser.predict(x_t, conds, drop, t, objects=objects, rng=rng, cache=cache)

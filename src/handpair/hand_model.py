@@ -13,7 +13,10 @@ reroot_pair, compose_root), the chain and its reverse sweep, posed_vertices
 hand: posed_mesh (a HandMesh with its own cached k-d tree), and
 posed_segments and occupancy, which serve one pair's voxel grid. Occupancy
 takes any number of query points and works through them in fixed-size
-chunks, so its memory stays bounded.
+chunks, so its memory stays bounded. These are model methods; the
+module-level operations are kinematics_vjp, through which APG reaches
+model.vjp, and the left-hand mirror convention: left_hand_mesh,
+occupancy_left and pair_meshes.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -266,30 +269,36 @@ _RADII = np.array([
 _OCC_CHUNK = 1 << 16
 _BOX_MARGIN = 1e-9
 
+# Capsule tessellation: vertices per ring, rings per hemispherical cap, and
+# axial bands along the cylinder.
+N_SEG = 8
+N_CAP = 2
+N_SIDE = 2
 
-def _capsule_template(n_seg: int = 8, n_cap: int = 2, n_side: int = 2):
+
+def _capsule_template():
     """Shared capsule tessellation in (axial fraction, unit offset) form.
 
     A capsule surface point is c + r*n with c on the axis segment and n a
     unit outward offset, so posed vertices are linear in (length, radius).
     Returns (a: (K,), n_local: (K,3) with axis=+z, faces: (F,3) CCW outward).
     """
-    angles = 2.0 * np.pi * np.arange(n_seg) / n_seg
+    angles = 2.0 * np.pi * np.arange(N_SEG) / N_SEG
     ca, sa = np.cos(angles), np.sin(angles)
     rings = []   # (a, psi) per ring; psi = polar angle from +z of the offset
-    for i in range(1, n_cap + 1):
-        rings.append((0.0, np.pi - 0.5 * np.pi * i / n_cap))
-    for j in range(1, n_side):
-        rings.append((j / n_side, 0.5 * np.pi))
-    for i in range(n_cap):
-        rings.append((1.0, 0.5 * np.pi - 0.5 * np.pi * i / n_cap))
+    for i in range(1, N_CAP + 1):
+        rings.append((0.0, np.pi - 0.5 * np.pi * i / N_CAP))
+    for j in range(1, N_SIDE):
+        rings.append((j / N_SIDE, 0.5 * np.pi))
+    for i in range(N_CAP):
+        rings.append((1.0, 0.5 * np.pi - 0.5 * np.pi * i / N_CAP))
 
     a_list = [0.0]
     n_list = [np.array([0.0, 0.0, -1.0])]
     for a, psi in rings:
         sp, cp = np.sin(psi), np.cos(psi)
-        ring_n = np.stack([sp * ca, sp * sa, np.full(n_seg, cp)], axis=1)
-        a_list.extend([a] * n_seg)
+        ring_n = np.stack([sp * ca, sp * sa, np.full(N_SEG, cp)], axis=1)
+        a_list.extend([a] * N_SEG)
         n_list.extend(ring_n)
     a_list.append(1.0)
     n_list.append(np.array([0.0, 0.0, 1.0]))
@@ -302,18 +311,18 @@ def _capsule_template(n_seg: int = 8, n_cap: int = 2, n_side: int = 2):
     ring0 = 1
 
     def ring_idx(k, s):
-        return ring0 + k * n_seg + (s % n_seg)
+        return ring0 + k * N_SEG + (s % N_SEG)
 
-    for s in range(n_seg):  # bottom fan, outward-down
+    for s in range(N_SEG):  # bottom fan, outward-down
         faces.append([0, ring_idx(0, s + 1), ring_idx(0, s)])
     for k in range(n_rings - 1):
-        for s in range(n_seg):
+        for s in range(N_SEG):
             A, B = ring_idx(k, s), ring_idx(k, s + 1)
             C, D = ring_idx(k + 1, s + 1), ring_idx(k + 1, s)
             faces.append([A, B, C])
             faces.append([A, C, D])
     top = len(a) - 1
-    for s in range(n_seg):  # top fan, outward-up
+    for s in range(N_SEG):  # top fan, outward-up
         faces.append([top, ring_idx(n_rings - 1, s), ring_idx(n_rings - 1, s + 1)])
     return a, n_local, np.array(faces, dtype=np.int64)
 
@@ -336,15 +345,13 @@ class CapsuleHand:
     construction; safe to share across workers.
     """
 
-    def __init__(self, n_seg: int = 8, n_cap: int = 2, n_side: int = 2):
+    def __init__(self):
         self.n_joints = N_JOINTS
         self.parents = np.full(N_JOINTS, -1, dtype=int)
 
-        a, n_local, faces = _capsule_template(n_seg, n_cap, n_side)
+        a, n_local, faces = _capsule_template()
         self._tmpl_a = a
         self._tmpl_faces = faces
-        self._n_seg = n_seg
-        self._n_cap = n_cap
 
         # Bones: (attach_joint, direction, len0, rad0)
         attach, dirs, len0, rad0 = [], [], [], []
@@ -511,9 +518,9 @@ class CapsuleHand:
         return grad
 
 
-@lru_cache(maxsize=4)
-def default_hand(n_seg: int = 8, n_cap: int = 2, n_side: int = 2) -> CapsuleHand:
-    return CapsuleHand(n_seg, n_cap, n_side)
+@lru_cache(maxsize=1)
+def default_hand() -> CapsuleHand:
+    return CapsuleHand()
 
 
 # ---------------------------------------------------------------------------
@@ -706,27 +713,17 @@ def template_from_capsule(model: CapsuleHand) -> TemplateHand:
     K = model.verts_per_bone
     weights[np.arange(V), np.repeat(model.bone_attach, K)] = 1.0
 
-    n_seg, n_cap = model._n_seg, model._n_cap
-    bottom_eq = 1 + (n_cap - 1) * n_seg           # first index of a=0 equator
-    top_eq = K - 1 - model._n_cap * n_seg         # first index of a=1 equator
+    bottom_eq = 1 + (N_CAP - 1) * N_SEG           # first index of a=0 equator
+    top_eq = K - 1 - N_CAP * N_SEG                # first index of a=1 equator
     regressor = np.zeros((N_JOINTS, V))
-    regressor[0, 0 * K + bottom_eq: 0 * K + bottom_eq + n_seg] = 1.0 / n_seg
+    regressor[0, 0 * K + bottom_eq: 0 * K + bottom_eq + N_SEG] = 1.0 / N_SEG
     for joint, b in enumerate(model.joint_bone, start=1):
-        regressor[joint, b * K + top_eq: b * K + top_eq + n_seg] = 1.0 / n_seg
+        regressor[joint, b * K + top_eq: b * K + top_eq + N_SEG] = 1.0 / N_SEG
     return TemplateHand(model.parents, rest, model.faces, weights, regressor)
 
 
 # ---------------------------------------------------------------------------
 # Module-level operation surface
-
-
-def forward_kinematics(params: HandParam, model) -> HandMesh:
-    """Posed right-hand mesh; deterministic, rigid under root-only changes."""
-    return model.posed_mesh(params)
-
-
-def occupancy(model, params: HandParam, points: np.ndarray) -> np.ndarray:
-    return model.occupancy(params, points)
 
 
 def kinematics_vjp(params: HandParam, model, vertex_cotangent: np.ndarray) -> np.ndarray:

@@ -38,6 +38,8 @@ class HandMesh:
         return cKDTree(self.vertices)
 
     def validate(self) -> None:
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError(f"vertices must have shape (V, 3), got {self.vertices.shape}")
         if not np.isfinite(self.vertices).all():
             raise ValueError("non-finite vertices")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
@@ -71,13 +73,12 @@ def mirror_mesh(mesh: HandMesh) -> HandMesh:
 
 
 def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
-    """Area-weighted uniform surface samples over the union of ``meshes``.
+    """Area-weighted uniform surface samples over the union of ``meshes``,
+    a sequence of HandMesh.
 
     Deterministic for a given seed: triangle choice is multinomial in the
     concatenated area table, positions use the sqrt barycentric trick.
     """
-    if isinstance(meshes, HandMesh):
-        meshes = [meshes]
     tris = np.concatenate([m.vertices[m.faces] for m in meshes], axis=0)   # (F, 3, 3)
     areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
                                  axis=1)
@@ -103,6 +104,8 @@ def write_obj(path, mesh: HandMesh) -> None:
 
 
 def read_obj(path) -> HandMesh:
+    """Triangle mesh from ASCII OBJ v/f records (1-based face indices). Raises
+    ValueError on a non-triangle face, a bad index or a bad or NaN/inf vertex."""
     verts, faces = [], []
     with open(path) as fh:
         for line in fh:
@@ -112,8 +115,12 @@ def read_obj(path) -> HandMesh:
             if parts[0] == "v":
                 verts.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return HandMesh(np.array(verts), np.array(faces))
+                if len(parts) != 4:
+                    raise ValueError(f"face with {len(parts) - 1} vertices, expected 3")
+                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
+    mesh = HandMesh(np.array(verts), np.array(faces))
+    mesh.validate()
+    return mesh
 
 
 def edge_manifold_ok(faces: np.ndarray) -> bool:

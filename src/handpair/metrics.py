@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .hand_model import HandParam, default_hand, occupancy, occupancy_left, pair_meshes
+from .hand_model import HandParam, default_hand, occupancy_left, pair_meshes
 from .mesh import min_vertex_distance, sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 from .sampler import penetration_report
@@ -166,27 +166,24 @@ def penetration_volume(occ_a, occ_b, bounds_a, bounds_b, grid: float = 1e-3) -> 
     return count * (grid * 1000.0) ** 3
 
 
-def penetration_distance(mesh_a, mesh_b, aggregate: str = "mean") -> float:
-    """Projected penetration depth of A's vertices into B, in cm (0 if none)."""
-    report = penetration_report(mesh_a, mesh_b)
-    if len(report.depths) == 0:
-        return 0.0
-    depth = report.depths.mean() if aggregate == "mean" else report.depths.max()
-    return float(depth * 100.0)
+def penetration_distance(mesh_a, mesh_b) -> float:
+    """Mean projected penetration depth of A's vertices into B, in cm; every
+    depth is > 0, so the result is 0 exactly when no vertex penetrates."""
+    depths = penetration_report(mesh_a, mesh_b).depths
+    return float(depths.mean() * 100.0) if len(depths) else 0.0
 
 
 def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?)."""
     model = model or default_hand()
     mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-    report = penetration_report(mesh_r, mesh_l)
-    penetrating = len(report.pairs) > 0
-    pen_dist = float(report.depths.mean() * 100.0) if penetrating else 0.0
+    pen_dist = penetration_distance(mesh_r, mesh_l)
+    penetrating = pen_dist > 0.0
     vol = 0.0
     if penetrating:
         vol = penetration_volume(
             lambda pts: occupancy_left(model, x_l, pts),
-            lambda pts: occupancy(model, x_r, pts),
+            lambda pts: model.occupancy(x_r, pts),
             (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
             (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
             grid,
@@ -229,16 +226,14 @@ class MetricReport:
         return cls(**json.loads(text))
 
 
-def dataset_features(dataset, backbone, model=None, seed: int = 0,
-                     n_points: int | None = None) -> np.ndarray:
+def dataset_features(dataset, backbone, model=None, seed: int = 0) -> np.ndarray:
     """Backbone features for every record; surface clouds keyed per index."""
     model = model or default_hand()
-    n_points = n_points or backbone.config.n_surface
     feats = np.empty((len(dataset), backbone.config.feature_dim))
     for i in range(len(dataset)):
         x_l, x_r = dataset.pair(i)
-        cloud = sample_surface_points(pair_meshes(x_l, x_r, model), n_points,
-                                      seed=seed + i)
+        cloud = sample_surface_points(pair_meshes(x_l, x_r, model),
+                                      backbone.config.n_surface, seed=seed + i)
         feats[i] = backbone.features(cloud[None, :, :])[0]
     return feats
 
@@ -251,9 +246,7 @@ def _geometry_stats(dataset, model, grid):
 
 
 def evaluate(reference, generated, backbone, model=None, seed: int = 0,
-             knn_k: int = 3, khid_subsets: int = 10,
-             khid_subset_size: int | None = None,
-             diversity_pairs: int = 300, grid: float = 1e-3) -> MetricReport:
+             grid: float = 1e-3) -> MetricReport:
     """Full metric report of a generated set against a reference set.
 
     When both sets carry object category labels, metrics are computed per
@@ -267,15 +260,12 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     def compute(ref, gen):
         f_ref = dataset_features(ref, backbone, model, seed)
         f_gen = dataset_features(gen, backbone, model, seed + len(ref))
-        subset = khid_subset_size
-        if subset is None:
-            subset = max(2, min(len(f_ref), len(f_gen), 1000))
-        p, r = precision_recall(f_ref, f_gen, k=knn_k)
+        p, r = precision_recall(f_ref, f_gen)
         vol, dist, prox = _geometry_stats(gen, model, grid)
         return {
             "fhid": fhid(f_ref, f_gen),
-            "khid": khid(f_ref, f_gen, subset, khid_subsets, seed),
-            "diversity": diversity(f_gen, diversity_pairs, seed),
+            "khid": khid(f_ref, f_gen, seed=seed),
+            "diversity": diversity(f_gen, seed=seed),
             "precision": p,
             "recall": r,
             "pen_vol_mm3": vol,

@@ -98,19 +98,22 @@ class SetAbstraction:
         return dfeats
 
 
+# Per level: centroid count and MLP widths. Clouds need MIN_POINTS points.
+N_CENTROIDS = (128, 32)
+WIDTHS = ((32, 64), (64, 128))
+MIN_POINTS = 16
+
+
 class PointSetEncoder:
     """Two set-abstraction levels -> global max pool -> linear projection."""
 
-    def __init__(self, name: str, out_dim: int,
-                 n_centroids=(128, 32), radii=(0.03, 0.09),
-                 widths=((32, 64), (64, 128)), min_points: int = 16):
+    def __init__(self, name: str, out_dim: int, radii=(0.03, 0.09)):
         self.name = name
-        self.min_points = min_points
-        self.sa1 = SetAbstraction(name + ".sa1", n_centroids[0], radii[0],
-                                  [3, *widths[0]])
-        self.sa2 = SetAbstraction(name + ".sa2", n_centroids[1], radii[1],
-                                  [widths[0][-1] + 3, *widths[1]])
-        self.head = Linear(name + ".head", widths[1][-1], out_dim)
+        self.sa1 = SetAbstraction(name + ".sa1", N_CENTROIDS[0], radii[0],
+                                  [3, *WIDTHS[0]])
+        self.sa2 = SetAbstraction(name + ".sa2", N_CENTROIDS[1], radii[1],
+                                  [WIDTHS[0][-1] + 3, *WIDTHS[1]])
+        self.head = Linear(name + ".head", WIDTHS[1][-1], out_dim)
         self.out_dim = out_dim
 
     def init(self, params, rng) -> None:
@@ -122,8 +125,8 @@ class PointSetEncoder:
         cloud = np.asarray(cloud, dtype=float)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise TooFewPoints(f"expected (N,3) cloud, got {cloud.shape}")
-        if len(cloud) < self.min_points:
-            raise TooFewPoints(f"need at least {self.min_points} points, got {len(cloud)}")
+        if len(cloud) < MIN_POINTS:
+            raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(cloud)}")
         xyz1, f1 = self.sa1.forward(params, cloud, None, cache)
         xyz2, f2 = self.sa2.forward(params, xyz1, f1, cache)
         arg = f2.argmax(axis=0)
@@ -140,15 +143,17 @@ class PointSetEncoder:
         df1 = self.sa2.backward(params, grads, df2, cache, n1)
         self.sa1.backward(params, grads, df1, cache, n0)
 
-    def forward_batch(self, params, clouds, caches=None):
+    def forward_batch(self, params, clouds, cache=None):
+        """(B, out_dim) embeddings; per-cloud caches go under cache[self.name]."""
+        per_cloud = [{} if cache is not None else None for _ in clouds]
         out = np.empty((len(clouds), self.out_dim))
-        for i, cloud in enumerate(clouds):
-            cache = {} if caches is not None else None
-            out[i] = self.forward_one(params, cloud, cache)
-            if caches is not None:
-                caches.append(cache)
+        for i, (cloud, one) in enumerate(zip(clouds, per_cloud)):
+            out[i] = self.forward_one(params, cloud, one)
+        if cache is not None:
+            cache[self.name] = per_cloud
         return out
 
-    def backward_batch(self, params, grads, dout, caches) -> None:
-        for i, cache in enumerate(caches):
-            self.backward_one(params, grads, dout[i], cache)
+    def backward_batch(self, params, grads, dout, cache) -> None:
+        """Accumulates grads cloud by cloud for a forward_batch made with cache."""
+        for i, one in enumerate(cache[self.name]):
+            self.backward_one(params, grads, dout[i], one)

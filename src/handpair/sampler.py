@@ -11,11 +11,12 @@ per sample, so a (weights, config) pair fully determines the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0, x0_from_eps
+from .errors import MissingObject
 from .hand_model import (
     OMEGA,
     HandParam,
@@ -42,7 +43,6 @@ class SampleConfig:
     seed: int = 0
     count: int = 1
     object_points: np.ndarray | None = None
-    pen_squared: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -56,6 +56,7 @@ class SampleConfig:
 @dataclass
 class PenetrationReport:
     pairs: np.ndarray                 # (P, 2) vertex indices (i in A, j in B)
+    delta: np.ndarray                 # (P, 3) A vertex minus its B vertex, meters
     depths: np.ndarray                # (P,) projected depths, meters, > 0
     loss: float
 
@@ -94,30 +95,34 @@ def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> np.ndarray:
     return np.stack([idx, nearest[idx]], axis=1) if len(idx) else np.empty((0, 2), dtype=np.int64)
 
 
-def penetration_report(mesh_a: HandMesh, mesh_b: HandMesh,
-                       squared: bool = True) -> PenetrationReport:
+def penetration_report(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
+    """Pair set of A against B, with its offsets, depths and loss.
+
+    The loss is sum |delta|^2 over the pairs, where delta is A's vertex
+    minus its nearest B vertex; its gradient with respect to A's vertex i is
+    2 delta on paired rows and 0 elsewhere. The pair set is held constant.
+    """
     pairs = penetration_set(mesh_a, mesh_b)
     if len(pairs) == 0:
-        return PenetrationReport(pairs, np.empty(0), 0.0)
+        return PenetrationReport(pairs, np.empty((0, 3)), np.empty(0), 0.0)
     delta = mesh_a.vertices[pairs[:, 0]] - mesh_b.vertices[pairs[:, 1]]
     depths = -np.einsum("ij,ij->i", mesh_b.normals[pairs[:, 1]], delta)
-    dist = np.linalg.norm(delta, axis=1)
-    loss = float(np.sum(dist**2) if squared else np.sum(dist))
-    return PenetrationReport(pairs, depths, loss)
+    loss = float(np.sum(np.linalg.norm(delta, axis=1) ** 2))
+    return PenetrationReport(pairs, delta, depths, loss)
 
 
 def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
-                     model=None, squared: bool = True) -> float:
+                     model=None) -> float:
     """Penetration loss of a right hand (clean) against a left anchor."""
     model = model or default_hand()
     mesh_a = model.posed_mesh(params_clean)
     mesh_b = left_hand_mesh(params_anchor, model)
-    return penetration_report(mesh_a, mesh_b, squared).loss
+    return penetration_report(mesh_a, mesh_b).loss
 
 
 def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
-                 anchor_meshes: list[HandMesh], sched: DiffusionSchedule, model=None,
-                 squared: bool = True) -> np.ndarray:
+                 anchor_meshes: list[HandMesh], sched: DiffusionSchedule,
+                 model) -> np.ndarray:
     """d L_pen / d x_prev (B, 64) through the clean-estimate map and the kinematics.
 
     Row i of x_prev and eps_hat (B, 64) is a right hand whose loss is taken
@@ -127,18 +132,16 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     call and differentiated in one call; only the pair set is found row by
     row. A row whose clean root rotation is rot6d_degenerate (possible under
     untrained weights) gets a zero gradient, as does a row with no pairs.
+    ``model`` must be the one that posed the anchors.
     """
-    model = model or default_hand()
     x0_hat = x0_from_eps(x_prev, eps_hat, t_prev, sched)
     grad = np.zeros_like(x0_hat)
     ok = np.flatnonzero(~rot6d_degenerate(x0_hat[:, OMEGA]))
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
     cot = np.zeros_like(verts)
     for r, i in enumerate(ok):
-        pairs = penetration_set(HandMesh(verts[r], model.faces), anchor_meshes[i])
-        delta = verts[r, pairs[:, 0]] - anchor_meshes[i].vertices[pairs[:, 1]]
-        cot[r, pairs[:, 0]] = 2.0 * delta if squared else \
-            delta / np.maximum(np.linalg.norm(delta, axis=1, keepdims=True), 1e-12)
+        report = penetration_report(HandMesh(verts[r], model.faces), anchor_meshes[i])
+        cot[r, report.pairs[:, 0]] = 2.0 * report.delta
     active = cot.any(axis=(1, 2))    # rows with at least one pair
     if active.any():
         grad[ok[active]] = kinematics_vjp(HandParam(x0_hat[ok[active]]), model,
@@ -148,7 +151,7 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
 
 def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
              anchor_meshes: list[HandMesh], w_pen: float, sched: DiffusionSchedule,
-             model=None, squared: bool = True) -> np.ndarray:
+             model) -> np.ndarray:
     """One anti-penetration descent step on every row of x_prev (B, 64).
 
     Rows that do not penetrate their anchor, and rows whose clean root
@@ -157,8 +160,7 @@ def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     x_prev = np.asarray(x_prev, dtype=float)
     if w_pen == 0.0:
         return x_prev
-    return x_prev - w_pen * apg_gradient(x_prev, eps_hat, t_prev, anchor_meshes, sched,
-                                         model, squared)
+    return x_prev - w_pen * apg_gradient(x_prev, eps_hat, t_prev, anchor_meshes, sched, model)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,6 @@ def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
 class SampleResult:
     x_l: np.ndarray            # (N, 64)
     x_r: np.ndarray            # (N, 64)
-    config: SampleConfig = field(repr=False, default=None)
 
     def pair(self, i: int):
         return HandParam(self.x_l[i].copy()), HandParam(self.x_r[i].copy())
@@ -195,7 +196,7 @@ def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
         x = ddim_step(x, eps, t, t_prev, sched)
         if anchor_meshes is not None:
             w = w_pen_at(n_steps - 1 - si, config.w_pen_start, config.w_pen_decay)
-            x = apg_step(x, eps, t_prev, anchor_meshes, w, sched, model, config.pen_squared)
+            x = apg_step(x, eps, t_prev, anchor_meshes, w, sched, model)
     return x
 
 
@@ -215,8 +216,6 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     object_embedding = None
     if getattr(denoiser, "config", None) is not None and denoiser.config.object_conditional:
         if config.object_points is None:
-            from .errors import MissingObject
-
             raise MissingObject("object-conditional sampling needs object_points")
         object_embedding = np.tile(denoiser.embed_object(config.object_points), (B, 1))
 
@@ -234,12 +233,5 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     anchor_meshes = [left_hand_mesh(HandParam(row), model) for row in x_l] if config.apg else None
     x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), grid, sched,
                         config, model, object_embedding, anchor_meshes)
-    return SampleResult(x_l=x_l, x_r=x_r, config=config)
+    return SampleResult(x_l=x_l, x_r=x_r)
 
-
-def sample_pair(denoiser, config: SampleConfig, sched: DiffusionSchedule,
-                model=None):
-    """Single (x_l, x_r) draw; equivalent to sample_pairs with count=1."""
-    cfg = SampleConfig(**{**config.__dict__, "count": 1})
-    result = sample_pairs(denoiser, cfg, sched, model)
-    return result.pair(0)

@@ -15,12 +15,10 @@ from handpair.hand_model import (
     TemplateHand,
     compose_root,
     default_hand,
-    forward_kinematics,
     kinematics_vjp,
     left_hand_mesh,
     load_template,
     mirror,
-    occupancy,
     occupancy_left,
     pin_root,
     relative_root,
@@ -43,7 +41,7 @@ from handpair.rotations import (
 
 def test_rest_pose_is_canonical(hand_model):
     params = HandParam.from_parts()
-    mesh = forward_kinematics(params, hand_model)
+    mesh = hand_model.posed_mesh(params)
     expected = hand_model.canonical_vertices(np.zeros(45), np.zeros(10))
     np.testing.assert_allclose(mesh.vertices, expected, atol=1e-12)
 
@@ -53,9 +51,9 @@ def test_root_rigid_equivariance(hand_model):
     theta = rng.normal(0, 0.4, 45)
     R = random_rotation(rng)
     t = np.array([0.05, -0.02, 0.11])
-    rest = forward_kinematics(HandParam.from_parts(theta=theta), hand_model)
-    moved = forward_kinematics(
-        HandParam.from_parts(theta=theta, omega=matrix_to_rot6d(R), tau=t), hand_model)
+    rest = hand_model.posed_mesh(HandParam.from_parts(theta=theta))
+    moved = hand_model.posed_mesh(
+        HandParam.from_parts(theta=theta, omega=matrix_to_rot6d(R), tau=t))
     np.testing.assert_allclose(moved.vertices, rest.vertices @ R.T + t, atol=1e-9)
 
 
@@ -64,7 +62,7 @@ def test_single_bent_joint_matches_rigid_skinning_oracle(hand_model):
     # rest vertices of every bone distal to that joint rigidly about it.
     theta = np.zeros(45)
     theta[9] = np.pi / 6
-    posed = forward_kinematics(HandParam.from_parts(theta=theta), hand_model).vertices
+    posed = hand_model.posed_mesh(HandParam.from_parts(theta=theta)).vertices
     rest = hand_model.canonical_vertices(np.zeros(45), np.zeros(10))
     _, joints_rest = hand_model.joint_transforms(np.zeros(45), np.zeros(10))
     pivot = joints_rest[4]
@@ -99,17 +97,17 @@ def test_canonical_vertices_match_per_bone_reference(hand_model):
 
 
 def test_beta_changes_geometry_differentiably(hand_model):
-    base = forward_kinematics(HandParam.from_parts(), hand_model).vertices
+    base = hand_model.posed_mesh(HandParam.from_parts()).vertices
     beta = np.zeros(10)
     beta[0] = 1.0
-    scaled = forward_kinematics(HandParam.from_parts(beta=beta), hand_model).vertices
+    scaled = hand_model.posed_mesh(HandParam.from_parts(beta=beta)).vertices
     assert np.abs(scaled - base).max() > 1e-3
 
 
 def test_mesh_is_watertight_per_capsule(hand_model):
     K = hand_model.verts_per_bone
     F = len(hand_model._tmpl_faces)
-    mesh = forward_kinematics(HandParam.from_parts(), hand_model)
+    mesh = hand_model.posed_mesh(HandParam.from_parts())
     for b in range(hand_model.n_bones):
         faces = mesh.faces[b * F:(b + 1) * F] - b * K
         assert edge_manifold_ok(faces)
@@ -117,7 +115,7 @@ def test_mesh_is_watertight_per_capsule(hand_model):
 
 def test_faces_point_outward(hand_model):
     # Signed volume of each closed capsule component must be positive.
-    mesh = forward_kinematics(HandParam.from_parts(), hand_model)
+    mesh = hand_model.posed_mesh(HandParam.from_parts())
     F = len(hand_model._tmpl_faces)
     tri = mesh.vertices[mesh.faces]
     signed = np.einsum("fi,fi->f", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])) / 6.0
@@ -208,7 +206,7 @@ def test_mirror_mesh_commutation(hand_model):
     rng = np.random.default_rng(9)
     for _ in range(5):
         p = random_params(rng)
-        negated = forward_kinematics(p, hand_model).vertices @ MIRROR_MAT.T
+        negated = hand_model.posed_mesh(p).vertices @ MIRROR_MAT.T
         mirrored = left_hand_mesh(mirror(p), hand_model).vertices
         assert np.abs(negated - mirrored).max() < 1e-6
 
@@ -271,7 +269,7 @@ def test_icosphere_normals_are_radial():
 
 
 def test_normals_unit_norm(hand_model):
-    mesh = forward_kinematics(HandParam.from_parts(), hand_model)
+    mesh = hand_model.posed_mesh(HandParam.from_parts())
     np.testing.assert_allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, atol=1e-6)
 
 
@@ -305,9 +303,9 @@ def test_occupancy_trivial_points(hand_model):
     _, joints = hand_model.joint_transforms(p.theta, p.beta)
     R = rot6d_to_matrix(p.omega)
     posed_joints = joints @ R.T + p.tau
-    assert occupancy(hand_model, p, posed_joints).all()
+    assert hand_model.occupancy(p, posed_joints).all()
     far = posed_joints[0] + np.array([1.0, 0.0, 0.0])
-    assert not occupancy(hand_model, p, far[None])[0]
+    assert not hand_model.occupancy(p, far[None])[0]
 
 
 def _segment_distance_oracle(point, e0, e1):
@@ -325,7 +323,7 @@ def test_occupancy_matches_brute_force(hand_model):
     lo = e0.min(axis=0) - 0.05
     hi = e1.max(axis=0) + 0.05
     pts = rng.uniform(lo, hi, size=(10_000, 3))
-    got = occupancy(hand_model, p, pts)
+    got = hand_model.occupancy(p, pts)
     margin = np.empty(len(pts))
     expected = np.zeros(len(pts), dtype=bool)
     for i, pt in enumerate(pts):
@@ -341,7 +339,7 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     rng = np.random.default_rng(4)
     p = random_params(rng)
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
-    right = occupancy(hand_model, mirror(p), pts @ MIRROR_MAT.T)
+    right = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
     np.testing.assert_array_equal(occupancy_left(hand_model, p, pts), right)
 
 
@@ -459,7 +457,7 @@ def test_vjp_translation_block_is_column_sum(hand_model):
 
 def _fd_vjp(params, model, cot, h=1e-5):
     def value(vec):
-        mesh = forward_kinematics(HandParam(vec), model)
+        mesh = model.posed_mesh(HandParam(vec))
         return float(np.sum(cot * mesh.vertices))
 
     fd = np.empty(64)
@@ -509,7 +507,7 @@ def test_template_matches_capsule_at_zero_beta(hand_model):
     p = random_params(rng, beta_scale=0.0)
     np.testing.assert_allclose(
         tmpl.posed_mesh(p).vertices,
-        forward_kinematics(p, hand_model).vertices,
+        hand_model.posed_mesh(p).vertices,
         atol=1e-9,
     )
 
@@ -618,7 +616,7 @@ def test_template_non_watertight_detected(hand_model):
 
 
 def test_mirror_mesh_flips_x_and_orientation(hand_model):
-    mesh = forward_kinematics(HandParam.from_parts(), hand_model)
+    mesh = hand_model.posed_mesh(HandParam.from_parts())
     m = mirror_mesh(mesh)
     np.testing.assert_allclose(m.vertices[:, 0], -mesh.vertices[:, 0])
     np.testing.assert_allclose(m.normals, mesh.normals @ MIRROR_MAT.T, atol=1e-9)
@@ -627,8 +625,22 @@ def test_mirror_mesh_flips_x_and_orientation(hand_model):
 def test_obj_round_trip(tmp_path, hand_model):
     from handpair.mesh import read_obj, write_obj
 
-    mesh = forward_kinematics(HandParam.from_parts(), hand_model)
+    mesh = hand_model.posed_mesh(HandParam.from_parts())
     write_obj(tmp_path / "hand.obj", mesh)
     back = read_obj(tmp_path / "hand.obj")
     assert np.abs(back.vertices - mesh.vertices).max() < 1e-7
     np.testing.assert_array_equal(back.faces, mesh.faces)
+
+
+@pytest.mark.parametrize("body", [
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",            # 0 is no OBJ index
+    "v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n",  # a quad
+    "v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n",                  # 2-d vertices
+], ids=["zero_index", "nan_vertex", "quad", "short_vertex"])
+def test_read_obj_rejects_corrupt_input(tmp_path, body):
+    from handpair.mesh import read_obj
+
+    (tmp_path / "bad.obj").write_text(body)
+    with pytest.raises(ValueError):
+        read_obj(tmp_path / "bad.obj")

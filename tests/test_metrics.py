@@ -7,7 +7,7 @@ import scipy.linalg
 from handpair import pointset
 from handpair.backbone import FeatureBackbone
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
-from handpair.hand_model import CapsuleHand, occupancy, occupancy_left, pair_meshes
+from handpair.hand_model import CapsuleHand, occupancy_left, pair_meshes
 from handpair.metrics import (
     DegenerateCovariance,
     MetricReport,
@@ -78,7 +78,7 @@ def test_pair_stats_volume_equals_zplane_reference(hand_model, overlapping_pairs
         mesh_l, mesh_r = pair_meshes(x_l, x_r, hand_model)
         ref = _zplane_volume(
             lambda pts: occupancy_left(hand_model, x_l, pts),
-            lambda pts: occupancy(hand_model, x_r, pts),
+            lambda pts: hand_model.occupancy(x_r, pts),
             (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
             (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
             grid,
@@ -129,6 +129,16 @@ def test_precision_recall_identical_and_disjoint(gaussian_features):
     a, _ = gaussian_features
     assert precision_recall(a, a) == (1.0, 1.0)
     assert precision_recall(a, a + 100.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("gen_shift, k, expected", [
+    ((5.0, 0.0), 1, (0.6, 0.6)),    # generated 5..9 sit on real points, 10 in 9's ball
+    ((5.0, 0.0), 3, (0.8, 0.8)),    # real 9's 3-NN radius is 3: generated 10..12 join
+    ((0.0, 5.0), 3, (0.0, 0.0)),    # parallel lines 5 apart, every radius below 5
+])
+def test_precision_recall_counts_on_overlapping_lines(gen_shift, k, expected):
+    real = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
+    assert precision_recall(real, real + np.array(gen_shift), k=k) == expected
 
 
 def test_penetration_volume_calls_each_occupancy_once():

@@ -23,7 +23,6 @@ from handpair.sampler import (
     penetration_loss,
     penetration_report,
     penetration_set,
-    sample_pair,
     sample_pairs,
     w_pen_at,
 )
@@ -127,10 +126,6 @@ def test_penetration_loss_matches_manual_sum(hand_model):
                  for i, j in pairs)
     got = penetration_loss(x_r, x_l, hand_model)
     assert abs(got - manual) < 1e-10
-    unsq = penetration_loss(x_r, x_l, hand_model, squared=False)
-    manual_unsq = sum(float(np.linalg.norm(mesh_r.vertices[i] - mesh_l.vertices[j]))
-                      for i, j in pairs)
-    assert abs(unsq - manual_unsq) < 1e-10
 
 
 def test_penetration_loss_monotone_under_deeper_overlap(hand_model):
@@ -329,15 +324,6 @@ def test_point_mass_oracle_through_cascade(hand_model):
     for i in range(3):
         assert np.abs(result.x_l[i] - expected_l).max() < 1e-5
         assert np.abs(result.x_r[i] - mode.vector).max() < 1e-5
-
-
-def test_sample_pair_matches_batch_first_row(hand_model):
-    den = Denoiser(DenoiserConfig("small"), seed=2)
-    sched = make_schedule(256)
-    x_l, x_r = sample_pair(den, SampleConfig(seed=11, apg=False), sched, hand_model)
-    batch = sample_pairs(den, SampleConfig(seed=11, count=1, apg=False), sched, hand_model)
-    np.testing.assert_array_equal(x_l.vector, batch.x_l[0])
-    np.testing.assert_array_equal(x_r.vector, batch.x_r[0])
 
 
 def test_cascade_reproduces_factored_mode_table(hand_model):
