@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, split
+from .data import Dataset, split_indices
 from .errors import EmptyDataset, LayoutMismatch
 from .hand_model import HandParam, default_hand, pair_meshes, relative_root
 from .mesh import sample_surface_points
@@ -62,8 +62,7 @@ class FeatureBackbone:
         return relu_forward(enc, "bb.feat_relu", cache)
 
     def predict(self, clouds) -> np.ndarray:
-        feats = self.features(clouds)
-        return feats @ self.params["bb_reg.W"] + self.params["bb_reg.b"]
+        return self.reg_head.forward(self.params, self.features(clouds))
 
     def train_step(self, clouds, targets, opt: Adam, lr: float) -> float:
         cache = {}
@@ -112,11 +111,8 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
     clouds = build_clouds(dataset, config.n_surface, model, seed=config.seed)
     targets = regression_target(*dataset.pair(np.arange(len(dataset))))
 
-    train_frac = 1.0 - config.val_fraction
-    train_ds, val_ds = split(dataset, (train_frac, config.val_fraction, 0.0),
-                             seed=config.seed)[:2]
-    train_idx = _subset_indices(dataset, train_ds)
-    val_idx = _subset_indices(dataset, val_ds)
+    fractions = (1.0 - config.val_fraction, config.val_fraction, 0.0)
+    train_idx, val_idx, _ = split_indices(len(dataset), fractions, config.seed)
     if len(val_idx) == 0:
         val_idx = train_idx[: max(1, len(train_idx) // 10)]
 
@@ -137,12 +133,6 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
             step += 1
         bb.val_loss_curve.append(val_loss())
     return bb
-
-
-def _subset_indices(dataset: Dataset, subset: Dataset) -> np.ndarray:
-    """Recover row indices of ``subset`` inside ``dataset`` (exact rows)."""
-    lookup = {row.tobytes(): i for i, row in enumerate(dataset.params)}
-    return np.array([lookup[row.tobytes()] for row in subset.params], dtype=np.int64)
 
 
 def save_backbone(path, backbone: FeatureBackbone) -> None:

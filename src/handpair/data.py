@@ -276,20 +276,21 @@ def load_dataset(path) -> Dataset:
     return Dataset(params, objects, categories, mode_ids)
 
 
-def split(dataset: Dataset, fractions=(0.7, 0.15, 0.15), seed: int = 0):
-    """Disjoint, exhaustive, seed-deterministic (train, val, test) split."""
+def split_indices(n: int, fractions=(0.7, 0.15, 0.15), seed: int = 0):
+    """Sorted row indices, one array per fraction, of a disjoint, exhaustive,
+    seed-deterministic split: floor(f * n) rows each, leftovers one per part."""
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
-    n = len(dataset)
     if n == 0:
         raise EmptyDataset("cannot split an empty dataset")
     perm = rng_stream(seed, TAG_SPLIT).permutation(n)
     sizes = [int(np.floor(f * n)) for f in fractions]
     for i in range(n - sum(sizes)):
         sizes[i % len(sizes)] += 1
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(dataset.subset(np.sort(perm[start:start + size])))
-        start += size
-    return tuple(out)
+    bounds = np.cumsum([0, *sizes])
+    return tuple(np.sort(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def split(dataset: Dataset, fractions=(0.7, 0.15, 0.15), seed: int = 0):
+    """The (train, val, test) subsets of ``dataset`` at split_indices."""
+    return tuple(dataset.subset(idx) for idx in split_indices(len(dataset), fractions, seed))

@@ -111,7 +111,7 @@ class Denoiser:
 
         self.decoder = []
         d_prev = w["d_global"]
-        skip = d * (2 + (1 if config.object_conditional else 0))
+        skip = (self.n_tokens - 1) * d                  # cond, time (, object)
         for i in range(1, N_DECODER_LAYERS + 1):
             d_in = d_prev + skip + (d if i % 2 == 1 else 0)
             d_out = X_DIM if i == N_DECODER_LAYERS else w["d_decoder"]
@@ -132,12 +132,12 @@ class Denoiser:
 
     # -- forward -----------------------------------------------------------
 
-    def predict(self, x_t, cond, drop_mask=None, t=None, objects=None,
+    def predict(self, x_t, cond, drop_mask, t, objects=None,
                 object_embedding=None, rng=None, cache=None):
         """x0 estimate for a batch. Deterministic when ``rng`` is None.
 
-        x_t, cond: (B, 64); drop_mask: (B,) bool, True routes the null token;
-        t: (B,) ints in [1, T]; objects: (B, N, 3) clouds for object models.
+        x_t, cond: (B, 64); drop_mask: (B,) bool or None (none dropped), True routes
+        the null token; t: (B,) ints in [1, T]; objects: (B, N, 3) clouds for object models.
         object_embedding: (B, d) precomputed tokens for a fixed cloud
         (inference fast path; backward requires raw clouds).
         """
@@ -159,30 +159,24 @@ class Denoiser:
         ec = np.where(drop_mask[:, None], params["null_token"][None, :], ec_raw)
         et = self.emb_t.forward(params, sinusoidal_embedding(t, self.d_token), cache)
         toks = [ex, ec, et]
-        eo = None
         if self.obj_encoder is not None:
             if object_embedding is not None:
-                eo = np.asarray(object_embedding, dtype=float).reshape(B, self.d_token)
+                toks.append(np.asarray(object_embedding, dtype=float).reshape(B, self.d_token))
             else:
-                eo = self.obj_encoder.forward_batch(params, objects, cache)
-            toks.append(eo)
+                toks.append(self.obj_encoder.forward_batch(params, objects, cache))
         x = np.stack(toks, axis=1)                      # (B, S, d)
         for i, block in enumerate(self.blocks):
             x = block.forward(params, x, cache, rng)
         flat = x.reshape(B, self.n_tokens * self.d_token)
         h = self.to_global.forward(params, flat, cache)
+        skip = np.concatenate(toks[1:], axis=1)        # cond, time (, object)
         for i, lin in enumerate(self.decoder, start=1):
-            parts = [h, ec, et]
-            if eo is not None:
-                parts.append(eo)
-            if i % 2 == 1:
-                parts.append(ex)
-            inp = np.concatenate(parts, axis=1)
-            h = lin.forward(params, inp, cache)
+            parts = [h, skip, ex] if i % 2 == 1 else [h, skip]
+            h = lin.forward(params, np.concatenate(parts, axis=1), cache)
             if i < N_DECODER_LAYERS:
                 h = relu_forward(h, f"dec{i}.relu", cache)
         if cache is not None:
-            cache["#meta"] = (B, drop_mask, eo is not None)
+            cache["#meta"] = (B, drop_mask)
         return h
 
     # -- backward ----------------------------------------------------------
@@ -191,38 +185,30 @@ class Denoiser:
         """Accumulates parameter grads for a predict() call made with cache."""
         params = self.params
         grads: dict[str, np.ndarray] = {}
-        B, drop_mask, has_obj = cache["#meta"]
+        B, drop_mask = cache["#meta"]
         d = self.d_token
+        n_skip = (self.n_tokens - 1) * d
         dec_dh = dout
-        d_ec = np.zeros((B, d))
-        d_et = np.zeros((B, d))
         d_ex = np.zeros((B, d))
-        d_eo = np.zeros((B, d)) if has_obj else None
+        d_skip = np.zeros((B, n_skip))
         for i in range(N_DECODER_LAYERS, 0, -1):
             if i < N_DECODER_LAYERS:
                 dec_dh = relu_backward(dec_dh, f"dec{i}.relu", cache)
             dinp = self.decoder[i - 1].backward(params, grads, dec_dh, cache)
-            off = dinp.shape[1]
             if i % 2 == 1:
-                d_ex += dinp[:, off - d:]
-                off -= d
-            if has_obj:
-                d_eo += dinp[:, off - d: off]
-                off -= d
-            d_et += dinp[:, off - d: off]
-            d_ec += dinp[:, off - 2 * d: off - d]
-            dec_dh = dinp[:, : off - 2 * d]
+                d_ex += dinp[:, -d:]
+                dinp = dinp[:, :-d]
+            d_skip += dinp[:, -n_skip:]
+            dec_dh = dinp[:, :-n_skip]
         dflat = self.to_global.backward(params, grads, dec_dh, cache)
         dx = dflat.reshape(B, self.n_tokens, d)
         for block in reversed(self.blocks):
             dx = block.backward(params, grads, dx, cache)
         d_ex += dx[:, 0]
-        d_ec += dx[:, 1]
-        d_et += dx[:, 2]
-        if has_obj:
-            d_eo += dx[:, 3]
-            if self.obj_encoder.name in cache:
-                self.obj_encoder.backward_batch(params, grads, d_eo, cache)
+        d_skip += dx[:, 1:].reshape(B, n_skip)
+        d_ec, d_et = d_skip[:, :d], d_skip[:, d:2 * d]
+        if self.obj_encoder is not None and self.obj_encoder.name in cache:
+            self.obj_encoder.backward_batch(params, grads, d_skip[:, 2 * d:], cache)
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
         _acc(grads, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)

@@ -15,8 +15,8 @@ posed_segments and occupancy, which serve one pair's voxel grid. Occupancy
 takes any number of query points and works through them in fixed-size
 chunks, so its memory stays bounded. These are model methods; the
 module-level operations are kinematics_vjp, through which APG reaches
-model.vjp, and the left-hand mirror convention: left_hand_mesh,
-occupancy_left and pair_meshes.
+model.vjp, and the left-hand mirror convention, hand first and model second:
+left_hand_mesh(x_l, model), occupancy_left(x_l, model, points), pair_meshes.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -735,7 +735,7 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
     return mirror_mesh(model.posed_mesh(mirror(params_left)))
 
 
-def occupancy_left(model, params_left: HandParam, points: np.ndarray) -> np.ndarray:
+def occupancy_left(params_left: HandParam, model, points: np.ndarray) -> np.ndarray:
     return model.occupancy(mirror(params_left), np.asarray(points) @ MIRROR_MAT.T)
 
 

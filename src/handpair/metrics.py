@@ -182,7 +182,7 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     vol = 0.0
     if penetrating:
         vol = penetration_volume(
-            lambda pts: occupancy_left(model, x_l, pts),
+            lambda pts: occupancy_left(x_l, model, pts),
             lambda pts: model.occupancy(x_r, pts),
             (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
             (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),

@@ -54,19 +54,11 @@ def forward_reverse_step(denoiser, sched: DiffusionSchedule, x_l: HandParam,
     return mirror(HandParam(hat.vector[1])), HandParam(hat.vector[0])
 
 
-def reg_loss(denoiser, sched: DiffusionSchedule, x_l: HandParam, x_r: HandParam,
-             config: RegularizerConfig = RegularizerConfig(),
-             noise: np.ndarray | None = None, call_index: int = 0) -> float:
-    """Distance between the critic's denoised pair and the current pair."""
-    loss, _, _ = reg_loss_and_grad(denoiser, sched, x_l, x_r, config, noise, call_index)
-    return loss
-
-
 def reg_loss_and_grad(denoiser, sched: DiffusionSchedule, x_l: HandParam,
                       x_r: HandParam,
                       config: RegularizerConfig = RegularizerConfig(),
                       noise: np.ndarray | None = None, call_index: int = 0):
-    """(loss, d loss/d x_l, d loss/d x_r); the critic output is detached."""
+    """(loss, d loss/d x_l, d loss/d x_r); loss = |critic pair - pair|, critic detached."""
     t_reg = config.resolve_t(sched)
     if noise is None:
         noise = _draw_noise(config, call_index)
@@ -92,5 +84,6 @@ def descend(denoiser, sched: DiffusionSchedule, x_l: HandParam, x_r: HandParam,
         losses.append(loss)
         x_l.vector[:] -= lr * g_l
         x_r.vector[:] -= lr * g_r
-    losses.append(reg_loss(denoiser, sched, x_l, x_r, config, call_index=steps))
+    losses.append(reg_loss_and_grad(denoiser, sched, x_l, x_r, config,
+                                    call_index=steps)[0])
     return x_l, x_r, losses

@@ -30,8 +30,6 @@ from .mesh import HandMesh
 from .nn import TAG_SAMPLE, rng_stream
 from .rotations import rot6d_degenerate
 
-IDENTITY_COND = np.zeros(64)
-
 
 @dataclass
 class SampleConfig:
@@ -52,6 +50,10 @@ class SampleConfig:
         if not 0.0 < self.w_pen_decay <= 1.0:
             raise ValueError("w_pen_decay must be in (0, 1]")
 
+    def w_pen_at(self, k: int) -> float:
+        """APG weight w_pen_start * w_pen_decay**k at reverse step k, counted up from t=0."""
+        return self.w_pen_start * self.w_pen_decay**k
+
 
 @dataclass
 class PenetrationReport:
@@ -65,11 +67,6 @@ class PenetrationReport:
             raise ValueError("empty pair set must have zero loss")
         if len(self.depths) and self.depths.min() <= 0:
             raise ValueError("projected depths must be strictly positive")
-
-
-def w_pen_at(k: int, start: float = 4.0, decay: float = 0.9) -> float:
-    """Guidance weight at reverse-step index k counted upward from t=0."""
-    return start * decay**k
 
 
 def cfg_mix(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
@@ -92,7 +89,7 @@ def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> np.ndarray:
     delta = mesh_a.vertices - mesh_b.vertices[nearest]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[nearest], delta)
     idx = np.flatnonzero(depth > 0.0)
-    return np.stack([idx, nearest[idx]], axis=1) if len(idx) else np.empty((0, 2), dtype=np.int64)
+    return np.stack([idx, nearest[idx]], axis=1)
 
 
 def penetration_report(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
@@ -101,10 +98,9 @@ def penetration_report(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
     The loss is sum |delta|^2 over the pairs, where delta is A's vertex
     minus its nearest B vertex; its gradient with respect to A's vertex i is
     2 delta on paired rows and 0 elsewhere. The pair set is held constant.
+    An empty pair set gives empty delta and depths and a loss of 0.
     """
     pairs = penetration_set(mesh_a, mesh_b)
-    if len(pairs) == 0:
-        return PenetrationReport(pairs, np.empty((0, 3)), np.empty(0), 0.0)
     delta = mesh_a.vertices[pairs[:, 0]] - mesh_b.vertices[pairs[:, 1]]
     depths = -np.einsum("ij,ij->i", mesh_b.normals[pairs[:, 1]], delta)
     loss = float(np.sum(np.linalg.norm(delta, axis=1) ** 2))
@@ -178,12 +174,11 @@ class SampleResult:
 
 def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
                   object_embedding, anchor_meshes=None):
-    n_steps = len(grid)
     for si, (t, t_prev) in enumerate(grid):
         tt = np.full(len(x), t)
         if config.w_cfg != 0.0 or cond is None:
-            x0_u = denoiser.predict(x, np.tile(IDENTITY_COND, (len(x), 1)),
-                                    np.ones(len(x), dtype=bool), tt,
+            # Every row is dropped, so the null token replaces these zeros.
+            x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(len(x), dtype=bool), tt,
                                     object_embedding=object_embedding)
             eps_u = eps_from_x0(x, x0_u, t, sched)
         if cond is None:
@@ -195,7 +190,7 @@ def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
             eps = cfg_mix(eps_c, eps_u, config.w_cfg) if config.w_cfg != 0.0 else eps_c
         x = ddim_step(x, eps, t, t_prev, sched)
         if anchor_meshes is not None:
-            w = w_pen_at(n_steps - 1 - si, config.w_pen_start, config.w_pen_decay)
+            w = config.w_pen_at(len(grid) - 1 - si)
             x = apg_step(x, eps, t_prev, anchor_meshes, w, sched, model)
     return x
 
@@ -218,6 +213,8 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
         if config.object_points is None:
             raise MissingObject("object-conditional sampling needs object_points")
         object_embedding = np.tile(denoiser.embed_object(config.object_points), (B, 1))
+    elif config.object_points is not None:
+        raise ValueError("object_points given to a denoiser without an object branch")
 
     # Phase 1: unconditional anchor in canonical right-hand space.
     x = _reverse_pass(denoiser, noise[0].copy(), None, grid, sched,

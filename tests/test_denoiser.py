@@ -49,6 +49,12 @@ def test_shape_mismatch_raises():
         den.predict(np.zeros((2, 32)), np.zeros((2, 64)), None, [1, 1])
 
 
+def test_predict_requires_t():
+    den = Denoiser(DenoiserConfig("small"), seed=1)
+    with pytest.raises(TypeError):
+        den.predict(np.zeros((1, 64)), np.zeros((1, 64)), None)
+
+
 def test_missing_object_raises():
     den = Denoiser(DenoiserConfig("small", object_conditional=True), seed=1)
     with pytest.raises(MissingObject):

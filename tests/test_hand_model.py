@@ -340,7 +340,7 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     p = random_params(rng)
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
     right = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
-    np.testing.assert_array_equal(occupancy_left(hand_model, p, pts), right)
+    np.testing.assert_array_equal(occupancy_left(p, hand_model, pts), right)
 
 
 def _dense_occupancy(model, params, points):

@@ -77,7 +77,7 @@ def test_pair_stats_volume_equals_zplane_reference(hand_model, overlapping_pairs
             continue
         mesh_l, mesh_r = pair_meshes(x_l, x_r, hand_model)
         ref = _zplane_volume(
-            lambda pts: occupancy_left(hand_model, x_l, pts),
+            lambda pts: occupancy_left(x_l, hand_model, pts),
             lambda pts: hand_model.occupancy(x_r, pts),
             (mesh_l.vertices.min(axis=0), mesh_l.vertices.max(axis=0)),
             (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
@@ -229,3 +229,16 @@ def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
 def test_evaluate_report_round_trips_exactly(traced_evaluate):
     report, _ = traced_evaluate
     assert MetricReport.from_json(report.to_json()) == report
+
+
+def test_evaluate_averages_the_per_category_reports(hand_model):
+    # Seeds 1 and 2 give 8/4 and 5/7 box/ball pairs: at least k+1 = 4 per set.
+    reference = generate_synthetic(two_mode_spec(count=12, seed=1, with_objects=True))
+    generated = generate_synthetic(two_mode_spec(count=12, seed=2, with_objects=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        report = evaluate(reference, generated, FeatureBackbone(), hand_model)
+    assert list(report.per_category) == sorted(set(generated.categories)) == ["ball", "box"]
+    for key in report.per_category["box"]:
+        expected = float(np.mean([v[key] for v in report.per_category.values()]))
+        assert getattr(report, key) == expected, key

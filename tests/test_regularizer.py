@@ -10,7 +10,6 @@ from handpair.regularizer import (
     RegularizerConfig,
     descend,
     forward_reverse_step,
-    reg_loss,
     reg_loss_and_grad,
 )
 
@@ -58,12 +57,12 @@ def test_fixed_noise_is_deterministic():
     den = Denoiser(DenoiserConfig("small"), seed=0)
     x_l, x_r = _toy_pair(5)
     cfg = RegularizerConfig(noise_mode="fixed", seed=9)
-    a = reg_loss(den, sched, x_l, x_r, cfg)
-    b = reg_loss(den, sched, x_l, x_r, cfg)
+    a = reg_loss_and_grad(den, sched, x_l, x_r, cfg)[0]
+    b = reg_loss_and_grad(den, sched, x_l, x_r, cfg)[0]
     assert a == b
     fresh = RegularizerConfig(noise_mode="fresh", seed=9)
-    c = reg_loss(den, sched, x_l, x_r, fresh, call_index=0)
-    d = reg_loss(den, sched, x_l, x_r, fresh, call_index=1)
+    c = reg_loss_and_grad(den, sched, x_l, x_r, fresh, call_index=0)[0]
+    d = reg_loss_and_grad(den, sched, x_l, x_r, fresh, call_index=1)[0]
     assert c != d
 
 
@@ -101,9 +100,9 @@ def test_symmetry_under_role_swap():
     x_l, x_r = _toy_pair(13)
     noise = np.random.default_rng(3).standard_normal((2, 64))
     cfg = RegularizerConfig()
-    a = reg_loss(den, sched, x_l, x_r, cfg, noise=noise)
-    swapped = reg_loss(den, sched, mirror(x_r), mirror(x_l), cfg,
-                       noise=noise[::-1].copy())
+    a = reg_loss_and_grad(den, sched, x_l, x_r, cfg, noise=noise)[0]
+    swapped = reg_loss_and_grad(den, sched, mirror(x_r), mirror(x_l), cfg,
+                                noise=noise[::-1].copy())[0]
     assert abs(a - swapped) < 1e-6
 
 

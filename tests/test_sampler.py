@@ -24,7 +24,6 @@ from handpair.sampler import (
     penetration_report,
     penetration_set,
     sample_pairs,
-    w_pen_at,
 )
 
 
@@ -153,9 +152,9 @@ def test_cfg_identities():
 
 
 def test_w_pen_schedule():
-    assert w_pen_at(0) == pytest.approx(4.0)
-    assert w_pen_at(1) == pytest.approx(3.6)
-    assert w_pen_at(2) == pytest.approx(3.24)
+    assert SampleConfig().w_pen_at(0) == pytest.approx(4.0)
+    assert SampleConfig().w_pen_at(1) == pytest.approx(3.6)
+    assert SampleConfig().w_pen_at(2) == pytest.approx(3.24)
 
 
 # -- anti-penetration guidance ---------------------------------------------------
@@ -293,6 +292,12 @@ def test_sampling_is_deterministic(hand_model):
     assert np.abs(a.x_r - b.x_r).max() < 1e-12
     # Untrained weights must still terminate with finite parameters.
     assert np.isfinite(a.x_l).all() and np.isfinite(a.x_r).all()
+
+
+def test_object_points_without_object_branch_raise(hand_model):
+    cfg = SampleConfig(count=1, object_points=np.zeros((16, 3)))
+    with pytest.raises(ValueError, match="object branch"):
+        sample_pairs(Denoiser(DenoiserConfig("small")), cfg, make_schedule(256), hand_model)
 
 
 def test_zero_cfg_no_apg_equals_conditional_only_path(hand_model):
