@@ -3,7 +3,7 @@
 The network maps a surface point cloud of an interacting pair to
 [theta_l (45) | theta_r (45) | relative root rotation 6D (6) | relative
 root translation (3)] = 99 values. Features for the distribution metrics
-are the penultimate activations (dimension recorded in the manifest).
+are the penultimate activations, BackboneConfig.feature_dim of them.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, split_indices
-from .errors import EmptyDataset, LayoutMismatch
+from .errors import EmptyDataset
 from .hand_model import HandParam, default_hand, pair_meshes, relative_root
 from .mesh import sample_surface_points
 from .nn import TAG_INIT, Adam, Linear, relu_backward, relu_forward, rng_stream
@@ -132,30 +131,4 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
             bb.train_step(clouds[pick], targets[pick], opt, config.lr)
             step += 1
         bb.val_loss_curve.append(val_loss())
-    return bb
-
-
-def save_backbone(path, backbone: FeatureBackbone) -> None:
-    save_checkpoint(path, backbone.params, {
-        "kind": "backbone",
-        "feature_dim": backbone.config.feature_dim,
-        "n_surface": backbone.config.n_surface,
-        "val_loss_curve": [float(v) for v in backbone.val_loss_curve],
-        "config": {"epochs": backbone.config.epochs,
-                   "batch_size": backbone.config.batch_size,
-                   "lr": backbone.config.lr,
-                   "val_fraction": backbone.config.val_fraction,
-                   "seed": backbone.config.seed},
-    })
-
-
-def load_backbone(path) -> FeatureBackbone:
-    tensors, manifest = load_checkpoint(path)
-    if manifest.get("kind") != "backbone":
-        raise LayoutMismatch(f"expected a backbone checkpoint, got {manifest.get('kind')!r}")
-    config = BackboneConfig(feature_dim=int(manifest["feature_dim"]),
-                            n_surface=int(manifest["n_surface"]),
-                            **manifest.get("config", {}))
-    bb = FeatureBackbone(config, params=tensors)
-    bb.val_loss_curve = list(manifest.get("val_loss_curve", []))
     return bb

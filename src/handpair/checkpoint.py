@@ -1,23 +1,42 @@
-"""Shared checkpoint format: JSON manifest + one little-endian float32 blob.
+"""The one on-disk format of every artifact: datasets, hand templates, and
+the denoiser and backbone networks.
 
-The manifest maps tensor names to (shape, dtype, byte offset) into
-weights.f32, echoes the schedule and run config, and carries a blob
-checksum. Tensors are laid out in sorted-name order, so identical weights
-serialize to identical bytes.
+An artifact is a directory holding two files:
+  weights.f32    its tensors as little-endian float32, concatenated in
+                 sorted-name order, so identical tensors serialize to
+                 identical bytes.
+  manifest.json  "kind" (denoiser, backbone, two-hand-dataset or
+                 hand-template); "tensors", which maps each name to its
+                 {"shape", "dtype": "<f4", "offset"} in the blob;
+                 "checksum", the sha256 of the blob; "tool_version"; and
+                 the fields of the kind (its config, units, labels, ...).
+
+load_checkpoint(path, kind) checks, in this order, the kind, then the
+layout (every entry is "<f4", and the entries in sorted-name order tile the
+blob exactly, with no gap), then the checksum. So a truncated blob raises
+LayoutMismatch and a blob with a changed byte raises ChecksumMismatch.
+Tensors load as float64: a float32 value round-trips exactly, a float64
+value comes back as its float32 rounding. The save_*/load_* pairs below
+are the only code that reads or writes artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .backbone import BackboneConfig, FeatureBackbone
+from .data import OBJECT_POINTS, Dataset
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import ChecksumMismatch, LayoutMismatch
+from .hand_model import TemplateHand
 
 
 def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
@@ -43,22 +62,31 @@ def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
-def load_checkpoint(path):
-    """Returns (tensors as float64, manifest dict)."""
+def load_checkpoint(path, kind: str):
+    """Returns (tensors as float64, manifest dict) of a ``kind`` artifact."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
+    if manifest.get("kind") != kind:
+        raise LayoutMismatch(f"expected a {kind} artifact, got {manifest.get('kind')!r}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, dict) or "checksum" not in manifest:
+        raise LayoutMismatch("manifest lacks its 'tensors' or 'checksum' field")
     blob = (path / "weights.f32").read_bytes()
+    offset = 0
+    for name in sorted(entries):
+        entry = entries[name]
+        if entry.get("dtype") != "<f4" or entry.get("offset") != offset:
+            raise LayoutMismatch(f"{name}: expected a '<f4' tensor at byte {offset}")
+        offset += 4 * math.prod(entry["shape"])
+    if offset != len(blob):
+        raise LayoutMismatch(f"tensors cover {offset} bytes of a {len(blob)}-byte blob")
     if hashlib.sha256(blob).hexdigest() != manifest["checksum"]:
         raise ChecksumMismatch("weights.f32 checksum does not match the manifest")
-    tensors = {}
-    for name, entry in manifest["tensors"].items():
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        end = start + count * 4
-        if end > len(blob):
-            raise LayoutMismatch(f"{name}: blob too short for declared shape")
-        tensors[name] = np.frombuffer(blob[start:end], dtype="<f4").astype(float)
-        tensors[name] = tensors[name].reshape(entry["shape"])
+    tensors = {
+        name: np.frombuffer(blob, "<f4", math.prod(entry["shape"]), entry["offset"])
+        .astype(float).reshape(entry["shape"])
+        for name, entry in entries.items()
+    }
     return tensors, manifest
 
 
@@ -76,11 +104,76 @@ def save_denoiser(path, denoiser: Denoiser, sched: DiffusionSchedule,
 
 def load_denoiser(path):
     """Returns (denoiser, schedule, manifest)."""
-    tensors, manifest = load_checkpoint(path)
-    if manifest.get("kind") != "denoiser":
-        raise LayoutMismatch(f"expected a denoiser checkpoint, got {manifest.get('kind')!r}")
+    tensors, manifest = load_checkpoint(path, "denoiser")
     config = DenoiserConfig(profile=manifest["profile"],
                             object_conditional=manifest["object_conditional"])
     den = Denoiser(config, params=tensors)
     s = manifest["schedule"]
     return den, make_schedule(s["T"], s["beta1"], s["betaT"]), manifest
+
+
+def save_backbone(path, backbone: FeatureBackbone) -> None:
+    save_checkpoint(path, backbone.params, {
+        "kind": "backbone",
+        "config": asdict(backbone.config),
+        "val_loss_curve": [float(v) for v in backbone.val_loss_curve],
+    })
+
+
+def load_backbone(path) -> FeatureBackbone:
+    tensors, manifest = load_checkpoint(path, "backbone")
+    bb = FeatureBackbone(BackboneConfig(**manifest["config"]), params=tensors)
+    bb.val_loss_curve = list(manifest["val_loss_curve"])
+    return bb
+
+
+def save_dataset(path, dataset: Dataset) -> None:
+    tensors = {"params": dataset.params}
+    if dataset.has_objects:
+        tensors["objects"] = dataset.objects_
+    save_checkpoint(path, tensors, {
+        "kind": "two-hand-dataset",
+        "layout": "xl64,xr64",
+        "units": "m",
+        "categories": dataset.categories,
+        "mode_ids": None if dataset.mode_ids is None else dataset.mode_ids.tolist(),
+    })
+
+
+def load_dataset(path) -> Dataset:
+    """Units are meters; anything else is rejected rather than converted."""
+    tensors, manifest = load_checkpoint(path, "two-hand-dataset")
+    if manifest.get("units") != "m":
+        raise LayoutMismatch(
+            f"dataset units must be 'm', got {manifest.get('units')!r}; refusing to convert")
+    if manifest.get("layout") != "xl64,xr64":
+        raise LayoutMismatch(f"unsupported layout {manifest.get('layout')!r}")
+    params = tensors.get("params")
+    n = len(params) if np.ndim(params) else 0
+    shapes = {"params": (n, 128), "objects": (n, OBJECT_POINTS, 3)}
+    labels = [manifest.get("categories"), manifest.get("mode_ids")]
+    if (params is None or any(t.shape != shapes.get(k) for k, t in tensors.items())
+            or any(v is not None and len(v) != n for v in labels)):
+        raise LayoutMismatch(f"dataset tensors and labels disagree on the {n}-record count")
+    return Dataset(params, tensors.get("objects"), *labels)
+
+
+def save_template(path, model: TemplateHand) -> None:
+    save_checkpoint(path, {
+        "rest_vertices": model.rest_vertices,
+        "skin_weights": model.weights,
+        "joint_regressor": model.regressor,
+    }, {
+        "kind": "hand-template",
+        "units": "m",
+        "parents": model.parents.tolist(),
+        "faces": model.faces.tolist(),
+    })
+
+
+def load_template(path) -> TemplateHand:
+    tensors, manifest = load_checkpoint(path, "hand-template")
+    if manifest.get("units") != "m":
+        raise LayoutMismatch(f"template units must be 'm', got {manifest.get('units')!r}")
+    return TemplateHand(manifest["parents"], tensors["rest_vertices"], manifest["faces"],
+                        tensors["skin_weights"], tensors["joint_regressor"])

@@ -1,21 +1,17 @@
-"""Dataset records, the synthetic pair generator, and serialization.
+"""Dataset records, the synthetic pair generator, and the record split.
 
-A record is 128 little-endian float32 values [x_l | x_r] (plus an optional
-512x3 object cloud and a category label). Datasets hold float32 natively so
-save/load round trips preserve bit patterns exactly. Units are meters and
-the manifest says so; anything else is rejected rather than converted.
+A record is 128 little-endian float32 values [x_l | x_r] in meters (plus an
+optional 512x3 object cloud and a category label). Datasets hold float32
+natively, so the values the generator accepts are the values stored.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumMismatch, EmptyDataset, LayoutMismatch, RejectionStall
+from .errors import EmptyDataset, RejectionStall
 from .hand_model import HandParam, default_hand
 from .nn import TAG_DATA, TAG_SPLIT, rng_stream
 from .rotations import axis_angle_to_matrix, geodesic_angle, matrix_to_rot6d, rot6d_to_matrix
@@ -213,66 +209,6 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
             shape = mode.object_shape or "box"
             objects[i] = _object_cloud(shape, rng).astype("<f4")
             categories.append(shape)
-    return Dataset(params, objects, categories, mode_ids)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: manifest.json + params.f32 [+ objects.f32 + categories.json]
-
-
-def save_dataset(path, dataset: Dataset) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    raw = dataset.params.astype("<f4").tobytes()
-    (path / "params.f32").write_bytes(raw)
-    manifest = {
-        "kind": "two-hand-dataset",
-        "count": len(dataset),
-        "layout": "xl64,xr64",
-        "units": "m",
-        "object": dataset.has_objects,
-        "checksum": hashlib.sha256(raw).hexdigest(),
-    }
-    if dataset.has_objects:
-        obj_raw = dataset.objects_.astype("<f4").tobytes()
-        (path / "objects.f32").write_bytes(obj_raw)
-        manifest["object_points"] = OBJECT_POINTS
-        manifest["objects_checksum"] = hashlib.sha256(obj_raw).hexdigest()
-        (path / "categories.json").write_text(
-            json.dumps(dataset.categories, sort_keys=True))
-    if dataset.mode_ids is not None:
-        (path / "modes.json").write_text(json.dumps(dataset.mode_ids.tolist()))
-    (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def load_dataset(path) -> Dataset:
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("units") != "m":
-        raise LayoutMismatch(
-            f"dataset units must be 'm', got {manifest.get('units')!r}; refusing to convert")
-    if manifest.get("layout") != "xl64,xr64":
-        raise LayoutMismatch(f"unsupported layout {manifest.get('layout')!r}")
-    count = int(manifest["count"])
-    raw = (path / "params.f32").read_bytes()
-    if len(raw) != count * 128 * 4:
-        raise LayoutMismatch(f"params.f32 is {len(raw)} bytes, expected {count * 128 * 4}")
-    if hashlib.sha256(raw).hexdigest() != manifest["checksum"]:
-        raise ChecksumMismatch("params.f32 checksum does not match the manifest")
-    params = np.frombuffer(raw, dtype="<f4").reshape(count, 128)
-    objects = categories = None
-    if manifest.get("object"):
-        obj_raw = (path / "objects.f32").read_bytes()
-        expected = count * OBJECT_POINTS * 3 * 4
-        if len(obj_raw) != expected:
-            raise LayoutMismatch(f"objects.f32 is {len(obj_raw)} bytes, expected {expected}")
-        if hashlib.sha256(obj_raw).hexdigest() != manifest.get("objects_checksum"):
-            raise ChecksumMismatch("objects.f32 checksum does not match the manifest")
-        objects = np.frombuffer(obj_raw, dtype="<f4").reshape(count, OBJECT_POINTS, 3)
-        categories = json.loads((path / "categories.json").read_text())
-    mode_ids = None
-    if (path / "modes.json").exists():
-        mode_ids = np.array(json.loads((path / "modes.json").read_text()), dtype=np.int64)
     return Dataset(params, objects, categories, mode_ids)
 
 

@@ -50,7 +50,7 @@ class ChecksumMismatch(HandpairError):
 
 
 class LayoutMismatch(HandpairError):
-    """Blob size, record layout, or units disagree with the manifest."""
+    """Artifact kind, blob layout, array shapes or units are not as expected."""
 
 
 class RejectionStall(HandpairError):

@@ -29,19 +29,15 @@ in how vertices hang off the joints:
   CapsuleHand  - built-in: 16 joints, one capsule per bone, analytic
                  occupancy, watertight per component. beta scales the
                  offsets, so the offset cotangents flow back into beta.
-  TemplateHand - external skinned template loaded from a JSON manifest plus
-                 float32 blobs (rest vertices, skinning weights, joint
-                 regressor). Fixed offsets and no shape basis: beta has no
-                 effect here.
+  TemplateHand - external skinned template: rest vertices, skinning
+                 weights and a joint regressor. Fixed offsets and no shape
+                 basis: beta has no effect here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -537,7 +533,7 @@ _RAY_DIRS = _RAY_DIRS / np.linalg.norm(_RAY_DIRS, axis=1, keepdims=True)
 class TemplateHand:
     """LBS over a user-supplied rest mesh; 16 joints like the built-in hand.
 
-    beta is ignored (the file format carries no shape basis) and its VJP
+    beta is ignored (a template carries no shape basis) and its VJP
     block is zero. Occupancy is a ray-parity test and raises NonWatertight
     when the three ray directions disagree; the mesh must be a single
     watertight non-self-intersecting volume for parity to equal containment.
@@ -557,12 +553,16 @@ class TemplateHand:
         self.faces = np.asarray(faces, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=float)
         self.regressor = np.asarray(regressor, dtype=float)
+        self.n_vertices = V = len(self.rest_vertices)
+        if (self.rest_vertices.shape, self.weights.shape, self.regressor.shape) != \
+                ((V, 3), (V, N_JOINTS), (N_JOINTS, V)):
+            raise LayoutMismatch(f"template arrays must have shapes (V,3), (V,{N_JOINTS}) "
+                                 f"and ({N_JOINTS},V)")
         row_sums = self.weights.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise LayoutMismatch("skinning weight rows must sum to 1")
         self.rest_joints = self.regressor @ self.rest_vertices
         self.rest_offsets = self.rest_joints - self.rest_joints[np.maximum(self.parents, 0)]
-        self.n_vertices = len(self.rest_vertices)
 
     def joint_transforms(self, theta: np.ndarray):
         return _chain(self.parents, theta, self.rest_offsets, self.rest_joints[0])
@@ -644,60 +644,6 @@ def _ray_parity(points: np.ndarray, vertices: np.ndarray, faces: np.ndarray,
         hit = ok[None] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-12)
         counts[lo:lo + 512] = hit.sum(axis=1)
     return counts % 2
-
-
-# ---------------------------------------------------------------------------
-# Template file format: JSON manifest + little-endian float32 blobs
-
-
-def save_template(path, model: TemplateHand) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    blobs = {
-        "rest_vertices.f32": model.rest_vertices,
-        "skin_weights.f32": model.weights,
-        "joint_regressor.f32": model.regressor,
-    }
-    digests = {}
-    for name, arr in blobs.items():
-        raw = arr.astype("<f4").tobytes()
-        (path / name).write_bytes(raw)
-        digests[name] = hashlib.sha256(raw).hexdigest()
-    manifest = {
-        "kind": "hand-template",
-        "units": "m",
-        "joints": int(model.n_joints),
-        "parents": model.parents.tolist(),
-        "vertex_count": int(model.n_vertices),
-        "face_count": int(len(model.faces)),
-        "faces": model.faces.tolist(),
-        "checksums": digests,
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def load_template(path) -> TemplateHand:
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("units") != "m":
-        raise LayoutMismatch(f"template units must be 'm', got {manifest.get('units')!r}")
-    J = int(manifest["joints"])
-    V = int(manifest["vertex_count"])
-
-    def blob(name, shape):
-        raw = (path / name).read_bytes()
-        expected = int(np.prod(shape)) * 4
-        if len(raw) != expected:
-            raise LayoutMismatch(f"{name}: {len(raw)} bytes, expected {expected}")
-        return np.frombuffer(raw, dtype="<f4").astype(float).reshape(shape)
-
-    return TemplateHand(
-        parents=manifest["parents"],
-        rest_vertices=blob("rest_vertices.f32", (V, 3)),
-        faces=np.array(manifest["faces"], dtype=np.int64),
-        weights=blob("skin_weights.f32", (V, J)),
-        regressor=blob("joint_regressor.f32", (J, V)),
-    )
 
 
 def template_from_capsule(model: CapsuleHand) -> TemplateHand:

@@ -1,11 +1,26 @@
-"""Round trips of the serialized denoiser and feature backbone."""
+"""Round trips and damage checks of the one on-disk artifact format."""
+
+import json
 
 import numpy as np
+import pytest
 
-from handpair.backbone import BackboneConfig, FeatureBackbone, load_backbone, save_backbone
-from handpair.checkpoint import load_denoiser, save_denoiser
+from handpair.backbone import BackboneConfig, FeatureBackbone
+from handpair.checkpoint import (
+    load_backbone,
+    load_dataset,
+    load_denoiser,
+    load_template,
+    save_backbone,
+    save_dataset,
+    save_denoiser,
+    save_template,
+)
+from handpair.data import generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import make_schedule
+from handpair.errors import ChecksumMismatch, LayoutMismatch
+from handpair.hand_model import default_hand, template_from_capsule
 
 
 def test_denoiser_round_trip_is_float32_exact(tmp_path):
@@ -35,3 +50,64 @@ def test_backbone_round_trip_keeps_config_curve_and_checksum(tmp_path):
     assert loaded.config == config
     assert loaded.val_loss_curve == bb.val_loss_curve
     assert loaded.checksum() == bb.checksum()
+
+
+# One writer and one reader per artifact kind, and another kind to swap in.
+ARTIFACTS = {
+    "denoiser": (lambda path: save_denoiser(path, Denoiser(DenoiserConfig("small")),
+                                            make_schedule(16, 2e-4, 0.02)),
+                 load_denoiser, "backbone"),
+    "backbone": (lambda path: save_backbone(path, FeatureBackbone(BackboneConfig(32))),
+                 load_backbone, "denoiser"),
+    "dataset": (lambda path: save_dataset(path, generate_synthetic(
+                    two_mode_spec(count=8, seed=1, with_objects=True))),
+                load_dataset, "hand-template"),
+    "template": (lambda path: save_template(path, template_from_capsule(default_hand())),
+                 load_template, "two-hand-dataset"),
+}
+
+
+@pytest.fixture(params=sorted(ARTIFACTS))
+def artifact(request, tmp_path):
+    """(directory, loader, other kind) of a saved artifact that loads cleanly."""
+    save, load, other = ARTIFACTS[request.param]
+    save(tmp_path)
+    load(tmp_path)
+    return tmp_path, load, other
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_truncated_blob_rejected(artifact):
+    path, load, _ = artifact
+    blob = (path / "weights.f32").read_bytes()
+    (path / "weights.f32").write_bytes(blob[:-16])
+    with pytest.raises(LayoutMismatch):
+        load(path)
+
+
+def test_corrupted_blob_rejected(artifact):
+    path, load, _ = artifact
+    blob = bytearray((path / "weights.f32").read_bytes())
+    blob[4] ^= 0xFF
+    (path / "weights.f32").write_bytes(bytes(blob))
+    with pytest.raises(ChecksumMismatch):
+        load(path)
+
+
+def test_swapped_kind_rejected(artifact):
+    path, load, other = artifact
+    _edit_manifest(path, lambda m: m.update(kind=other))
+    with pytest.raises(LayoutMismatch):
+        load(path)
+
+
+def test_manifest_without_tensors_rejected(artifact):
+    path, load, _ = artifact
+    _edit_manifest(path, lambda m: m.pop("tensors"))
+    with pytest.raises(LayoutMismatch):
+        load(path)

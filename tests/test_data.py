@@ -3,17 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from handpair.checkpoint import load_dataset, save_dataset
 from handpair.data import (
     Dataset,
     SyntheticSpec,
     generate_synthetic,
-    load_dataset,
     overlapping_spec,
-    save_dataset,
     split,
     two_mode_spec,
 )
-from handpair.errors import ChecksumMismatch, LayoutMismatch, RejectionStall
+from handpair.errors import LayoutMismatch, RejectionStall
 from handpair.hand_model import default_hand, pair_meshes
 from handpair.sampler import penetration_set
 
@@ -46,7 +45,7 @@ def test_zero_threshold_means_empty_penetration_set():
 def test_generation_is_byte_identical_per_seed(tmp_path):
     for run in ("a", "b"):
         save_dataset(tmp_path / run, generate_synthetic(two_mode_spec(count=16, seed=3)))
-    assert (tmp_path / "a/params.f32").read_bytes() == (tmp_path / "b/params.f32").read_bytes()
+    assert (tmp_path / "a/weights.f32").read_bytes() == (tmp_path / "b/weights.f32").read_bytes()
     assert (tmp_path / "a/manifest.json").read_text() == (tmp_path / "b/manifest.json").read_text()
 
 
@@ -78,27 +77,21 @@ def test_object_dataset_round_trip(tmp_path):
     assert back.categories == ds.categories
 
 
-def test_truncated_blob_rejected(tmp_path):
-    save_dataset(tmp_path / "ds", generate_synthetic(two_mode_spec(count=8, seed=1)))
-    blob = (tmp_path / "ds/params.f32").read_bytes()
-    (tmp_path / "ds/params.f32").write_bytes(blob[:-16])
-    with pytest.raises(LayoutMismatch):
-        load_dataset(tmp_path / "ds")
-
-
-def test_corrupted_blob_rejected(tmp_path):
-    save_dataset(tmp_path / "ds", generate_synthetic(two_mode_spec(count=8, seed=1)))
-    blob = bytearray((tmp_path / "ds/params.f32").read_bytes())
-    blob[4] ^= 0xFF
-    (tmp_path / "ds/params.f32").write_bytes(bytes(blob))
-    with pytest.raises(ChecksumMismatch):
-        load_dataset(tmp_path / "ds")
-
-
 def test_wrong_units_rejected(tmp_path):
     save_dataset(tmp_path / "ds", generate_synthetic(two_mode_spec(count=4, seed=1)))
     manifest = json.loads((tmp_path / "ds/manifest.json").read_text())
     manifest["units"] = "mm"
+    (tmp_path / "ds/manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(LayoutMismatch):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("field, count", [("mode_ids", 8), ("categories", 4)])
+def test_label_count_must_match_records(tmp_path, field, count):
+    save_dataset(tmp_path / "ds", generate_synthetic(
+        two_mode_spec(count=count, seed=1, with_objects=field == "categories")))
+    manifest = json.loads((tmp_path / "ds/manifest.json").read_text())
+    manifest[field] = manifest[field][:count // 2]
     (tmp_path / "ds/manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(LayoutMismatch):
         load_dataset(tmp_path / "ds")

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import icosphere, random_params
+from handpair.checkpoint import load_template, save_template
 from handpair.errors import LayoutMismatch, NonWatertight, ZeroAreaStar
 from handpair.hand_model import (
     _OCC_CHUNK,
@@ -17,13 +18,11 @@ from handpair.hand_model import (
     default_hand,
     kinematics_vjp,
     left_hand_mesh,
-    load_template,
     mirror,
     occupancy_left,
     pin_root,
     relative_root,
     reroot_pair,
-    save_template,
     template_from_capsule,
 )
 from handpair.mesh import HandMesh, edge_manifold_ok, mirror_mesh, vertex_normals
@@ -585,11 +584,16 @@ def _break_weight_rows(parts):
     parts["weights"][0] *= 0.5
 
 
+def _break_weight_count(parts):
+    parts["weights"] = parts["weights"][1:]
+
+
 @pytest.mark.parametrize("breaker, message", [
     (_break_fifteen_joints, "16 joints"),
     (_break_root_parent, "root"),
     (_break_parent_after_child, "tree"),
     (_break_weight_rows, "sum to 1"),
+    (_break_weight_count, "shapes"),
 ])
 def test_template_rejects_bad_layout(hand_model, breaker, message):
     tmpl = template_from_capsule(hand_model)

@@ -1,8 +1,11 @@
 """Every console script pyproject.toml installs must resolve to a callable."""
 
 import importlib
-import tomllib
 from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
