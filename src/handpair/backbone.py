@@ -17,7 +17,7 @@ from .data import Dataset, split_indices
 from .errors import EmptyDataset
 from .hand_model import HandParam, default_hand, pair_meshes, relative_root
 from .mesh import sample_surface_points
-from .nn import TAG_INIT, Adam, Linear, relu_backward, relu_forward, rng_stream
+from .nn import TAG_INIT, Adam, Linear, check_layout, relu_backward, relu_forward, rng_stream
 from .pointset import PointSetEncoder
 
 TARGET_DIM = 99
@@ -46,14 +46,18 @@ class FeatureBackbone:
         self.encoder = PointSetEncoder("bb", config.feature_dim,
                                        radii=(0.035, 0.10))
         self.reg_head = Linear("bb_reg", config.feature_dim, TARGET_DIM)
-        if params is not None:
-            self.params = params
+        if params is None:
+            params = self._init_params(rng_stream(config.seed, TAG_INIT + 1))
         else:
-            rng = rng_stream(config.seed, TAG_INIT + 1)
-            self.params = {}
-            self.encoder.init(self.params, rng)
-            self.reg_head.init(self.params, rng)
+            check_layout(params, self._init_params)
+        self.params = params
         self.val_loss_curve: list[float] = []
+
+    def _init_params(self, rng) -> dict:
+        params = {}
+        self.encoder.init(params, rng)
+        self.reg_head.init(params, rng)
+        return params
 
     def features(self, clouds, cache=None) -> np.ndarray:
         """Penultimate activations (rectified encoder output), (B, feature_dim)."""

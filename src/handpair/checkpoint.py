@@ -36,7 +36,7 @@ from .data import OBJECT_POINTS, Dataset
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import ChecksumMismatch, LayoutMismatch
-from .hand_model import TemplateHand
+from .hand_model import DIM, TemplateHand
 
 
 def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
@@ -150,7 +150,7 @@ def load_dataset(path) -> Dataset:
         raise LayoutMismatch(f"unsupported layout {manifest.get('layout')!r}")
     params = tensors.get("params")
     n = len(params) if np.ndim(params) else 0
-    shapes = {"params": (n, 128), "objects": (n, OBJECT_POINTS, 3)}
+    shapes = {"params": (n, 2 * DIM), "objects": (n, OBJECT_POINTS, 3)}
     labels = [manifest.get("categories"), manifest.get("mode_ids")]
     if (params is None or any(t.shape != shapes.get(k) for k, t in tensors.items())
             or any(v is not None and len(v) != n for v in labels)):

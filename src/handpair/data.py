@@ -1,8 +1,8 @@
 """Dataset records, the synthetic pair generator, and the record split.
 
-A record is 128 little-endian float32 values [x_l | x_r] in meters (plus an
-optional 512x3 object cloud and a category label). Datasets hold float32
-natively, so the values the generator accepts are the values stored.
+A record is 2 * DIM = 128 little-endian float32 values [x_l | x_r] in meters
+(plus an optional 512x3 object cloud and a category label). Datasets hold
+float32 natively, so the values the generator accepts are the values stored.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampler
 from .errors import EmptyDataset, RejectionStall
-from .hand_model import HandParam, default_hand
+from .hand_model import DIM, HandParam, default_hand
 from .nn import TAG_DATA, TAG_SPLIT, rng_stream
 from .rotations import axis_angle_to_matrix, geodesic_angle, matrix_to_rot6d, rot6d_to_matrix
 
@@ -25,7 +26,7 @@ class Dataset:
     def __init__(self, params: np.ndarray, objects: np.ndarray | None = None,
                  categories: list[str] | None = None,
                  mode_ids: np.ndarray | None = None):
-        self.params = np.ascontiguousarray(params, dtype="<f4").reshape(-1, 128)
+        self.params = np.ascontiguousarray(params, dtype="<f4").reshape(-1, 2 * DIM)
         self.objects_ = None
         if objects is not None:
             self.objects_ = np.ascontiguousarray(objects, dtype="<f4").reshape(
@@ -43,7 +44,7 @@ class Dataset:
     def pair(self, idx):
         """(x_l, x_r) of record ``idx``, or stacked over an index array."""
         rows = self.params[idx].astype(float)
-        return HandParam(rows[..., :64]), HandParam(rows[..., 64:])
+        return HandParam(rows[..., :DIM]), HandParam(rows[..., DIM:])
 
     def objects(self, idx) -> np.ndarray:
         return self.objects_[np.asarray(idx)].astype(float)
@@ -168,14 +169,9 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
     rule checks the stored float32 values, so the candidate is cast to f32
     before the penetration test.
     """
-    # Imported here, not at the top: the name is then read from the sampler
-    # module on each call, so a wrapper installed on sampler.penetration_loss
-    # (bench/spans.py's tracer) also sees the rejection loop's calls.
-    from .sampler import penetration_loss
-
     model = model or default_hand()
     K = len(spec.modes)
-    params = np.empty((spec.count, 128), dtype="<f4")
+    params = np.empty((spec.count, 2 * DIM), dtype="<f4")
     mode_ids = np.empty(spec.count, dtype=np.int64)
     objects = np.empty((spec.count, OBJECT_POINTS, 3), dtype="<f4") if spec.with_objects else None
     categories = [] if spec.with_objects else None
@@ -198,7 +194,7 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
                                        omega=matrix_to_rot6d(R), tau=tau)
             row = np.concatenate([x_l.vector, x_r.vector]).astype("<f4")
             stored_l, stored_r = Dataset(row).pair(0)
-            if penetration_loss(stored_r, stored_l, model) <= spec.max_penetration:
+            if sampler.penetration_loss(stored_r, stored_l, model) <= spec.max_penetration:
                 break
             rejects += 1
             if rejects >= 1000:

@@ -13,6 +13,7 @@ Profiles:
            global feature 2056, decoder width 2056.
   "small": token 128, embed hidden 256, 1 attention block, FFN 256,
            global feature 256, decoder width 256. Used by the fast tests.
+Both profiles share N_HEADS attention heads and DROP_RATE dropout.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingObject, ShapeMismatch
+from .hand_model import DIM
 from .nn import (
     TAG_INIT,
     Adam,
     Linear,
     TransformerBlock,
     _acc,
+    check_layout,
     relu_backward,
     relu_forward,
     rng_stream,
@@ -38,14 +41,15 @@ from .nn import (
 from .pointset import PointSetEncoder
 
 PROFILES = {
-    "paper": dict(d_token=512, d_embed_hidden=2056, n_blocks=2, n_heads=4,
-                  d_ff=2048, d_global=2056, d_decoder=2056, drop_rate=0.1),
-    "small": dict(d_token=128, d_embed_hidden=256, n_blocks=1, n_heads=4,
-                  d_ff=256, d_global=256, d_decoder=256, drop_rate=0.1),
+    "paper": dict(d_token=512, d_embed_hidden=2056, n_blocks=2,
+                  d_ff=2048, d_global=2056, d_decoder=2056),
+    "small": dict(d_token=128, d_embed_hidden=256, n_blocks=1,
+                  d_ff=256, d_global=256, d_decoder=256),
 }
 
+N_HEADS = 4             # attention heads per block; d_token splits evenly among them
+DROP_RATE = 0.1         # dropout probability on each attention and FFN sublayer output
 N_DECODER_LAYERS = 7
-X_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,11 @@ class Denoiser:
         self.d_token = d
         self.n_tokens = 4 if config.object_conditional else 3
 
-        self.emb_x = _EmbedMLP("emb_x", X_DIM, w["d_embed_hidden"], d)
-        self.emb_c = _EmbedMLP("emb_c", X_DIM, w["d_embed_hidden"], d)
+        self.emb_x = _EmbedMLP("emb_x", DIM, w["d_embed_hidden"], d)
+        self.emb_c = _EmbedMLP("emb_c", DIM, w["d_embed_hidden"], d)
         self.emb_t = _EmbedMLP("emb_t", d, w["d_embed_hidden"], d)
         self.blocks = [
-            TransformerBlock(f"block{i}", d, w["n_heads"], w["d_ff"], w["drop_rate"])
+            TransformerBlock(f"block{i}", d, N_HEADS, w["d_ff"], DROP_RATE)
             for i in range(w["n_blocks"])
         ]
         self.to_global = Linear("to_global", self.n_tokens * d, w["d_global"])
@@ -114,21 +118,25 @@ class Denoiser:
         skip = (self.n_tokens - 1) * d                  # cond, time (, object)
         for i in range(1, N_DECODER_LAYERS + 1):
             d_in = d_prev + skip + (d if i % 2 == 1 else 0)
-            d_out = X_DIM if i == N_DECODER_LAYERS else w["d_decoder"]
+            d_out = DIM if i == N_DECODER_LAYERS else w["d_decoder"]
             self.decoder.append(Linear(f"dec{i}", d_in, d_out))
             d_prev = d_out
 
-        if params is not None:
-            self.params = params
+        if params is None:
+            params = self._init_params(rng_stream(seed, TAG_INIT))
         else:
-            rng = rng_stream(seed, TAG_INIT)
-            self.params = {}
-            for part in [self.emb_x, self.emb_c, self.emb_t, *self.blocks,
-                         self.to_global, *self.decoder]:
-                part.init(self.params, rng)
-            if self.obj_encoder is not None:
-                self.obj_encoder.init(self.params, rng)
-            self.params["null_token"] = rng.normal(0.0, 0.02, d)
+            check_layout(params, self._init_params)
+        self.params = params
+
+    def _init_params(self, rng) -> dict:
+        params = {}
+        for part in [self.emb_x, self.emb_c, self.emb_t, *self.blocks,
+                     self.to_global, *self.decoder]:
+            part.init(params, rng)
+        if self.obj_encoder is not None:
+            self.obj_encoder.init(params, rng)
+        params["null_token"] = rng.normal(0.0, 0.02, self.d_token)
+        return params
 
     # -- forward -----------------------------------------------------------
 
@@ -144,7 +152,7 @@ class Denoiser:
         x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
         B = len(x_t)
-        if x_t.shape != (B, X_DIM) or cond.shape != (B, X_DIM):
+        if x_t.shape != (B, DIM) or cond.shape != (B, DIM):
             raise ShapeMismatch(f"bad input shapes {x_t.shape}, {cond.shape}")
         if drop_mask is None:
             drop_mask = np.zeros(B, dtype=bool)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDataset, InvalidSchedule, NonFiniteLoss, ScheduleSingularity
-from .hand_model import OMEGA, TAU, HandParam, mirror, reroot_pair
+from .hand_model import DIM, OMEGA, TAU, HandParam, mirror, reroot_pair
 from .nn import rng_stream
 
 
@@ -92,17 +92,16 @@ def ddim_time_grid(T: int, num_steps: int) -> list[tuple[int, int]]:
 # Training (conditioning-hand dropout, mirrored-orientation augmentation)
 
 
+LR_DECAY = 0.9          # factor on the learning rate after every LR_DECAY_EVERY epochs
+LR_DECAY_EVERY = 20     # epochs between learning-rate decays
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 80
     batch_size: int = 256
     lr: float = 2e-4
-    lr_decay: float = 0.9
-    lr_decay_every: int = 20
     p_uncond: float = 0.5
-    T: int = 256
-    beta1: float = 1e-4
-    betaT: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -110,7 +109,8 @@ class TrainConfig:
             raise ValueError(f"p_uncond must be in [0,1], got {self.p_uncond}")
 
     def schedule(self) -> DiffusionSchedule:
-        return make_schedule(self.T, self.beta1, self.betaT)
+        """The noise schedule training uses: make_schedule's defaults."""
+        return make_schedule()
 
 
 @dataclass
@@ -161,22 +161,22 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
     total = 0
     step = 0
     for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
+        lr = config.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
         losses = []
         for _ in range(steps_per_epoch):
             rng = rng_stream(config.seed, step)
             idx = rng.integers(0, n, size=batch)
             flip = rng.random(batch) < 0.5
             drop = rng.random(batch) < config.p_uncond
-            t = rng.integers(1, config.T + 1, size=batch)
-            eps = rng.standard_normal((batch, 64))
+            t = rng.integers(1, sched.T + 1, size=batch)
+            eps = rng.standard_normal((batch, DIM))
 
             targets, conds = assemble_batch(dataset, idx, flip)
             objects = dataset.objects(idx) if has_objects else None
             x_t = forward_diffuse(targets, t, eps, sched)
             # A dropped row's target root is relative to a condition the
             # network does not see, so the loss skips that block.
-            mask = np.ones((batch, 64))
+            mask = np.ones((batch, DIM))
             mask[drop, OMEGA.start:TAU.stop] = 0.0
 
             cache = {}

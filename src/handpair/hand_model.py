@@ -5,6 +5,8 @@ A hand is a 64-vector [theta | beta | omega | tau]:
   beta:  10 unitless shape coefficients
   omega: 6D root rotation (first two matrix columns, pre-orthonormalization)
   tau:   3 root translation, meters
+DIM = 64 is the one owner of this width: every other module spells a hand
+vector as DIM and a two-hand record as 2 * DIM.
 HandParam holds one hand (64,) or a stack of hands (..., 64). One rule holds
 for every function on hands: it broadcasts over the leading axes. That
 covers the parameter-space algebra (mirror, pin_root, relative_root,
@@ -558,6 +560,10 @@ class TemplateHand:
                 ((V, 3), (V, N_JOINTS), (N_JOINTS, V)):
             raise LayoutMismatch(f"template arrays must have shapes (V,3), (V,{N_JOINTS}) "
                                  f"and ({N_JOINTS},V)")
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+            raise LayoutMismatch(f"template faces must have shape (F,3), got {self.faces.shape}")
+        if ((self.faces < 0) | (self.faces >= V)).any():
+            raise LayoutMismatch(f"template face indices must lie in [0, {V})")
         row_sums = self.weights.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise LayoutMismatch("skinning weight rows must sum to 1")

@@ -21,6 +21,11 @@ from .nn import TAG_METRIC, rng_stream
 from .sampler import penetration_report
 
 
+KHID_SUBSETS = 10       # subset rounds averaged into one KHID value
+DIVERSITY_PAIRS = 300   # random index pairs averaged into one diversity value
+PROXIMITY_TAU_M = 0.02  # metres: a pair closer than this counts as in proximity
+
+
 class DegenerateCovariance(UserWarning):
     """Covariance is rank deficient; the value is still returned."""
 
@@ -67,8 +72,7 @@ def fhid(features_a: np.ndarray, features_b: np.ndarray) -> float:
 
 
 def khid(features_a: np.ndarray, features_b: np.ndarray,
-         subset_size: int | None = None, n_subsets: int = 10,
-         seed: int = 0) -> float:
+         subset_size: int | None = None, seed: int = 0) -> float:
     """Mean unbiased squared MMD with the cubic kernel (x.y/d + 1)^3.
 
     Each round draws a subset without replacement from each set; equally
@@ -91,7 +95,7 @@ def khid(features_a: np.ndarray, features_b: np.ndarray,
         return K.sum() - np.trace(K)
 
     vals = []
-    for _ in range(n_subsets):
+    for _ in range(KHID_SUBSETS):
         ia = rng.choice(n, size=m, replace=False)
         ib = ia if m_b == n else rng.choice(m_b, size=m, replace=False)
         x, y = a[ia], b[ib]
@@ -129,15 +133,15 @@ def precision_recall(features_real: np.ndarray, features_gen: np.ndarray,
     return precision, recall
 
 
-def diversity(features: np.ndarray, n_pairs: int = 300, seed: int = 0) -> float:
+def diversity(features: np.ndarray, seed: int = 0) -> float:
     """Mean distance over random disjoint index pairs."""
     f = np.atleast_2d(np.asarray(features, dtype=float))
     n = len(f)
     if n < 2:
         raise ValueError("diversity needs at least 2 features")
     rng = rng_stream(seed, TAG_METRIC + 1)
-    i = rng.integers(0, n, size=n_pairs)
-    j = rng.integers(0, n - 1, size=n_pairs)
+    i = rng.integers(0, n, size=DIVERSITY_PAIRS)
+    j = rng.integers(0, n - 1, size=DIVERSITY_PAIRS)
     j = np.where(j >= i, j + 1, j)
     return float(np.linalg.norm(f[i] - f[j], axis=1).mean())
 
@@ -191,11 +195,11 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     return vol, pen_dist, min_vertex_distance(mesh_r, mesh_l), penetrating
 
 
-def proximity_ratio(min_distances, penetrating, tau: float = 0.02) -> float:
-    """Fraction of samples closer than tau (meters) or interpenetrating."""
+def proximity_ratio(min_distances, penetrating) -> float:
+    """Fraction of samples closer than PROXIMITY_TAU_M or interpenetrating."""
     min_distances = np.asarray(min_distances, dtype=float)
     penetrating = np.asarray(penetrating, dtype=bool)
-    return float(((min_distances < tau) | penetrating).mean())
+    return float(((min_distances < PROXIMITY_TAU_M) | penetrating).mean())
 
 
 # ---------------------------------------------------------------------------

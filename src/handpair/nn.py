@@ -11,6 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import LayoutMismatch
+
+LN_EPS = 1e-5          # added to the LayerNorm variance before the square root
+ADAM_BETA1 = 0.9       # Adam decay rate of the first-moment (mean) estimate
+ADAM_BETA2 = 0.999     # Adam decay rate of the second-moment estimate
+ADAM_EPS = 1e-8        # added to sqrt(second moment) in the Adam denominator
+
 
 def rng_stream(seed: int, tag: int) -> np.random.Generator:
     """Counter-based generator keyed on (seed, tag); independent per tag."""
@@ -57,10 +64,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, d: int, eps: float = 1e-5):
+    def __init__(self, name: str, d: int):
         self.name = name
         self.d = d
-        self.eps = eps
 
     def init(self, params, rng) -> None:
         params[self.name + ".g"] = np.ones(self.d)
@@ -69,7 +75,7 @@ class LayerNorm:
     def forward(self, params, x, cache=None):
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (x - mu) * inv
         if cache is not None:
             cache[self.name] = (xhat, inv)
@@ -219,17 +225,14 @@ class TransformerBlock:
 
 
 class Adam:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         for name in sorted(grads):
@@ -241,7 +244,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / corr1
             vhat = self.v[name] / corr2
-            params[name] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -251,6 +254,29 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     args = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+
+
+class _ShapeOnly:
+    """Generator stand-in for layer ``init``: ``normal`` returns a zero-stride
+    array of the requested shape, so an init run draws and allocates nothing."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(float(loc), size)
+
+
+def check_layout(params: dict, init) -> None:
+    """Raise LayoutMismatch unless ``params`` holds exactly the tensor names
+    and shapes that ``init(rng)``, which returns a new parameter dict, builds."""
+    expected = init(_ShapeOnly())
+    missing = sorted(expected.keys() - params.keys())
+    extra = sorted(params.keys() - expected.keys())
+    if missing or extra:
+        raise LayoutMismatch(f"tensors missing {missing[:4]}, unexpected {extra[:4]}")
+    for name, value in expected.items():
+        if np.shape(params[name]) != value.shape:
+            raise LayoutMismatch(
+                f"{name}: shape {np.shape(params[name])}, expected {value.shape}")
 
 
 def _acc(grads: dict, name: str, value: np.ndarray) -> None:

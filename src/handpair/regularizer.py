@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionSchedule, forward_diffuse, orient
-from .hand_model import HandParam, compose_root, mirror, reroot_pair
+from .hand_model import DIM, HandParam, compose_root, mirror, reroot_pair
 from .nn import TAG_REG, rng_stream
 
 
@@ -34,7 +34,7 @@ class RegularizerConfig:
 
 def _draw_noise(config: RegularizerConfig, call_index: int) -> np.ndarray:
     tag = TAG_REG if config.noise_mode == "fixed" else TAG_REG + 1 + call_index
-    return rng_stream(config.seed, tag).standard_normal((2, 64))
+    return rng_stream(config.seed, tag).standard_normal((2, DIM))
 
 
 def forward_reverse_step(denoiser, sched: DiffusionSchedule, x_l: HandParam,
@@ -67,9 +67,9 @@ def reg_loss_and_grad(denoiser, sched: DiffusionSchedule, x_l: HandParam,
                            x_r_hat.vector - x_r.vector])
     loss = float(np.linalg.norm(diff))
     if loss < 1e-12:
-        return loss, np.zeros(64), np.zeros(64)
+        return loss, np.zeros(DIM), np.zeros(DIM)
     grad = -diff / loss          # d||s - x||/dx with s held constant
-    return loss, grad[:64], grad[64:]
+    return loss, grad[:DIM], grad[DIM:]
 
 
 def descend(denoiser, sched: DiffusionSchedule, x_l: HandParam, x_r: HandParam,

@@ -18,6 +18,7 @@ import numpy as np
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0, x0_from_eps
 from .errors import MissingObject
 from .hand_model import (
+    DIM,
     OMEGA,
     HandParam,
     default_hand,
@@ -31,13 +32,15 @@ from .nn import TAG_SAMPLE, rng_stream
 from .rotations import rot6d_degenerate
 
 
+W_PEN_START = 4.0       # APG step weight at the last reverse step (k = 0), unitless
+W_PEN_DECAY = 0.9       # factor on the APG weight per reverse step further from t=0
+
+
 @dataclass
 class SampleConfig:
     steps: int = 32
     w_cfg: float = 0.1
     apg: bool = True
-    w_pen_start: float = 4.0
-    w_pen_decay: float = 0.9
     seed: int = 0
     count: int = 1
     object_points: np.ndarray | None = None
@@ -45,14 +48,10 @@ class SampleConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.w_pen_start < 0:
-            raise ValueError("w_pen_start must be >= 0")
-        if not 0.0 < self.w_pen_decay <= 1.0:
-            raise ValueError("w_pen_decay must be in (0, 1]")
 
     def w_pen_at(self, k: int) -> float:
-        """APG weight w_pen_start * w_pen_decay**k at reverse step k, counted up from t=0."""
-        return self.w_pen_start * self.w_pen_decay**k
+        """APG weight W_PEN_START * W_PEN_DECAY**k at reverse step k, counted up from t=0."""
+        return W_PEN_START * W_PEN_DECAY**k
 
 
 @dataclass
@@ -202,11 +201,11 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     grid = ddim_time_grid(sched.T, config.steps)
     B = config.count
 
-    noise = np.empty((2, B, 64))
+    noise = np.empty((2, B, DIM))
     for i in range(B):
         rng = rng_stream(config.seed, TAG_SAMPLE + i)
-        noise[0, i] = rng.standard_normal(64)
-        noise[1, i] = rng.standard_normal(64)
+        noise[0, i] = rng.standard_normal(DIM)
+        noise[1, i] = rng.standard_normal(DIM)
 
     object_embedding = None
     if getattr(denoiser, "config", None) is not None and denoiser.config.object_conditional:

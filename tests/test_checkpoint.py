@@ -111,3 +111,18 @@ def test_manifest_without_tensors_rejected(artifact):
     _edit_manifest(path, lambda m: m.pop("tensors"))
     with pytest.raises(LayoutMismatch):
         load(path)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("denoiser", lambda m: m.update(profile="paper")),
+    ("denoiser", lambda m: m.update(object_conditional=True)),
+    ("backbone", lambda m: m["config"].update(feature_dim=64)),
+    ("template", lambda m: m["faces"][0].__setitem__(0, 1_000_000)),
+], ids=["denoiser_profile", "denoiser_object_branch", "backbone_feature_dim",
+        "template_face_index"])
+def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit):
+    save, load, _ = ARTIFACTS[kind]
+    save(tmp_path)
+    _edit_manifest(tmp_path, edit)
+    with pytest.raises(LayoutMismatch):
+        load(tmp_path)

@@ -588,12 +588,23 @@ def _break_weight_count(parts):
     parts["weights"] = parts["weights"][1:]
 
 
+def _break_face_shape(parts):
+    parts["faces"] = parts["faces"][:, :2]
+
+
+def _break_face_index(parts):
+    parts["faces"] = parts["faces"].copy()
+    parts["faces"][0, 0] = -1
+
+
 @pytest.mark.parametrize("breaker, message", [
     (_break_fifteen_joints, "16 joints"),
     (_break_root_parent, "root"),
     (_break_parent_after_child, "tree"),
     (_break_weight_rows, "sum to 1"),
     (_break_weight_count, "shapes"),
+    (_break_face_shape, r"\(F,3\)"),
+    (_break_face_index, "face indices"),
 ])
 def test_template_rejects_bad_layout(hand_model, breaker, message):
     tmpl = template_from_capsule(hand_model)
