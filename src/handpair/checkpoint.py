@@ -1,12 +1,12 @@
-"""The one on-disk format of every artifact: datasets, hand templates, and
-the denoiser and backbone networks.
+"""The one on-disk format of every artifact: datasets and the denoiser and
+backbone networks.
 
 An artifact is a directory holding two files:
   weights.f32    its tensors as little-endian float32, concatenated in
                  sorted-name order, so identical tensors serialize to
                  identical bytes.
-  manifest.json  "kind" (denoiser, backbone, two-hand-dataset or
-                 hand-template); "tensors", which maps each name to its
+  manifest.json  "kind" (denoiser, backbone or two-hand-dataset);
+                 "tensors", which maps each name to its
                  {"shape", "dtype": "<f4", "offset"} in the blob;
                  "checksum", the sha256 of the blob; "tool_version"; and
                  the fields of the kind (its config, units, labels, ...).
@@ -16,8 +16,10 @@ layout (every entry is "<f4", and the entries in sorted-name order tile the
 blob exactly, with no gap), then the checksum. So a truncated blob raises
 LayoutMismatch and a blob with a changed byte raises ChecksumMismatch.
 Tensors load as float64: a float32 value round-trips exactly, a float64
-value comes back as its float32 rounding. The save_*/load_* pairs below
-are the only code that reads or writes artifacts.
+value comes back as its float32 rounding. The network loaders also raise
+LayoutMismatch when the manifest's config cannot be built, or builds other
+tensors than the blob holds. The save_*/load_* pairs below are the only
+code that reads or writes artifacts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .data import OBJECT_POINTS, Dataset
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import ChecksumMismatch, LayoutMismatch
-from .hand_model import DIM, TemplateHand
+from .hand_model import DIM
 
 
 def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
@@ -105,8 +107,12 @@ def save_denoiser(path, denoiser: Denoiser, sched: DiffusionSchedule,
 def load_denoiser(path):
     """Returns (denoiser, schedule, manifest)."""
     tensors, manifest = load_checkpoint(path, "denoiser")
-    config = DenoiserConfig(profile=manifest["profile"],
-                            object_conditional=manifest["object_conditional"])
+    try:
+        config = DenoiserConfig(profile=manifest["profile"],
+                                object_conditional=manifest["object_conditional"])
+        config.widths()
+    except (KeyError, ValueError) as err:
+        raise LayoutMismatch(f"manifest names no denoiser config: {err!r}") from err
     den = Denoiser(config, params=tensors)
     s = manifest["schedule"]
     return den, make_schedule(s["T"], s["beta1"], s["betaT"]), manifest
@@ -122,7 +128,11 @@ def save_backbone(path, backbone: FeatureBackbone) -> None:
 
 def load_backbone(path) -> FeatureBackbone:
     tensors, manifest = load_checkpoint(path, "backbone")
-    bb = FeatureBackbone(BackboneConfig(**manifest["config"]), params=tensors)
+    try:
+        config = BackboneConfig(**manifest["config"])
+    except (KeyError, TypeError) as err:
+        raise LayoutMismatch(f"manifest names no backbone config: {err!r}") from err
+    bb = FeatureBackbone(config, params=tensors)
     bb.val_loss_curve = list(manifest["val_loss_curve"])
     return bb
 
@@ -157,23 +167,3 @@ def load_dataset(path) -> Dataset:
         raise LayoutMismatch(f"dataset tensors and labels disagree on the {n}-record count")
     return Dataset(params, tensors.get("objects"), *labels)
 
-
-def save_template(path, model: TemplateHand) -> None:
-    save_checkpoint(path, {
-        "rest_vertices": model.rest_vertices,
-        "skin_weights": model.weights,
-        "joint_regressor": model.regressor,
-    }, {
-        "kind": "hand-template",
-        "units": "m",
-        "parents": model.parents.tolist(),
-        "faces": model.faces.tolist(),
-    })
-
-
-def load_template(path) -> TemplateHand:
-    tensors, manifest = load_checkpoint(path, "hand-template")
-    if manifest.get("units") != "m":
-        raise LayoutMismatch(f"template units must be 'm', got {manifest.get('units')!r}")
-    return TemplateHand(manifest["parents"], tensors["rest_vertices"], manifest["faces"],
-                        tensors["skin_weights"], tensors["joint_regressor"])

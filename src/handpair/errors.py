@@ -13,10 +13,6 @@ class ZeroAreaStar(HandpairError):
     """A mesh vertex whose incident faces have (near-)zero total normal."""
 
 
-class NonWatertight(HandpairError):
-    """Ray-parity inside test disagreed across ray directions."""
-
-
 class InvalidSchedule(HandpairError):
     """Diffusion schedule parameters outside their legal ranges."""
 
@@ -55,7 +51,3 @@ class LayoutMismatch(HandpairError):
 
 class RejectionStall(HandpairError):
     """Synthetic generation rejected 1000 consecutive candidate pairs."""
-
-
-class UsageError(HandpairError):
-    """Bad CLI flags or missing required arguments."""

@@ -24,16 +24,11 @@ Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
 and its mesh is the x-negation of that right-hand mesh with flipped faces.
 
-Two backends share one kinematic chain: a forward sweep (_chain) that turns
-theta and per-joint rest offsets into joint rotations and positions, and its
-reverse sweep (_chain_vjp). They differ in the offsets fed to the chain and
-in how vertices hang off the joints:
-  CapsuleHand  - built-in: 16 joints, one capsule per bone, analytic
-                 occupancy, watertight per component. beta scales the
-                 offsets, so the offset cotangents flow back into beta.
-  TemplateHand - external skinned template: rest vertices, skinning
-                 weights and a joint regressor. Fixed offsets and no shape
-                 basis: beta has no effect here.
+The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
+occupancy, watertight per component. Its kinematic chain is a forward sweep
+(_chain) that turns theta and the per-joint rest offsets into joint
+rotations and positions, and its reverse sweep (_chain_vjp). beta scales the
+offsets and the capsule radii, so the offset cotangents flow back into beta.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LayoutMismatch, NonWatertight
 from .mesh import HandMesh, mirror_mesh
 from .rotations import (
     IDENTITY_6D,
@@ -177,22 +171,21 @@ def compose_root(base: HandParam, rel: HandParam) -> HandParam:
 
 
 # ---------------------------------------------------------------------------
-# Kinematic chain shared by both backends
+# Kinematic chain
 
 
-def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray, root: np.ndarray):
+def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray):
     """Forward sweep: per-joint rotations Q (..., J, 3, 3) and positions p (..., J, 3).
 
     Joint j rotates by axis-angle theta[..., 3(j-1):3j] relative to its
     parent and sits at offsets[..., j, :], in the parent's frame, from it.
-    Joint 0 has identity rotation and sits at ``root``. Every parent must
-    precede its children.
+    Joint 0, the wrist, has identity rotation and sits at the origin of the
+    canonical frame. Every parent must precede its children.
     """
     local = axis_angle_to_matrix(theta.reshape(*theta.shape[:-1], N_JOINTS - 1, 3))
     Q = np.zeros((*theta.shape[:-1], N_JOINTS, 3, 3))
     p = np.zeros((*theta.shape[:-1], N_JOINTS, 3))
     Q[..., 0, :, :] = np.eye(3)
-    p[..., 0, :] = root
     for j in range(1, N_JOINTS):
         par = parents[j]
         p[..., j, :] = p[..., par, :] + _apply(Q[..., par, :, :], offsets[..., j, :])
@@ -344,7 +337,6 @@ class CapsuleHand:
     """
 
     def __init__(self):
-        self.n_joints = N_JOINTS
         self.parents = np.full(N_JOINTS, -1, dtype=int)
 
         a, n_local, faces = _capsule_template()
@@ -412,7 +404,7 @@ class CapsuleHand:
 
     def joint_transforms(self, theta: np.ndarray, beta: np.ndarray):
         """Canonical-space (rotation, position) per joint; root is identity."""
-        return _chain(self.parents, theta, self.joint_offsets(beta), np.zeros(3))
+        return _chain(self.parents, theta, self.joint_offsets(beta))
 
     def _bone_local(self, beta: np.ndarray) -> np.ndarray:
         """Bone-frame capsule vertices (..., bones, K, 3): axial point plus radial offset."""
@@ -492,7 +484,7 @@ class CapsuleHand:
         lead = theta.shape[:-1]
         cot = np.asarray(cotangent, dtype=float).reshape(*lead, self.n_vertices, 3)
         offsets = self.joint_offsets(beta)
-        Q, p = _chain(self.parents, theta, offsets, np.zeros(3))
+        Q, p = _chain(self.parents, theta, offsets)
         local = self._bone_local(beta)
         R = rot6d_to_matrix(params.omega)
 
@@ -519,159 +511,6 @@ class CapsuleHand:
 @lru_cache(maxsize=1)
 def default_hand() -> CapsuleHand:
     return CapsuleHand()
-
-
-# ---------------------------------------------------------------------------
-# External skinned-template backend
-
-_RAY_DIRS = np.array([
-    [0.9999993, 0.0009, 0.0007],
-    [0.0008, 0.9999991, 0.0011],
-    [0.0013, 0.0006, 0.9999989],
-])
-_RAY_DIRS = _RAY_DIRS / np.linalg.norm(_RAY_DIRS, axis=1, keepdims=True)
-
-
-class TemplateHand:
-    """LBS over a user-supplied rest mesh; 16 joints like the built-in hand.
-
-    beta is ignored (a template carries no shape basis) and its VJP
-    block is zero. Occupancy is a ray-parity test and raises NonWatertight
-    when the three ray directions disagree; the mesh must be a single
-    watertight non-self-intersecting volume for parity to equal containment.
-    """
-
-    def __init__(self, parents, rest_vertices, faces, weights, regressor):
-        self.parents = np.asarray(parents, dtype=int)
-        self.n_joints = len(self.parents)
-        if self.n_joints != N_JOINTS:
-            raise LayoutMismatch(f"template must have {N_JOINTS} joints, got {self.n_joints}")
-        if self.parents[0] != -1:
-            raise LayoutMismatch("joint 0 must be the root (parent -1)")
-        for j in range(1, self.n_joints):
-            if not 0 <= self.parents[j] < j:
-                raise LayoutMismatch("parent indices must form a tree rooted at joint 0")
-        self.rest_vertices = np.asarray(rest_vertices, dtype=float)
-        self.faces = np.asarray(faces, dtype=np.int64)
-        self.weights = np.asarray(weights, dtype=float)
-        self.regressor = np.asarray(regressor, dtype=float)
-        self.n_vertices = V = len(self.rest_vertices)
-        if (self.rest_vertices.shape, self.weights.shape, self.regressor.shape) != \
-                ((V, 3), (V, N_JOINTS), (N_JOINTS, V)):
-            raise LayoutMismatch(f"template arrays must have shapes (V,3), (V,{N_JOINTS}) "
-                                 f"and ({N_JOINTS},V)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise LayoutMismatch(f"template faces must have shape (F,3), got {self.faces.shape}")
-        if ((self.faces < 0) | (self.faces >= V)).any():
-            raise LayoutMismatch(f"template face indices must lie in [0, {V})")
-        row_sums = self.weights.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-6):
-            raise LayoutMismatch("skinning weight rows must sum to 1")
-        self.rest_joints = self.regressor @ self.rest_vertices
-        self.rest_offsets = self.rest_joints - self.rest_joints[np.maximum(self.parents, 0)]
-
-    def joint_transforms(self, theta: np.ndarray):
-        return _chain(self.parents, theta, self.rest_offsets, self.rest_joints[0])
-
-    def _skin(self, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Linear blend skinning: sum_j w_vj (Q_j (v - rest_joint_j) + p_j)."""
-        lead = Q.shape[:-3]
-        blended = (self.weights @ Q.reshape(*lead, N_JOINTS, 9)).reshape(
-            *lead, self.n_vertices, 3, 3)
-        t = p - np.einsum("...jab,jb->...ja", Q, self.rest_joints)
-        return np.einsum("...vab,vb->...va", blended, self.rest_vertices) + self.weights @ t
-
-    def canonical_vertices(self, theta: np.ndarray, beta=None) -> np.ndarray:
-        return self._skin(*self.joint_transforms(theta))
-
-    def posed_vertices(self, params: HandParam) -> np.ndarray:
-        """World vertices (..., V, 3)."""
-        R = rot6d_to_matrix(params.omega)
-        return self.canonical_vertices(params.theta) @ np.swapaxes(R, -1, -2) \
-            + params.tau[..., None, :]
-
-    def posed_mesh(self, params: HandParam) -> HandMesh:
-        return HandMesh(self.posed_vertices(params), self.faces)
-
-    def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
-        verts = self.posed_vertices(params)
-        points = np.asarray(points, dtype=float)
-        parities = np.stack([
-            _ray_parity(points, verts, self.faces, d) for d in _RAY_DIRS
-        ], axis=1)
-        if not (parities.min(axis=1) == parities.max(axis=1)).all():
-            bad = int(np.flatnonzero(parities.min(axis=1) != parities.max(axis=1))[0])
-            raise NonWatertight(f"ray parity disagrees at point {bad}")
-        return parities[:, 0].astype(bool)
-
-    def vjp(self, params: HandParam, cotangent: np.ndarray) -> np.ndarray:
-        theta = params.theta
-        lead = theta.shape[:-1]
-        cot = np.asarray(cotangent, dtype=float).reshape(*lead, self.n_vertices, 3)
-        Q, p = self.joint_transforms(theta)
-        R = rot6d_to_matrix(params.omega)
-
-        grad = np.zeros((*lead, DIM))
-        grad[..., TAU] = cot.sum(axis=-2)
-        R_bar = np.swapaxes(cot, -1, -2) @ self._skin(Q, p)
-        canon_bar = cot @ R
-
-        p_bar = self.weights.T @ canon_bar
-        outer = np.einsum("...va,vb->...vab", canon_bar, self.rest_vertices).reshape(
-            *lead, self.n_vertices, 9)
-        Q_bar = (self.weights.T @ outer).reshape(*lead, N_JOINTS, 3, 3) \
-            - np.einsum("...ja,jb->...jab", p_bar, self.rest_joints)
-        grad[..., THETA], _ = _chain_vjp(self.parents, theta, self.rest_offsets, Q, Q_bar, p_bar)
-        grad[..., OMEGA] = rot6d_vjp(params.omega, R_bar)
-        return grad
-
-
-def _ray_parity(points: np.ndarray, vertices: np.ndarray, faces: np.ndarray,
-                direction: np.ndarray) -> np.ndarray:
-    """Crossing-count parity per point via Moller-Trumbore, chunked.
-
-    Parity equals containment for a single watertight non-self-intersecting
-    volume; for overlapping components it is coverage multiplicity mod 2.
-    """
-    tri = vertices[faces]                        # (F,3,3)
-    v0, e1, e2 = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    pvec = np.cross(direction, e2)               # (F,3)
-    det = np.einsum("fi,fi->f", e1, pvec)
-    ok = np.abs(det) > 1e-14
-    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    counts = np.zeros(len(points), dtype=np.int64)
-    for lo in range(0, len(points), 512):
-        pts = points[lo:lo + 512]
-        tvec = pts[:, None, :] - v0[None]        # (n,F,3)
-        u = np.einsum("nfi,fi->nf", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1[None])
-        v = np.einsum("nfi,i->nf", qvec, direction) * inv_det
-        t = np.einsum("nfi,fi->nf", qvec, e2) * inv_det
-        hit = ok[None] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-12)
-        counts[lo:lo + 512] = hit.sum(axis=1)
-    return counts % 2
-
-
-def template_from_capsule(model: CapsuleHand) -> TemplateHand:
-    """Bake the capsule hand into a rigid-weight template (testing/demos).
-
-    Weights are one-hot on each bone's attach joint, so LBS reproduces the
-    capsule kinematics exactly at beta = 0. The regressor averages the
-    axis-centered equator ring nearest each joint.
-    """
-    rest = model.canonical_vertices(np.zeros(45), np.zeros(10))
-    V = model.n_vertices
-    weights = np.zeros((V, N_JOINTS))
-    K = model.verts_per_bone
-    weights[np.arange(V), np.repeat(model.bone_attach, K)] = 1.0
-
-    bottom_eq = 1 + (N_CAP - 1) * N_SEG           # first index of a=0 equator
-    top_eq = K - 1 - N_CAP * N_SEG                # first index of a=1 equator
-    regressor = np.zeros((N_JOINTS, V))
-    regressor[0, 0 * K + bottom_eq: 0 * K + bottom_eq + N_SEG] = 1.0 / N_SEG
-    for joint, b in enumerate(model.joint_bone, start=1):
-        regressor[joint, b * K + top_eq: b * K + top_eq + N_SEG] = 1.0 / N_SEG
-    return TemplateHand(model.parents, rest, model.faces, weights, regressor)
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,6 @@ class HandMesh:
         """k-d tree over the vertices, for nearest-vertex queries."""
         return cKDTree(self.vertices)
 
-    def validate(self) -> None:
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError(f"vertices must have shape (V, 3), got {self.vertices.shape}")
-        if not np.isfinite(self.vertices).all():
-            raise ValueError("non-finite vertices")
-        if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
-            raise ValueError("face index out of range")
-
 
 def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Area-weighted vertex normals, normalized to unit length.
@@ -92,47 +84,6 @@ def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
     c = r1 * r2
     chosen = tris[idx]
     return a[:, None] * chosen[:, 0] + b[:, None] * chosen[:, 1] + c[:, None] * chosen[:, 2]
-
-
-def write_obj(path, mesh: HandMesh) -> None:
-    """ASCII OBJ export: v/f records, 1-based indices, fixed float format."""
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.8f} {v[1]:.8f} {v[2]:.8f}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def read_obj(path) -> HandMesh:
-    """Triangle mesh from ASCII OBJ v/f records (1-based face indices). Raises
-    ValueError on a non-triangle face, a bad index or a bad or NaN/inf vertex."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ValueError(f"face with {len(parts) - 1} vertices, expected 3")
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
-    mesh = HandMesh(np.array(verts), np.array(faces))
-    mesh.validate()
-    return mesh
-
-
-def edge_manifold_ok(faces: np.ndarray) -> bool:
-    """True when every directed edge has exactly one opposite twin."""
-    edges = {}
-    for f in faces:
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            edges[(a, b)] = edges.get((a, b), 0) + 1
-    for (a, b), count in edges.items():
-        if count != 1 or edges.get((b, a), 0) != 1:
-            return False
-    return True
 
 
 def min_vertex_distance(mesh_a: HandMesh, mesh_b: HandMesh) -> float:

@@ -10,17 +10,14 @@ from handpair.checkpoint import (
     load_backbone,
     load_dataset,
     load_denoiser,
-    load_template,
     save_backbone,
     save_dataset,
     save_denoiser,
-    save_template,
 )
 from handpair.data import generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import make_schedule
 from handpair.errors import ChecksumMismatch, LayoutMismatch
-from handpair.hand_model import default_hand, template_from_capsule
 
 
 def test_denoiser_round_trip_is_float32_exact(tmp_path):
@@ -61,9 +58,7 @@ ARTIFACTS = {
                  load_backbone, "denoiser"),
     "dataset": (lambda path: save_dataset(path, generate_synthetic(
                     two_mode_spec(count=8, seed=1, with_objects=True))),
-                load_dataset, "hand-template"),
-    "template": (lambda path: save_template(path, template_from_capsule(default_hand())),
-                 load_template, "two-hand-dataset"),
+                load_dataset, "denoiser"),
 }
 
 
@@ -116,10 +111,12 @@ def test_manifest_without_tensors_rejected(artifact):
 @pytest.mark.parametrize("kind, edit", [
     ("denoiser", lambda m: m.update(profile="paper")),
     ("denoiser", lambda m: m.update(object_conditional=True)),
+    ("denoiser", lambda m: m.update(profile="huge")),
+    ("denoiser", lambda m: m.pop("profile")),
     ("backbone", lambda m: m["config"].update(feature_dim=64)),
-    ("template", lambda m: m["faces"][0].__setitem__(0, 1_000_000)),
-], ids=["denoiser_profile", "denoiser_object_branch", "backbone_feature_dim",
-        "template_face_index"])
+    ("backbone", lambda m: m["config"].update(depth=3)),
+], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_unknown_profile",
+        "denoiser_without_profile", "backbone_feature_dim", "backbone_unknown_config_key"])
 def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit):
     save, load, _ = ARTIFACTS[kind]
     save(tmp_path)
