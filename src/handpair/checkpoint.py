@@ -17,9 +17,10 @@ blob exactly, with no gap), then the checksum. So a truncated blob raises
 LayoutMismatch and a blob with a changed byte raises ChecksumMismatch.
 Tensors load as float64: a float32 value round-trips exactly, a float64
 value comes back as its float32 rounding. The network loaders also raise
-LayoutMismatch when the manifest's config cannot be built, or builds other
-tensors than the blob holds. The save_*/load_* pairs below are the only
-code that reads or writes artifacts.
+LayoutMismatch, chained from the original error, when the manifest lacks
+the denoiser's schedule or the backbone's loss curve, when its config cannot
+be built, or when it builds other tensors than the blob holds. The
+save_*/load_* pairs below are the only code that reads or writes artifacts.
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ def load_denoiser(path):
         config = DenoiserConfig(profile=manifest["profile"],
                                 object_conditional=manifest["object_conditional"])
         config.widths()
-    except (KeyError, ValueError) as err:
-        raise LayoutMismatch(f"manifest names no denoiser config: {err!r}") from err
+        s = manifest["schedule"]
+        T, beta1, betaT = s["T"], s["beta1"], s["betaT"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise LayoutMismatch(f"manifest names no denoiser config or schedule: {err!r}") from err
     den = Denoiser(config, params=tensors)
-    s = manifest["schedule"]
-    return den, make_schedule(s["T"], s["beta1"], s["betaT"]), manifest
+    return den, make_schedule(T, beta1, betaT), manifest
 
 
 def save_backbone(path, backbone: FeatureBackbone) -> None:
@@ -130,10 +132,11 @@ def load_backbone(path) -> FeatureBackbone:
     tensors, manifest = load_checkpoint(path, "backbone")
     try:
         config = BackboneConfig(**manifest["config"])
+        curve = list(manifest["val_loss_curve"])
     except (KeyError, TypeError) as err:
-        raise LayoutMismatch(f"manifest names no backbone config: {err!r}") from err
+        raise LayoutMismatch(f"manifest names no backbone config or loss curve: {err!r}") from err
     bb = FeatureBackbone(config, params=tensors)
-    bb.val_loss_curve = list(manifest["val_loss_curve"])
+    bb.val_loss_curve = curve
     return bb
 
 

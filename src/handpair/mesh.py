@@ -85,8 +85,3 @@ def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
     chosen = tris[idx]
     return a[:, None] * chosen[:, 0] + b[:, None] * chosen[:, 1] + c[:, None] * chosen[:, 2]
 
-
-def min_vertex_distance(mesh_a: HandMesh, mesh_b: HandMesh) -> float:
-    """Minimum vertex-to-vertex distance between two meshes, meters."""
-    d, _ = mesh_b.tree.query(mesh_a.vertices, k=1)
-    return float(d.min())

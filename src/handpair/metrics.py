@@ -4,6 +4,8 @@ Distribution metrics (fhid, khid, precision/recall, diversity) operate on
 feature arrays from the regression backbone; geometry metrics (penetration
 volume/distance, proximity ratio) operate on posed pairs. All metrics are
 pure functions of their inputs and seeds, so reports regenerate bit-for-bit.
+pair_stats makes one nearest-vertex query per pair, sampler.penetration_set,
+and reads both the penetration depth and the minimum distance from it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import sampler
 from .hand_model import HandParam, default_hand, occupancy_left, pair_meshes
-from .mesh import min_vertex_distance, sample_surface_points
+from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
-from .sampler import penetration_report
 
 
 KHID_SUBSETS = 10       # subset rounds averaged into one KHID value
@@ -170,18 +172,23 @@ def penetration_volume(occ_a, occ_b, bounds_a, bounds_b, grid: float = 1e-3) -> 
     return count * (grid * 1000.0) ** 3
 
 
+def _mean_depth_cm(report) -> float:
+    """Mean projected depth of a contact in cm; every depth is > 0, so the
+    result is 0 exactly when no vertex penetrates."""
+    return float(report.depths.mean() * 100.0) if len(report) else 0.0
+
+
 def penetration_distance(mesh_a, mesh_b) -> float:
-    """Mean projected penetration depth of A's vertices into B, in cm; every
-    depth is > 0, so the result is 0 exactly when no vertex penetrates."""
-    depths = penetration_report(mesh_a, mesh_b).depths
-    return float(depths.mean() * 100.0) if len(depths) else 0.0
+    """Mean projected penetration depth of A's vertices into B, in cm."""
+    return _mean_depth_cm(sampler.penetration_set(mesh_a, mesh_b))
 
 
 def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?)."""
     model = model or default_hand()
     mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-    pen_dist = penetration_distance(mesh_r, mesh_l)
+    contact = sampler.penetration_set(mesh_r, mesh_l)
+    pen_dist = _mean_depth_cm(contact)
     penetrating = pen_dist > 0.0
     vol = 0.0
     if penetrating:
@@ -192,7 +199,7 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
             (mesh_r.vertices.min(axis=0), mesh_r.vertices.max(axis=0)),
             grid,
         )
-    return vol, pen_dist, min_vertex_distance(mesh_r, mesh_l), penetrating
+    return vol, pen_dist, contact.min_distance, penetrating
 
 
 def proximity_ratio(min_distances, penetrating) -> float:

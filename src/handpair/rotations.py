@@ -142,15 +142,6 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(*v.shape, 3)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random rotation from a QR-orthonormalized Gaussian."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return q
-
-
 def geodesic_angle(r1: np.ndarray, r2: np.ndarray) -> float:
     """Rotation angle of r1^T r2, in radians."""
     c = (np.trace(r1.T @ r2) - 1.0) / 2.0

@@ -7,6 +7,10 @@ unconditional noise estimates (classifier-free guidance) and descending the
 inter-hand penetration loss after every reverse step (anti-penetration
 guidance). Both phases share one network and one deterministic noise stream
 per sample, so a (weights, config) pair fully determines the output.
+
+penetration_set owns contact: its one nearest-vertex query per pair of
+meshes is what APG, the synthetic-data rejection rule and the geometry
+metrics read.
 """
 
 from __future__ import annotations
@@ -60,12 +64,10 @@ class PenetrationReport:
     delta: np.ndarray                 # (P, 3) A vertex minus its B vertex, meters
     depths: np.ndarray                # (P,) projected depths, meters, > 0
     loss: float
+    min_distance: float               # min over all A vertices of the B distance, meters
 
-    def validate(self) -> None:
-        if len(self.pairs) == 0 and self.loss != 0.0:
-            raise ValueError("empty pair set must have zero loss")
-        if len(self.depths) and self.depths.min() <= 0:
-            raise ValueError("projected depths must be strictly positive")
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def cfg_mix(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
@@ -77,33 +79,28 @@ def cfg_mix(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarra
     return (1.0 + w) * eps_cond - w * eps_uncond
 
 
-def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> np.ndarray:
-    """Vertex pairs (i, j): j is i's nearest vertex in B and i sits behind
-    B's surface there (strictly positive projection onto -normal).
+def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
+    """Contact of A against B from one nearest-vertex query; len() is P.
+
+    Vertex i of A pairs with j, its nearest vertex in B, when it sits behind
+    B's surface there: its depth -n_j . delta is strictly positive, where
+    delta is A's vertex minus B's (the repulsion term of Hasson et al., CVPR
+    2019). The loss is sum |delta|^2 over the pairs; its gradient with
+    respect to A's vertex i is 2 delta on paired rows and 0 elsewhere, with
+    the pair set held constant. An empty pair set gives empty delta and
+    depths and a loss of 0. min_distance covers every A vertex, paired or not.
 
     Nearest neighbors come from a k-d tree; exact distance ties resolve to
     the lowest index.
     """
-    _, nearest = mesh_b.tree.query(mesh_a.vertices, k=1)
+    dist, nearest = mesh_b.tree.query(mesh_a.vertices, k=1)
     delta = mesh_a.vertices - mesh_b.vertices[nearest]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[nearest], delta)
     idx = np.flatnonzero(depth > 0.0)
-    return np.stack([idx, nearest[idx]], axis=1)
-
-
-def penetration_report(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
-    """Pair set of A against B, with its offsets, depths and loss.
-
-    The loss is sum |delta|^2 over the pairs, where delta is A's vertex
-    minus its nearest B vertex; its gradient with respect to A's vertex i is
-    2 delta on paired rows and 0 elsewhere. The pair set is held constant.
-    An empty pair set gives empty delta and depths and a loss of 0.
-    """
-    pairs = penetration_set(mesh_a, mesh_b)
-    delta = mesh_a.vertices[pairs[:, 0]] - mesh_b.vertices[pairs[:, 1]]
-    depths = -np.einsum("ij,ij->i", mesh_b.normals[pairs[:, 1]], delta)
+    delta = delta[idx]
     loss = float(np.sum(np.linalg.norm(delta, axis=1) ** 2))
-    return PenetrationReport(pairs, delta, depths, loss)
+    return PenetrationReport(np.stack([idx, nearest[idx]], axis=1), delta, depth[idx],
+                             loss, float(dist.min()))
 
 
 def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
@@ -112,7 +109,7 @@ def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
     model = model or default_hand()
     mesh_a = model.posed_mesh(params_clean)
     mesh_b = left_hand_mesh(params_anchor, model)
-    return penetration_report(mesh_a, mesh_b).loss
+    return penetration_set(mesh_a, mesh_b).loss
 
 
 def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
@@ -124,8 +121,9 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     against anchor_meshes[i], the posed left-hand mesh of its anchor.
     eps_hat is held constant, and so is the pair set: it is found once from
     the clean estimate and not differentiated. All rows are posed in one
-    call and differentiated in one call; only the pair set is found row by
-    row. A row whose clean root rotation is rot6d_degenerate (possible under
+    call and differentiated in one call; only the contact is found row by
+    row, by penetration_set, whose pairs and delta give the cotangent. A
+    row whose clean root rotation is rot6d_degenerate (possible under
     untrained weights) gets a zero gradient, as does a row with no pairs.
     ``model`` must be the one that posed the anchors.
     """
@@ -135,7 +133,7 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
     cot = np.zeros_like(verts)
     for r, i in enumerate(ok):
-        report = penetration_report(HandMesh(verts[r], model.faces), anchor_meshes[i])
+        report = penetration_set(HandMesh(verts[r], model.faces), anchor_meshes[i])
         cot[r, report.pairs[:, 0]] = 2.0 * report.delta
     active = cot.any(axis=(1, 2))    # rows with at least one pair
     if active.any():

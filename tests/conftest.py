@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from handpair.hand_model import HandParam
-from handpair.rotations import matrix_to_rot6d, random_rotation
+from handpair.rotations import matrix_to_rot6d
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform-ish random rotation from a QR-orthonormalized Gaussian."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    return q
 
 
 def random_params(rng, theta_scale=0.3, tau_scale=0.1, beta_scale=0.15) -> HandParam:

@@ -108,18 +108,26 @@ def test_manifest_without_tensors_rejected(artifact):
         load(path)
 
 
-@pytest.mark.parametrize("kind, edit", [
-    ("denoiser", lambda m: m.update(profile="paper")),
-    ("denoiser", lambda m: m.update(object_conditional=True)),
-    ("denoiser", lambda m: m.update(profile="huge")),
-    ("denoiser", lambda m: m.pop("profile")),
-    ("backbone", lambda m: m["config"].update(feature_dim=64)),
-    ("backbone", lambda m: m["config"].update(depth=3)),
+# The cause is the error the loader mapped to LayoutMismatch; None when the
+# tensors, not the manifest, raised it.
+@pytest.mark.parametrize("kind, edit, cause", [
+    ("denoiser", lambda m: m.update(profile="paper"), None),
+    ("denoiser", lambda m: m.update(object_conditional=True), None),
+    ("denoiser", lambda m: m.update(profile="huge"), ValueError),
+    ("denoiser", lambda m: m.pop("profile"), KeyError),
+    ("denoiser", lambda m: m.pop("schedule"), KeyError),
+    ("denoiser", lambda m: m["schedule"].pop("betaT"), KeyError),
+    ("backbone", lambda m: m["config"].update(feature_dim=64), None),
+    ("backbone", lambda m: m["config"].update(depth=3), TypeError),
+    ("backbone", lambda m: m.pop("val_loss_curve"), KeyError),
 ], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_unknown_profile",
-        "denoiser_without_profile", "backbone_feature_dim", "backbone_unknown_config_key"])
-def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit):
+        "denoiser_without_profile", "denoiser_without_schedule",
+        "denoiser_schedule_without_betaT", "backbone_feature_dim",
+        "backbone_unknown_config_key", "backbone_without_val_loss_curve"])
+def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit, cause):
     save, load, _ = ARTIFACTS[kind]
     save(tmp_path)
     _edit_manifest(tmp_path, edit)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(LayoutMismatch) as caught:
         load(tmp_path)
+    assert isinstance(caught.value.__cause__, cause or type(None))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import icosphere, random_params
+from conftest import icosphere, random_params, random_rotation
 from handpair.errors import ZeroAreaStar
 from handpair.hand_model import (
     _OCC_CHUNK,
@@ -23,7 +23,6 @@ from handpair.rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
     matrix_to_rot6d,
-    random_rotation,
     rot6d_to_matrix,
 )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from handpair import pointset
+from handpair import mesh, pointset, sampler
 from handpair.backbone import FeatureBackbone
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.hand_model import CapsuleHand, occupancy_left, pair_meshes
@@ -106,6 +106,22 @@ def test_pair_stats_poses_each_hand_once(hand_model, overlapping_pairs, monkeypa
     assert penetrating >= 2
 
 
+def test_pair_stats_makes_one_nearest_vertex_query(hand_model, overlapping_pairs,
+                                                  monkeypatch):
+    queries = []
+
+    class CountingTree(mesh.cKDTree):
+        def query(self, *args, **kwargs):
+            queries.append(1)
+            return super().query(*args, **kwargs)
+
+    monkeypatch.setattr(mesh, "cKDTree", CountingTree)
+    for x_l, x_r in overlapping_pairs:
+        queries.clear()
+        pair_stats(x_l, x_r, hand_model, 2e-3)
+        assert len(queries) == 1
+
+
 @pytest.fixture(scope="module")
 def gaussian_features():
     rng = np.random.default_rng(4)
@@ -194,9 +210,10 @@ def test_metric_report_json_round_trips_exactly():
 @pytest.fixture(scope="module")
 def traced_evaluate(hand_model):
     """metrics.evaluate on 4-pair sets, counting calls of the traced hot spots."""
-    calls = {"occupancy": 0, "forward_one": 0, "farthest_point_indices": 0}
+    calls = {"occupancy": 0, "forward_one": 0, "farthest_point_indices": 0,
+             "penetration_set": 0}
     originals = (CapsuleHand.occupancy, PointSetEncoder.forward_one,
-                 pointset.farthest_point_indices)
+                 pointset.farthest_point_indices, sampler.penetration_set)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -212,6 +229,7 @@ def traced_evaluate(hand_model):
         mp.setattr(PointSetEncoder, "forward_one", counted("forward_one", originals[1]))
         mp.setattr(pointset, "farthest_point_indices",
                    counted("farthest_point_indices", originals[2]))
+        mp.setattr(sampler, "penetration_set", counted("penetration_set", originals[3]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateCovariance)
             report = evaluate(reference, generated, FeatureBackbone(), hand_model, grid=2e-3)
@@ -223,6 +241,7 @@ def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
     assert report.pen_vol_mm3 > 0.0
     assert calls["forward_one"] == 8                       # one cloud per pair, both sets
     assert calls["farthest_point_indices"] == 16           # two levels per cloud
+    assert calls["penetration_set"] == 4                   # one per generated pair
     assert calls["occupancy"] >= 2
 
 

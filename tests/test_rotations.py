@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_rotation
 from handpair.errors import DegenerateRotation
 from handpair.rotations import (
     _cross,
     axis_angle_to_matrix,
     axis_angle_vjp,
     matrix_to_rot6d,
-    random_rotation,
     rot6d_degenerate,
     rot6d_to_matrix,
     rot6d_vjp,

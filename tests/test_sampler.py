@@ -21,21 +21,41 @@ from handpair.sampler import (
     apg_step,
     cfg_mix,
     penetration_loss,
-    penetration_report,
     penetration_set,
     sample_pairs,
 )
 
 
-def brute_force_penetration_set(mesh_a, mesh_b):
-    """O(n^2) evaluation of the nearest-vertex projection test."""
-    pairs = []
+def brute_force_contact(mesh_a, mesh_b):
+    """O(n^2) evaluation of the nearest-vertex projection test: the pairs,
+    their offsets and depths, the loss and the minimum vertex distance."""
+    pairs, delta, depths, min_d2 = [], [], [], np.inf
     for i, v in enumerate(mesh_a.vertices):
         d2 = ((mesh_b.vertices - v) ** 2).sum(axis=1)
         j = int(d2.argmin())
-        if -float(mesh_b.normals[j] @ (v - mesh_b.vertices[j])) > 0.0:
+        min_d2 = min(min_d2, float(d2[j]))
+        depth = -float(mesh_b.normals[j] @ (v - mesh_b.vertices[j]))
+        if depth > 0.0:
             pairs.append((i, j))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            delta.append(v - mesh_b.vertices[j])
+            depths.append(depth)
+    delta = np.array(delta, dtype=float).reshape(-1, 3)
+    return {"pairs": np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            "delta": delta,
+            "depths": np.array(depths, dtype=float),
+            "loss": float(np.sum(np.linalg.norm(delta, axis=1) ** 2)),
+            "min_distance": float(np.sqrt(min_d2))}
+
+
+def assert_matches_brute_force(mesh_a, mesh_b):
+    got, expected = penetration_set(mesh_a, mesh_b), brute_force_contact(mesh_a, mesh_b)
+    np.testing.assert_array_equal(got.pairs, expected["pairs"])
+    np.testing.assert_array_equal(got.delta, expected["delta"])
+    assert got.loss == expected["loss"]
+    assert len(got) == len(expected["pairs"])
+    np.testing.assert_allclose(got.depths, expected["depths"], rtol=0, atol=1e-12)
+    assert abs(got.min_distance - expected["min_distance"]) <= 1e-12
+    return got
 
 
 # -- penetration set -----------------------------------------------------------
@@ -47,8 +67,9 @@ def test_distant_hands_have_empty_set(hand_model):
     b_params = random_params(rng)
     b_params.vector[61] += 1.0  # one meter apart
     b = hand_model.posed_mesh(b_params)
-    assert len(penetration_set(a, b)) == 0
-    assert penetration_report(a, b).loss == 0.0
+    report = penetration_set(a, b)
+    assert len(report) == 0 and report.loss == 0.0
+    assert report.min_distance > 0.5
 
 
 def test_sphere_inside_sphere_matches_brute_force():
@@ -60,10 +81,8 @@ def test_sphere_inside_sphere_matches_brute_force():
                   [np.sin(ang), np.cos(ang), 0], [0, 0, 1]])
     small = HandMesh(small_v @ R.T, small_f)
     big = HandMesh(big_v, big_f)
-    got = penetration_set(small, big)
-    expected = brute_force_penetration_set(small, big)
-    np.testing.assert_array_equal(got, expected)
-    assert set(got[:, 0].tolist()) == set(range(len(small_v)))  # all inside
+    got = assert_matches_brute_force(small, big)
+    assert set(got.pairs[:, 0].tolist()) == set(range(len(small_v)))  # all inside
 
 
 def test_random_posed_pairs_match_brute_force(hand_model):
@@ -71,8 +90,7 @@ def test_random_posed_pairs_match_brute_force(hand_model):
     for _ in range(5):
         a = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
         b = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
-        np.testing.assert_array_equal(
-            penetration_set(a, b), brute_force_penetration_set(a, b))
+        assert_matches_brute_force(a, b)
 
 
 def test_surface_point_excluded():
@@ -82,7 +100,7 @@ def test_surface_point_excluded():
     b = HandMesh(verts_b, faces_b)  # normals all +z
     a = HandMesh(np.array([[0.1, 0.1, 0.0], [0.2, 0.1, 0.3], [0.3, 0.3, -0.2]]),
                  np.array([[0, 1, 2]]))
-    pairs = penetration_set(a, b)
+    pairs = penetration_set(a, b).pairs
     assert 0 not in pairs[:, 0]      # on-surface: excluded by strict inequality
     assert 1 not in pairs[:, 0]      # above: outside
     assert 2 in pairs[:, 0]          # below: inside
@@ -93,9 +111,10 @@ def test_no_nonpositive_depths_ever(hand_model):
     for _ in range(10):
         a = hand_model.posed_mesh(random_params(rng, tau_scale=0.03))
         b = hand_model.posed_mesh(random_params(rng, tau_scale=0.03))
-        report = penetration_report(a, b)
-        report.validate()
-        if len(report.depths):
+        report = penetration_set(a, b)
+        if len(report) == 0:
+            assert report.loss == 0.0
+        else:
             assert report.depths.min() > 0
 
 
@@ -119,7 +138,7 @@ def test_penetration_loss_matches_manual_sum(hand_model):
     x_l, x_r = _overlapping_pair()
     mesh_r = hand_model.posed_mesh(x_r)
     mesh_l = left_hand_mesh(x_l, hand_model)
-    pairs = brute_force_penetration_set(mesh_r, mesh_l)
+    pairs = brute_force_contact(mesh_r, mesh_l)["pairs"]
     assert len(pairs) > 0
     manual = sum(float(((mesh_r.vertices[i] - mesh_l.vertices[j]) ** 2).sum())
                  for i, j in pairs)
@@ -197,7 +216,7 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
                         hand_model)[0]
     pairs = penetration_set(
         hand_model.posed_mesh(HandParam(x0_from_eps(x_prev, eps_hat, t_prev, sched))),
-        anchor_mesh)
+        anchor_mesh).pairs
     assert len(pairs) > 0
 
     def frozen_loss(xp):
