@@ -14,13 +14,17 @@ An artifact is a directory holding two files:
 load_checkpoint(path, kind) checks, in this order, the kind, then the
 layout (every entry is "<f4", and the entries in sorted-name order tile the
 blob exactly, with no gap), then the checksum. So a truncated blob raises
-LayoutMismatch and a blob with a changed byte raises ChecksumMismatch.
-Tensors load as float64: a float32 value round-trips exactly, a float64
-value comes back as its float32 rounding. The network loaders also raise
-LayoutMismatch, chained from the original error, when the manifest lacks
-the denoiser's schedule or the backbone's loss curve, when its config cannot
-be built, or when it builds other tensors than the blob holds. The
-save_*/load_* pairs below are the only code that reads or writes artifacts.
+LayoutMismatch and a blob with a changed byte raises ChecksumMismatch. A
+manifest that is not a JSON object, or a tensor entry that is not a mapping
+with a shape, raises LayoutMismatch too, chained from the original error.
+Tensors load as stored, float32. The denoiser and the dataset keep them,
+so a reload is the saved artifact bit for bit; the backbone loader upcasts
+them to float64, so a backbone weight comes back as its float32 rounding.
+The network loaders also raise LayoutMismatch, chained from the original
+error, when the manifest lacks the denoiser's schedule or the backbone's
+loss curve, when its config or schedule cannot be built, or when it builds
+other tensors than the blob holds. The save_*/load_* pairs below are the
+only code that reads or writes artifacts.
 """
 
 from __future__ import annotations
@@ -66,9 +70,14 @@ def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
 
 
 def load_checkpoint(path, kind: str):
-    """Returns (tensors as float64, manifest dict) of a ``kind`` artifact."""
+    """Returns (tensors as stored, float32, manifest dict) of a ``kind`` artifact."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    try:
+        manifest = json.loads((path / "manifest.json").read_text())
+    except json.JSONDecodeError as err:
+        raise LayoutMismatch(f"manifest.json is not JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise LayoutMismatch("manifest.json does not hold a JSON object")
     if manifest.get("kind") != kind:
         raise LayoutMismatch(f"expected a {kind} artifact, got {manifest.get('kind')!r}")
     entries = manifest.get("tensors")
@@ -78,16 +87,21 @@ def load_checkpoint(path, kind: str):
     offset = 0
     for name in sorted(entries):
         entry = entries[name]
-        if entry.get("dtype") != "<f4" or entry.get("offset") != offset:
+        try:
+            placed = entry.get("dtype") == "<f4" and entry.get("offset") == offset
+            size = 4 * math.prod(entry["shape"])
+        except (AttributeError, KeyError, TypeError) as err:
+            raise LayoutMismatch(f"{name}: malformed tensor entry: {err!r}") from err
+        if not placed:
             raise LayoutMismatch(f"{name}: expected a '<f4' tensor at byte {offset}")
-        offset += 4 * math.prod(entry["shape"])
+        offset += size
     if offset != len(blob):
         raise LayoutMismatch(f"tensors cover {offset} bytes of a {len(blob)}-byte blob")
     if hashlib.sha256(blob).hexdigest() != manifest["checksum"]:
         raise ChecksumMismatch("weights.f32 checksum does not match the manifest")
     tensors = {
         name: np.frombuffer(blob, "<f4", math.prod(entry["shape"]), entry["offset"])
-        .astype(float).reshape(entry["shape"])
+        .astype(np.float32).reshape(entry["shape"])
         for name, entry in entries.items()
     }
     return tensors, manifest
@@ -113,11 +127,11 @@ def load_denoiser(path):
                                 object_conditional=manifest["object_conditional"])
         config.widths()
         s = manifest["schedule"]
-        T, beta1, betaT = s["T"], s["beta1"], s["betaT"]
+        sched = make_schedule(s["T"], s["beta1"], s["betaT"])
     except (KeyError, TypeError, ValueError) as err:
         raise LayoutMismatch(f"manifest names no denoiser config or schedule: {err!r}") from err
     den = Denoiser(config, params=tensors)
-    return den, make_schedule(T, beta1, betaT), manifest
+    return den, sched, manifest
 
 
 def save_backbone(path, backbone: FeatureBackbone) -> None:
@@ -130,6 +144,7 @@ def save_backbone(path, backbone: FeatureBackbone) -> None:
 
 def load_backbone(path) -> FeatureBackbone:
     tensors, manifest = load_checkpoint(path, "backbone")
+    tensors = {name: t.astype(float) for name, t in tensors.items()}
     try:
         config = BackboneConfig(**manifest["config"])
         curve = list(manifest["val_loss_curve"])

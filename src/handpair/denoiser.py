@@ -14,6 +14,10 @@ Profiles:
   "small": token 128, embed hidden 256, 1 attention block, FFN 256,
            global feature 256, decoder width 256. Used by the fast tests.
 Both profiles share N_HEADS attention heads and DROP_RATE dropout.
+
+The network computes in the dtype of its parameters, float32 when it draws
+them itself: predict and backward cast their inputs to that dtype, and
+predict returns float64, so the diffusion algebra around it stays float64.
 """
 
 from __future__ import annotations
@@ -124,6 +128,8 @@ class Denoiser:
 
         if params is None:
             params = self._init_params(rng_stream(seed, TAG_INIT))
+            for name in params:     # in place: each float64 draw is freed once cast
+                params[name] = params[name].astype(np.float32)
         else:
             check_layout(params, self._init_params)
         self.params = params
@@ -149,8 +155,10 @@ class Denoiser:
         object_embedding: (B, d) precomputed tokens for a fixed cloud
         (inference fast path; backward requires raw clouds).
         """
-        x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-        cond = np.atleast_2d(np.asarray(cond, dtype=float))
+        params = self.params
+        dtype = params["null_token"].dtype
+        x_t = np.atleast_2d(np.asarray(x_t, dtype=dtype))
+        cond = np.atleast_2d(np.asarray(cond, dtype=dtype))
         B = len(x_t)
         if x_t.shape != (B, DIM) or cond.shape != (B, DIM):
             raise ShapeMismatch(f"bad input shapes {x_t.shape}, {cond.shape}")
@@ -161,15 +169,15 @@ class Denoiser:
         if self.config.object_conditional and objects is None and object_embedding is None:
             raise MissingObject("object-conditional model called without a cloud")
 
-        params = self.params
         ex = self.emb_x.forward(params, x_t, cache)
         ec_raw = self.emb_c.forward(params, cond, cache)
         ec = np.where(drop_mask[:, None], params["null_token"][None, :], ec_raw)
-        et = self.emb_t.forward(params, sinusoidal_embedding(t, self.d_token), cache)
+        emb = sinusoidal_embedding(t, self.d_token).astype(dtype)
+        et = self.emb_t.forward(params, emb, cache)
         toks = [ex, ec, et]
         if self.obj_encoder is not None:
             if object_embedding is not None:
-                toks.append(np.asarray(object_embedding, dtype=float).reshape(B, self.d_token))
+                toks.append(np.asarray(object_embedding, dtype=dtype).reshape(B, self.d_token))
             else:
                 toks.append(self.obj_encoder.forward_batch(params, objects, cache))
         x = np.stack(toks, axis=1)                      # (B, S, d)
@@ -185,20 +193,21 @@ class Denoiser:
                 h = relu_forward(h, f"dec{i}.relu", cache)
         if cache is not None:
             cache["#meta"] = (B, drop_mask)
-        return h
+        return h.astype(float, copy=False)
 
     # -- backward ----------------------------------------------------------
 
     def backward(self, dout, cache) -> dict:
         """Accumulates parameter grads for a predict() call made with cache."""
         params = self.params
+        dtype = params["null_token"].dtype
         grads: dict[str, np.ndarray] = {}
         B, drop_mask = cache["#meta"]
         d = self.d_token
         n_skip = (self.n_tokens - 1) * d
-        dec_dh = dout
-        d_ex = np.zeros((B, d))
-        d_skip = np.zeros((B, n_skip))
+        dec_dh = np.asarray(dout, dtype=dtype)
+        d_ex = np.zeros((B, d), dtype)
+        d_skip = np.zeros((B, n_skip), dtype)
         for i in range(N_DECODER_LAYERS, 0, -1):
             if i < N_DECODER_LAYERS:
                 dec_dh = relu_backward(dec_dh, f"dec{i}.relu", cache)

@@ -1,13 +1,17 @@
 """Minimal dense-network toolkit: layers with explicit backward passes.
 
-Parameters live in a flat dict[str, np.ndarray] (float64); each layer owns a
-name prefix. Forward passes optionally record caches keyed by prefix so the
+Parameters live in a flat dict[str, np.ndarray]; each layer owns a name
+prefix, and computes in the dtype of the arrays it is given, so a layer keeps
+float32 inputs and weights in float32 (no float64 scalar or buffer promotes
+them). Forward passes optionally record caches keyed by prefix so the
 matching backward pass can accumulate into a grads dict. Everything is
 deterministic given the generators passed in; dropout is active only when a
 generator is supplied to a training-mode forward.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -121,7 +125,7 @@ def dropout_forward(x, rate, name, cache=None, rng=None):
         if cache is not None:
             cache[name] = None
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     if cache is not None:
         cache[name] = mask
     return x * mask
@@ -158,7 +162,7 @@ class SelfAttention:
         q = self._split(self.wq.forward(params, x, cache))
         k = self._split(self.wk.forward(params, x, cache))
         v = self._split(self.wv.forward(params, x, cache))
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.dh)
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.dh)
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         att = e / e.sum(axis=-1, keepdims=True)
@@ -177,7 +181,7 @@ class SelfAttention:
         datt = dctx @ v.transpose(0, 1, 3, 2)
         dv = att.transpose(0, 1, 3, 2) @ dctx
         dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
-        dscores /= np.sqrt(self.dh)
+        dscores /= math.sqrt(self.dh)
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
         merge = lambda z: z.transpose(0, 2, 1, 3).reshape(B, S, self.d)  # noqa: E731

@@ -7,7 +7,8 @@ ragged, as in PointNet++ (Qi et al. 2017): the member rows of all groups
 are stacked one group after another, with no padding, the shared MLP runs
 on those rows only, and each group is max-pooled over its own rows.
 Gradients flow through features and weights only; point coordinates are
-treated as data.
+treated as data. Coordinates, sampling and grouping are float64; the MLPs
+run in the dtype of their weights.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class SetAbstraction:
         bounds = np.searchsorted(rows, np.arange(len(centroids) + 1))
         rel = xyz[cols] - centroids[rows]
         h = rel if feats is None else np.concatenate([rel, feats[cols]], axis=1)
+        h = h.astype(params[self.linears[0].name + ".W"].dtype, copy=False)
         local_cache = {} if cache is not None else None
         for k, lin in enumerate(self.linears):
             h = lin.forward(params, h, local_cache)
@@ -86,14 +88,14 @@ class SetAbstraction:
     def backward(self, params, grads, dpooled, cache, n_points):
         """Returns gradient w.r.t. the input feats (None when feats was None)."""
         local_cache, cols, arg, had_feats = cache[self.name]
-        dh = np.zeros((len(cols), dpooled.shape[1]))
+        dh = np.zeros((len(cols), dpooled.shape[1]), dpooled.dtype)
         dh[arg, np.arange(dpooled.shape[1])] = dpooled
         for k in range(len(self.linears) - 1, -1, -1):
             dh = relu_backward(dh, f"{self.name}.relu{k}", local_cache)
             dh = self.linears[k].backward(params, grads, dh, local_cache)
         if not had_feats:
             return None
-        dfeats = np.zeros((n_points, dh.shape[1] - 3))
+        dfeats = np.zeros((n_points, dh.shape[1] - 3), dh.dtype)
         np.add.at(dfeats, cols, dh[:, 3:])
         return dfeats
 
@@ -138,7 +140,7 @@ class PointSetEncoder:
     def backward_one(self, params, grads, dout, cache) -> None:
         dpooled = self.head.backward(params, grads, dout[None, :], cache)[0]
         arg, f2_shape, n1, n0 = cache[self.name + ".gpool"]
-        df2 = np.zeros(f2_shape)
+        df2 = np.zeros(f2_shape, dpooled.dtype)
         df2[arg, np.arange(f2_shape[1])] = dpooled
         df1 = self.sa2.backward(params, grads, df2, cache, n1)
         self.sa1.backward(params, grads, df1, cache, n0)
@@ -146,7 +148,7 @@ class PointSetEncoder:
     def forward_batch(self, params, clouds, cache=None):
         """(B, out_dim) embeddings; per-cloud caches go under cache[self.name]."""
         per_cloud = [{} if cache is not None else None for _ in clouds]
-        out = np.empty((len(clouds), self.out_dim))
+        out = np.empty((len(clouds), self.out_dim), params[self.head.name + ".W"].dtype)
         for i, (cloud, one) in enumerate(zip(clouds, per_cloud)):
             out[i] = self.forward_one(params, cloud, one)
         if cache is not None:

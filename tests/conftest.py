@@ -59,6 +59,15 @@ def icosphere(subdivisions=2, radius=1.0):
     return np.array(verts) * radius, np.array(faces, dtype=np.int64)
 
 
+def float64_twin(denoiser):
+    """The same network with its float32 weights held as float64, so it
+    computes in float64: for checks whose tolerance is below float32's."""
+    from handpair.denoiser import Denoiser
+
+    params = {name: value.astype(float) for name, value in denoiser.params.items()}
+    return Denoiser(denoiser.config, params=params)
+
+
 @pytest.fixture(scope="session")
 def hand_model():
     from handpair.hand_model import default_hand

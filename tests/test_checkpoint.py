@@ -28,9 +28,10 @@ def test_denoiser_round_trip_is_float32_exact(tmp_path):
     assert manifest["kind"] == "denoiser"
     assert loaded.config == den.config
     assert sorted(loaded.params) == sorted(den.params)
-    # Weights are stored as float32, so the reload is the float32 rounding.
+    # The network holds float32 weights and the blob stores them as they are.
     for name, value in den.params.items():
-        np.testing.assert_array_equal(loaded.params[name], value.astype("<f4").astype(float))
+        assert value.dtype == loaded.params[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded.params[name], value)
     np.testing.assert_array_equal(loaded_sched.alpha_bar, sched.alpha_bar)
     save_denoiser(tmp_path / "b", loaded, loaded_sched)
     assert (tmp_path / "b" / "weights.f32").read_bytes() == \
@@ -108,6 +109,21 @@ def test_manifest_without_tensors_rejected(artifact):
         load(path)
 
 
+@pytest.mark.parametrize("damage, cause", [
+    (lambda path: _edit_manifest(path, lambda m: m["tensors"][min(m["tensors"])].pop("shape")),
+     KeyError),
+    (lambda path: _edit_manifest(path, lambda m: m["tensors"].update(
+        {min(m["tensors"]): [1, 2]})), AttributeError),
+    (lambda path: (path / "manifest.json").write_text('{"kind": '), json.JSONDecodeError),
+], ids=["entry_without_shape", "entry_not_a_mapping", "manifest_not_json"])
+def test_malformed_manifest_rejected(artifact, damage, cause):
+    path, load, _ = artifact
+    damage(path)
+    with pytest.raises(LayoutMismatch) as caught:
+        load(path)
+    assert isinstance(caught.value.__cause__, cause)
+
+
 # The cause is the error the loader mapped to LayoutMismatch; None when the
 # tensors, not the manifest, raised it.
 @pytest.mark.parametrize("kind, edit, cause", [
@@ -117,12 +133,14 @@ def test_manifest_without_tensors_rejected(artifact):
     ("denoiser", lambda m: m.pop("profile"), KeyError),
     ("denoiser", lambda m: m.pop("schedule"), KeyError),
     ("denoiser", lambda m: m["schedule"].pop("betaT"), KeyError),
+    ("denoiser", lambda m: m["schedule"].update(T="256"), TypeError),
     ("backbone", lambda m: m["config"].update(feature_dim=64), None),
     ("backbone", lambda m: m["config"].update(depth=3), TypeError),
     ("backbone", lambda m: m.pop("val_loss_curve"), KeyError),
 ], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_unknown_profile",
         "denoiser_without_profile", "denoiser_without_schedule",
-        "denoiser_schedule_without_betaT", "backbone_feature_dim",
+        "denoiser_schedule_without_betaT", "denoiser_schedule_T_string",
+        "backbone_feature_dim",
         "backbone_unknown_config_key", "backbone_without_val_loss_curve"])
 def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit, cause):
     save, load, _ = ARTIFACTS[kind]
