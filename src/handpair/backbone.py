@@ -8,7 +8,6 @@ are the penultimate activations, BackboneConfig.feature_dim of them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ from .data import Dataset, split_indices
 from .errors import EmptyDataset
 from .hand_model import HandParam, default_hand, pair_meshes, relative_root
 from .mesh import sample_surface_points
-from .nn import TAG_INIT, Adam, Linear, check_layout, relu_backward, relu_forward, rng_stream
+from .nn import (TAG_BACKBONE_STEP, TAG_INIT, Adam, Linear, check_layout, relu_backward,
+                 relu_forward, rng_stream)
 from .pointset import PointSetEncoder
 
 TARGET_DIM = 99
@@ -81,13 +81,6 @@ class FeatureBackbone:
         opt.step(self.params, grads, lr)
         return loss
 
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.params):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
-        return h.hexdigest()
-
 
 def build_clouds(dataset: Dataset, n_points: int, model=None, seed: int = 0) -> np.ndarray:
     """Surface clouds for every record, keyed per index for determinism."""
@@ -129,7 +122,7 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
     step = 0
     for _ in range(config.epochs):
         for _ in range(steps_per_epoch):
-            rng = rng_stream(config.seed, (1 << 32) + step)
+            rng = rng_stream(config.seed, TAG_BACKBONE_STEP + step)
             pick = rng.choice(train_idx, size=min(config.batch_size, len(train_idx)),
                               replace=False)
             bb.train_step(clouds[pick], targets[pick], opt, config.lr)

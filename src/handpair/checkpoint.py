@@ -46,23 +46,26 @@ from .errors import ChecksumMismatch, LayoutMismatch
 from .hand_model import DIM
 
 
+def checksum(tensors: dict) -> str:
+    """sha256 of ``tensors`` as weights.f32 stores them: the name of a set of weights."""
+    h = hashlib.sha256()
+    for name in sorted(tensors):
+        h.update(np.ascontiguousarray(tensors[name], dtype="<f4"))
+    return h.hexdigest()
+
+
 def save_checkpoint(path, tensors: dict, manifest_extra: dict) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    entries = {}
-    parts = []
-    offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        raw = arr.tobytes()
+    arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
+    entries, offset = {}, 0
+    for name, arr in arrays.items():
         entries[name] = {"shape": list(arr.shape), "dtype": "<f4", "offset": offset}
-        parts.append(raw)
-        offset += len(raw)
-    blob = b"".join(parts)
-    (path / "weights.f32").write_bytes(blob)
+        offset += arr.nbytes
+    (path / "weights.f32").write_bytes(b"".join(arr.tobytes() for arr in arrays.values()))
     manifest = {
         "tensors": entries,
-        "checksum": hashlib.sha256(blob).hexdigest(),
+        "checksum": checksum(arrays),
         "tool_version": __version__,
         **manifest_extra,
     }
@@ -97,13 +100,13 @@ def load_checkpoint(path, kind: str):
         offset += size
     if offset != len(blob):
         raise LayoutMismatch(f"tensors cover {offset} bytes of a {len(blob)}-byte blob")
-    if hashlib.sha256(blob).hexdigest() != manifest["checksum"]:
-        raise ChecksumMismatch("weights.f32 checksum does not match the manifest")
     tensors = {
         name: np.frombuffer(blob, "<f4", math.prod(entry["shape"]), entry["offset"])
         .astype(np.float32).reshape(entry["shape"])
         for name, entry in entries.items()
     }
+    if checksum(tensors) != manifest["checksum"]:
+        raise ChecksumMismatch("weights.f32 checksum does not match the manifest")
     return tensors, manifest
 
 

@@ -2,7 +2,7 @@
 
 
 class HandpairError(Exception):
-    """Base class; CLI maps subclasses to single-line error reports."""
+    """Base class of the errors handpair raises; there is no CLI yet that reports them."""
 
 
 class DegenerateRotation(HandpairError):

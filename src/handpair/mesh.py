@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ZeroAreaStar
+from .nn import TAG_SURFACE, rng_stream
 from .rotations import MIRROR_MAT
 
 
@@ -75,7 +76,7 @@ def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
     areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
                                  axis=1)
     probs = areas / areas.sum()
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x5A3E]))
+    rng = rng_stream(seed, TAG_SURFACE)
     idx = rng.choice(len(tris), size=n, p=probs)
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)

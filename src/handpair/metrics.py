@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import sampler
+from .checkpoint import checksum
 from .hand_model import HandParam, default_hand, occupancy_left, pair_meshes
 from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
@@ -301,6 +302,6 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
         **agg,
         n_reference=len(reference),
         n_generated=len(generated),
-        backbone_checksum=backbone.checksum(),
+        backbone_checksum=checksum(backbone.params),
         per_category=per_category,
     )

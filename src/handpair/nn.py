@@ -24,17 +24,21 @@ ADAM_EPS = 1e-8        # added to sqrt(second moment) in the Adam denominator
 
 
 def rng_stream(seed: int, tag: int) -> np.random.Generator:
-    """Counter-based generator keyed on (seed, tag); independent per tag."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, tag % 2**64]))
+    """Counter-based generator keyed on (seed, tag); independent per tag. Its
+    uint64 key gives every integer seed, negative or NumPy, its own stream."""
+    key = np.array([int(seed) % 2**64, int(tag) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-# Tag spaces for derived streams (keep disjoint from small step counters).
-TAG_INIT = 1 << 62
-TAG_SAMPLE = 1 << 61
-TAG_DATA = 1 << 60
-TAG_SPLIT = 1 << 59
-TAG_METRIC = 1 << 57
-TAG_REG = 1 << 56
+TAG_INIT = 1 << 62            # Denoiser weights; + 1: FeatureBackbone weights
+TAG_SAMPLE = 1 << 61          # + i: sample_pairs, pair i
+TAG_DATA = 1 << 60            # + i: generate_synthetic, record i
+TAG_SPLIT = 1 << 59           # split_indices
+TAG_METRIC = 1 << 57          # khid; + 1: diversity
+TAG_REG = 1 << 56             # regularizer "fixed" noise; + 1 + k: "fresh" noise of call k
+TAG_BACKBONE_STEP = 1 << 32   # + s: train_backbone batch s (diffusion.train step s is tag s)
+TAG_SURFACE = 0x5A3E          # sample_surface_points. As 23,102 it lies among diffusion.train's
+#                               step tags; kept so that every surface cloud stays bit-identical.
 
 
 class Linear:

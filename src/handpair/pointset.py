@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import ShapeMismatch, TooFewPoints
 from .nn import Linear, relu_backward, relu_forward
 
 
@@ -126,7 +126,7 @@ class PointSetEncoder:
     def forward_one(self, params, cloud, cache=None):
         cloud = np.asarray(cloud, dtype=float)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
-            raise TooFewPoints(f"expected (N,3) cloud, got {cloud.shape}")
+            raise ShapeMismatch(f"expected (N,3) cloud, got {cloud.shape}")
         if len(cloud) < MIN_POINTS:
             raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(cloud)}")
         xyz1, f1 = self.sa1.forward(params, cloud, None, cache)

@@ -25,16 +25,15 @@ class RegularizerConfig:
     noise_mode: str = "fresh"     # "fresh" draws per call_index; "fixed" reuses one draw
     seed: int = 0
 
+    def __post_init__(self):
+        if self.noise_mode not in ("fresh", "fixed"):
+            raise ValueError(f"noise_mode must be 'fresh' or 'fixed', got {self.noise_mode!r}")
+
     def resolve_t(self, sched: DiffusionSchedule) -> int:
         t = self.t_reg if self.t_reg is not None else int(round(sched.T / 8))
         if not 1 <= t <= sched.T:
             raise ValueError(f"t_reg must be in [1, T], got {t}")
         return t
-
-
-def _draw_noise(config: RegularizerConfig, call_index: int) -> np.ndarray:
-    tag = TAG_REG if config.noise_mode == "fixed" else TAG_REG + 1 + call_index
-    return rng_stream(config.seed, tag).standard_normal((2, DIM))
 
 
 def forward_reverse_step(denoiser, sched: DiffusionSchedule, x_l: HandParam,
@@ -61,7 +60,8 @@ def reg_loss_and_grad(denoiser, sched: DiffusionSchedule, x_l: HandParam,
     """(loss, d loss/d x_l, d loss/d x_r); loss = |critic pair - pair|, critic detached."""
     t_reg = config.resolve_t(sched)
     if noise is None:
-        noise = _draw_noise(config, call_index)
+        tag = TAG_REG if config.noise_mode == "fixed" else TAG_REG + 1 + call_index
+        noise = rng_stream(config.seed, tag).standard_normal((2, DIM))
     x_l_hat, x_r_hat = forward_reverse_step(denoiser, sched, x_l, x_r, t_reg, noise)
     diff = np.concatenate([x_l_hat.vector - x_l.vector,
                            x_r_hat.vector - x_r.vector])

@@ -201,9 +201,7 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
 
     noise = np.empty((2, B, DIM))
     for i in range(B):
-        rng = rng_stream(config.seed, TAG_SAMPLE + i)
-        noise[0, i] = rng.standard_normal(DIM)
-        noise[1, i] = rng.standard_normal(DIM)
+        noise[:, i] = rng_stream(config.seed, TAG_SAMPLE + i).standard_normal((2, DIM))
 
     object_embedding = None
     if getattr(denoiser, "config", None) is not None and denoiser.config.object_conditional:

@@ -1,9 +1,13 @@
 """Every config field is passed by some caller in src/, bench/ or tests/,
-and every error class is raised somewhere in src/.
+every error class is raised somewhere in src/, and each of two rules has
+one owner in src/: nn.rng_stream builds every random generator but the one
+of data's fixed mode templates, and checkpoint alone hashes (its checksum
+names every set of weights).
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
-that nothing raises promises callers a failure that cannot happen.
+that nothing raises promises callers a failure that cannot happen. A second
+generator or hash is a second copy of a rule, free to drift from the first.
 """
 
 import ast
@@ -17,6 +21,13 @@ from handpair.regularizer import RegularizerConfig
 from handpair.sampler import SampleConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "handpair"
+GENERATOR_BUILDERS = {"Philox", "Generator", "default_rng"}
+# (module, function) of each generator built outside nn.rng_stream. The mode
+# templates of two_mode_spec come from default_rng(1234); drawing them from
+# rng_stream would change every synthetic dataset, and with them the data the
+# committed bench fixture was trained on.
+FIXED_TEMPLATE_STREAMS = {("data", "two_mode_spec")}
 FIELDS = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
           for cls in (SampleConfig, TrainConfig, BackboneConfig, DenoiserConfig,
                       RegularizerConfig)}
@@ -45,15 +56,63 @@ def test_every_config_field_is_passed_by_some_caller():
 
 
 def test_every_error_class_is_raised_in_src():
-    package = ROOT / "src" / "handpair"
     # errors.py holds HandpairError and its subclasses, nothing else.
-    errors = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+    errors = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
               if isinstance(node, ast.ClassDef)} - {"HandpairError"}
     raised = set()
-    for path in sorted(package.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(_callee(exc))
     never = sorted(errors - raised)
     assert not never, f"error classes nothing in src/ raises: {never}"
+
+
+def _calls_by_function(node, owner=None):
+    """(name of the innermost enclosing function or None, call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else owner
+        yield from _calls_by_function(child, inner)
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def test_only_rng_stream_builds_generators():
+    builders = {(module, owner) for module, tree in _modules()
+                for owner, call in _calls_by_function(tree)
+                if _callee(call.func) in GENERATOR_BUILDERS}
+    assert builders - FIXED_TEMPLATE_STREAMS == {("nn", "rng_stream")}
+
+
+def test_only_checkpoint_hashes():
+    users = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                names = [node.id] if isinstance(node, ast.Name) else []
+            if "hashlib" in names:
+                users.add(module)
+    assert users == {"checkpoint"}
+
+
+def test_stream_tags_are_distinct():
+    tags = {}
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                    and node.targets[0].id.startswith("TAG_"):
+                value = eval(compile(ast.Expression(node.value), module, "eval"), {})
+                tags[f"{module}.{node.targets[0].id}"] = value
+    assert len(tags) >= 8, tags     # the eight of nn's table, at least
+    assert len(set(tags.values())) == len(tags), tags

@@ -182,6 +182,12 @@ def test_embed_object_too_few_points():
         den.embed_object(np.zeros((8, 3)))
 
 
+def test_embed_object_rejects_a_cloud_that_is_not_xyz():
+    den = Denoiser(DenoiserConfig("small", object_conditional=True), seed=4)
+    with pytest.raises(ShapeMismatch):
+        den.embed_object(np.zeros((64, 2)))
+
+
 def test_paper_profile_builds_and_runs():
     den = Denoiser(DenoiserConfig("paper"), seed=0)
     rng = np.random.default_rng(8)

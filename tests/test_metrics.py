@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from handpair import mesh, pointset, sampler
-from handpair.backbone import FeatureBackbone
+from handpair.backbone import BackboneConfig, FeatureBackbone
+from handpair.checkpoint import load_backbone, save_backbone
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.hand_model import CapsuleHand, occupancy_left, pair_meshes
 from handpair.metrics import (
@@ -261,3 +263,16 @@ def test_evaluate_averages_the_per_category_reports(hand_model):
     for key in report.per_category["box"]:
         expected = float(np.mean([v[key] for v in report.per_category.values()]))
         assert getattr(report, key) == expected, key
+
+
+def test_report_names_its_backbone_by_the_saved_manifest_checksum(hand_model, tmp_path):
+    reference = generate_synthetic(two_mode_spec(count=4, seed=1))
+    generated = generate_synthetic(two_mode_spec(count=4, seed=2))
+    backbone = FeatureBackbone(BackboneConfig(feature_dim=32, n_surface=64))
+    save_backbone(tmp_path, backbone)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        for scored_with in (backbone, load_backbone(tmp_path)):
+            report = evaluate(reference, generated, scored_with, hand_model)
+            assert report.backbone_checksum == manifest["checksum"]

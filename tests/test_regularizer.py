@@ -66,6 +66,11 @@ def test_fixed_noise_is_deterministic():
     assert c != d
 
 
+def test_unknown_noise_mode_is_rejected():
+    with pytest.raises(ValueError, match="noise_mode"):
+        RegularizerConfig(noise_mode="fixd")
+
+
 def test_fixed_point_has_zero_loss():
     # A critic that reproduces the pair exactly: loss 0, gradients 0.
     sched = make_schedule(4, 1e-15, 1e-15)
