@@ -3,7 +3,10 @@
 Parameters live in a flat dict[str, np.ndarray]; each layer owns a name
 prefix, and computes in the dtype of the arrays it is given, so a layer keeps
 float32 inputs and weights in float32 (no float64 scalar or buffer promotes
-them). Forward passes optionally record caches keyed by prefix so the
+them). A `Linear` treats every leading axis of its input as rows of one
+matrix, so a (B, S, d) token stack is one 2-D gemm, not one per row of B.
+`Adam` updates moments and parameters in place, in chunks that fit the
+cache. Forward passes optionally record caches keyed by prefix so the
 matching backward pass can accumulate into a grads dict. Everything is
 deterministic given the generators passed in; dropout is active only when a
 generator is supplied to a training-mode forward.
@@ -21,6 +24,7 @@ LN_EPS = 1e-5          # added to the LayerNorm variance before the square root
 ADAM_BETA1 = 0.9       # Adam decay rate of the first-moment (mean) estimate
 ADAM_BETA2 = 0.999     # Adam decay rate of the second-moment estimate
 ADAM_EPS = 1e-8        # added to sqrt(second moment) in the Adam denominator
+ADAM_CHUNK = 1 << 16   # elements per in-place Adam chunk: 6 float32 chunks, 1.5 MB, fit L2
 
 
 def rng_stream(seed: int, tag: int) -> np.random.Generator:
@@ -42,6 +46,10 @@ TAG_SURFACE = 0x5A3E          # sample_surface_points. As 23,102 it lies among d
 
 
 class Linear:
+    """y = x W + b over the last axis. Every leading axis is a row of one
+    matrix: forward and backward reshape to (rows, d) and run one 2-D gemm
+    per product, then restore the leading axes."""
+
     def __init__(self, name: str, d_in: int, d_out: int):
         self.name = name
         self.d_in = d_in
@@ -57,18 +65,18 @@ class Linear:
             params[self.name + ".b"] = np.zeros(self.d_out)
 
     def forward(self, params, x, cache=None):
-        y = x @ params[self.name + ".W"] + params[self.name + ".b"]
+        x2 = x.reshape(-1, self.d_in)
+        y = x2 @ params[self.name + ".W"] + params[self.name + ".b"]
         if cache is not None:
-            cache[self.name] = x
-        return y
+            cache[self.name] = x2
+        return y.reshape(*x.shape[:-1], self.d_out)
 
     def backward(self, params, grads, dy, cache):
-        x = cache[self.name]
-        x2 = x.reshape(-1, self.d_in)
+        x2 = cache[self.name]
         dy2 = dy.reshape(-1, self.d_out)
         _acc(grads, self.name + ".W", x2.T @ dy2)
         _acc(grads, self.name + ".b", dy2.sum(axis=0))
-        return dy @ params[self.name + ".W"].T
+        return (dy2 @ params[self.name + ".W"].T).reshape(*dy.shape[:-1], self.d_in)
 
 
 class LayerNorm:
@@ -233,6 +241,12 @@ class TransformerBlock:
 
 
 class Adam:
+    """Adam with bias correction. ``step`` updates the moments and each
+    parameter in place, walking the flattened tensors in chunks of
+    ``ADAM_CHUNK`` elements through two scratch buffers that stay in cache;
+    the arithmetic is the textbook expression's, in its order, so the step
+    is the same to the bit as the whole-tensor update."""
+
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -243,16 +257,43 @@ class Adam:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
+        scratch = {}
         for name in sorted(grads):
-            g = grads[name]
+            g = np.ravel(grads[name])
             if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / corr1
-            vhat = self.v[name] / corr2
-            params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                self.m[name] = np.zeros(grads[name].shape, g.dtype)
+                self.v[name] = np.zeros(grads[name].shape, g.dtype)
+            p = params[name]
+            # A non-C-contiguous parameter is updated through a C-order copy
+            # and written back, since reshape(-1) of it would be a copy.
+            work = p if p.flags.c_contiguous else np.ascontiguousarray(p)
+            if g.dtype not in scratch:
+                scratch[g.dtype] = (np.empty(ADAM_CHUNK, g.dtype), np.empty(ADAM_CHUNK, g.dtype))
+            a, b = scratch[g.dtype]
+            m, v, w = self.m[name].reshape(-1), self.v[name].reshape(-1), work.reshape(-1)
+            for lo in range(0, g.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, g.size)
+                gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+                ta, tb = a[:hi - lo], b[:hi - lo]
+                # m = b1*m + (1-b1)*g
+                np.multiply(mc, b1, out=mc)
+                np.multiply(gc, 1 - b1, out=ta)
+                mc += ta
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(vc, b2, out=vc)
+                np.multiply(gc, 1 - b2, out=ta)
+                ta *= gc
+                vc += ta
+                # p -= lr*(m/corr1) / (sqrt(v/corr2) + eps)
+                np.divide(mc, corr1, out=ta)
+                ta *= lr
+                np.divide(vc, corr2, out=tb)
+                np.sqrt(tb, out=tb)
+                tb += ADAM_EPS
+                ta /= tb
+                w[lo:hi] -= ta
+            if work is not p:
+                p[...] = work
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
