@@ -50,11 +50,16 @@ class Dataset:
         return self.objects_[np.asarray(idx)].astype(float)
 
     def subset(self, idx) -> "Dataset":
+        """Records at an index list or array, or where a boolean mask is true."""
         idx = np.asarray(idx)
+        if idx.dtype == bool:
+            idx = np.flatnonzero(idx)
+        elif idx.size == 0:  # np.asarray([]) is float64
+            idx = idx.astype(np.intp)
         return Dataset(
             self.params[idx],
             self.objects_[idx] if self.has_objects else None,
-            [self.categories[i] for i in idx] if self.categories else None,
+            [self.categories[i] for i in idx] if self.categories is not None else None,
             self.mode_ids[idx] if self.mode_ids is not None else None,
         )
 
@@ -167,7 +172,8 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
     Every sample owns generator (seed, TAG_DATA + index), so generation is
     order-independent and byte-stable. The acceptance test for the rejection
     rule checks the stored float32 values, so the candidate is cast to f32
-    before the penetration test.
+    before the penetration test. With max_penetration = inf every draw is
+    accepted untested, as the test would accept every finite loss.
     """
     model = model or default_hand()
     K = len(spec.modes)
@@ -193,6 +199,8 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
             x_r = HandParam.from_parts(theta=theta_r, beta=beta,
                                        omega=matrix_to_rot6d(R), tau=tau)
             row = np.concatenate([x_l.vector, x_r.vector]).astype("<f4")
+            if spec.max_penetration == np.inf:
+                break
             stored_l, stored_r = Dataset(row).pair(0)
             if sampler.penetration_loss(stored_r, stored_l, model) <= spec.max_penetration:
                 break

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from handpair import sampler
 from handpair.checkpoint import load_dataset, save_dataset
 from handpair.data import (
     Dataset,
@@ -47,6 +48,45 @@ def test_generation_is_byte_identical_per_seed(tmp_path):
         save_dataset(tmp_path / run, generate_synthetic(two_mode_spec(count=16, seed=3)))
     assert (tmp_path / "a/weights.f32").read_bytes() == (tmp_path / "b/weights.f32").read_bytes()
     assert (tmp_path / "a/manifest.json").read_text() == (tmp_path / "b/manifest.json").read_text()
+
+
+def test_infinite_threshold_accepts_every_draw_untested(monkeypatch):
+    calls = []
+    original = sampler.penetration_loss
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "penetration_loss", counting)
+    outputs = []
+    for threshold in (np.inf, 1e300):  # 1e300 runs the test and passes every finite loss
+        calls.clear()
+        ds = generate_synthetic(two_mode_spec(count=8, seed=3, max_penetration=threshold,
+                                              with_objects=True))
+        outputs.append((ds.params.tobytes(), ds.objects_.tobytes(), ds.categories,
+                        ds.mode_ids.tobytes()))
+        assert len(calls) == (0 if threshold == np.inf else 8)
+    assert outputs[0] == outputs[1]
+
+
+def test_subset_of_no_index_is_an_empty_dataset_with_every_field():
+    ds = generate_synthetic(two_mode_spec(count=4, seed=1, with_objects=True))
+    empty = ds.subset([])
+    assert len(empty) == 0 and empty.params.shape == (0, 128)
+    assert empty.objects_.shape == (0, 512, 3)
+    assert empty.categories == []
+    assert empty.mode_ids.shape == (0,)
+
+
+def test_subset_by_boolean_mask_equals_subset_by_index():
+    ds = generate_synthetic(two_mode_spec(count=6, seed=1, with_objects=True))
+    mask = np.array([True, False, False, True, True, False])
+    by_mask, by_index = ds.subset(mask), ds.subset(np.flatnonzero(mask))
+    assert by_mask.params.tobytes() == by_index.params.tobytes()
+    assert by_mask.objects_.tobytes() == by_index.objects_.tobytes()
+    assert by_mask.categories == by_index.categories == [ds.categories[i] for i in (0, 3, 4)]
+    assert (by_mask.mode_ids == by_index.mode_ids).all()
 
 
 def test_rejection_stall():

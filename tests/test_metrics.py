@@ -1,14 +1,17 @@
+import gc
 import json
 import warnings
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from handpair import mesh, pointset, sampler
+from handpair import mesh, metrics, pointset, sampler
 from handpair.backbone import BackboneConfig, FeatureBackbone
-from handpair.checkpoint import load_backbone, save_backbone
-from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
+from handpair.checkpoint import checksum, load_backbone, save_backbone
+from handpair.data import Dataset, generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.hand_model import CapsuleHand, occupancy_left, pair_meshes
 from handpair.metrics import (
     DegenerateCovariance,
@@ -209,13 +212,12 @@ def test_metric_report_json_round_trips_exactly():
     assert back.to_json() == report.to_json()
 
 
-@pytest.fixture(scope="module")
-def traced_evaluate(hand_model):
-    """metrics.evaluate on 4-pair sets, counting calls of the traced hot spots."""
+@contextmanager
+def counting_hot_spots():
+    """Count the calls of the traced hot spots at the lookup sites the
+    benchmark's tracer wraps (bench/spans.py); yields the counts."""
     calls = {"occupancy": 0, "forward_one": 0, "farthest_point_indices": 0,
              "penetration_set": 0}
-    originals = (CapsuleHand.occupancy, PointSetEncoder.forward_one,
-                 pointset.farthest_point_indices, sampler.penetration_set)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -223,18 +225,30 @@ def traced_evaluate(hand_model):
             return fn(*args, **kwargs)
         return wrapper
 
-    reference = generate_synthetic(two_mode_spec(count=4, seed=1))
-    generated = generate_synthetic(overlapping_spec(count=4, seed=2))
     with pytest.MonkeyPatch.context() as mp:
-        # The lookup sites the benchmark's tracer wraps (bench/spans.py).
-        mp.setattr(CapsuleHand, "occupancy", counted("occupancy", originals[0]))
-        mp.setattr(PointSetEncoder, "forward_one", counted("forward_one", originals[1]))
+        mp.setattr(CapsuleHand, "occupancy", counted("occupancy", CapsuleHand.occupancy))
+        mp.setattr(PointSetEncoder, "forward_one",
+                   counted("forward_one", PointSetEncoder.forward_one))
         mp.setattr(pointset, "farthest_point_indices",
-                   counted("farthest_point_indices", originals[2]))
-        mp.setattr(sampler, "penetration_set", counted("penetration_set", originals[3]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateCovariance)
-            report = evaluate(reference, generated, FeatureBackbone(), hand_model, grid=2e-3)
+                   counted("farthest_point_indices", pointset.farthest_point_indices))
+        mp.setattr(sampler, "penetration_set",
+                   counted("penetration_set", sampler.penetration_set))
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def four_pair_sets():
+    return (generate_synthetic(two_mode_spec(count=4, seed=1)),
+            generate_synthetic(overlapping_spec(count=4, seed=2)))
+
+
+@pytest.fixture(scope="module")
+def traced_evaluate(hand_model, four_pair_sets):
+    """metrics.evaluate on 4-pair sets, counting calls of the traced hot spots."""
+    reference, generated = four_pair_sets
+    with counting_hot_spots() as calls, warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        report = evaluate(reference, generated, FeatureBackbone(), hand_model, grid=2e-3)
     return report, calls
 
 
@@ -252,10 +266,15 @@ def test_evaluate_report_round_trips_exactly(traced_evaluate):
     assert MetricReport.from_json(report.to_json()) == report
 
 
-def test_evaluate_averages_the_per_category_reports(hand_model):
+@pytest.fixture(scope="module")
+def category_sets():
     # Seeds 1 and 2 give 8/4 and 5/7 box/ball pairs: at least k+1 = 4 per set.
-    reference = generate_synthetic(two_mode_spec(count=12, seed=1, with_objects=True))
-    generated = generate_synthetic(two_mode_spec(count=12, seed=2, with_objects=True))
+    return (generate_synthetic(two_mode_spec(count=12, seed=1, with_objects=True)),
+            generate_synthetic(two_mode_spec(count=12, seed=2, with_objects=True)))
+
+
+def test_evaluate_averages_the_per_category_reports(hand_model, category_sets):
+    reference, generated = category_sets
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCovariance)
         report = evaluate(reference, generated, FeatureBackbone(), hand_model)
@@ -276,3 +295,81 @@ def test_report_names_its_backbone_by_the_saved_manifest_checksum(hand_model, tm
         for scored_with in (backbone, load_backbone(tmp_path)):
             report = evaluate(reference, generated, scored_with, hand_model)
             assert report.backbone_checksum == manifest["checksum"]
+
+
+def _evaluate(reference, generated, backbone, model, seed=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        return evaluate(reference, generated, backbone, model, seed=seed, grid=4e-3)
+
+
+def test_warm_evaluate_equals_cold_and_featurizes_only_the_generated_set(
+        hand_model, four_pair_sets):
+    reference, generated = four_pair_sets
+    backbone = FeatureBackbone()
+    cold = _evaluate(reference, generated, backbone, hand_model)
+    with counting_hot_spots() as calls:
+        warm = _evaluate(reference, generated, backbone, hand_model)
+    assert warm == cold and warm.to_json() == cold.to_json()
+    assert calls["forward_one"] == 4
+    assert calls["farthest_point_indices"] == 8
+    assert calls["penetration_set"] == 4
+
+
+@pytest.mark.parametrize("change", ["weight", "reference_row", "seed", "hand"])
+def test_evaluate_recomputes_the_reference_when_an_input_changes(
+        hand_model, four_pair_sets, change):
+    reference, generated = four_pair_sets
+    reference = Dataset(reference.params.copy())
+    backbone = FeatureBackbone()
+    model, seed = hand_model, 0
+    _evaluate(reference, generated, backbone, model, seed)
+    if change == "weight":
+        before = checksum(backbone.params)
+        w = backbone.params["bb.head.W"]
+        w.flat[np.argmax(np.abs(w))] += 1e-12
+        assert checksum(backbone.params) == before  # the float32 rounding is unchanged
+    elif change == "reference_row":
+        reference.params[0, 0] += 0.01
+    elif change == "seed":
+        seed = 1
+    else:
+        model = CapsuleHand()
+    with counting_hot_spots() as calls:
+        report = _evaluate(reference, generated, backbone, model, seed)
+    assert calls["forward_one"] == 8
+    twin = FeatureBackbone(backbone.config,
+                           params={k: v.copy() for k, v in backbone.params.items()})
+    assert report == _evaluate(reference, generated, twin, model, seed)
+
+
+def test_per_category_evaluate_reuses_every_category(hand_model, category_sets):
+    reference, generated = category_sets
+    backbone = FeatureBackbone()
+    cold = _evaluate(reference, generated, backbone, hand_model)
+    with counting_hot_spots() as calls:
+        warm = _evaluate(reference, generated, backbone, hand_model)
+    assert warm == cold
+    assert calls["forward_one"] == len(generated)
+    assert len(metrics._REFERENCE_MEMO[backbone].features) == 2
+
+
+def test_evaluate_rejects_a_category_missing_from_the_reference(hand_model, category_sets):
+    reference, generated = category_sets
+    boxes = reference.subset([c == "box" for c in reference.categories])
+    with pytest.raises(ValueError, match="ball"):
+        _evaluate(boxes, generated, FeatureBackbone(), hand_model)
+
+
+def test_reference_memo_is_read_only_and_goes_with_its_backbone(hand_model, four_pair_sets):
+    reference, generated = four_pair_sets
+    backbone = FeatureBackbone()
+    _evaluate(reference, generated, backbone, hand_model)
+    entry = metrics._REFERENCE_MEMO[backbone]
+    assert len(entry.features) == 1
+    assert not any(a.flags.writeable
+                   for a in [*entry.weights.values(), *entry.features.values()])
+    gone = weakref.ref(entry)
+    del backbone, entry
+    gc.collect()
+    assert gone() is None
