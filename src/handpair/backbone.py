@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, split_indices
 from .errors import EmptyDataset
-from .hand_model import HandParam, default_hand, pair_meshes, relative_root
+from .hand_model import HandParam, default_hand, pair_segments, relative_root
 from .mesh import sample_surface_points
 from .nn import (TAG_BACKBONE_STEP, TAG_INIT, Adam, Linear, check_layout, relu_backward,
                  relu_forward, rng_stream)
@@ -82,17 +82,6 @@ class FeatureBackbone:
         return loss
 
 
-def build_clouds(dataset: Dataset, n_points: int, model=None, seed: int = 0) -> np.ndarray:
-    """Surface clouds for every record, keyed per index for determinism."""
-    model = model or default_hand()
-    clouds = np.empty((len(dataset), n_points, 3))
-    for i in range(len(dataset)):
-        x_l, x_r = dataset.pair(i)
-        clouds[i] = sample_surface_points(pair_meshes(x_l, x_r, model), n_points,
-                                          seed=seed + i)
-    return clouds
-
-
 def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
                    model=None) -> FeatureBackbone:
     """Fit the regression backbone; records the validation loss per epoch.
@@ -104,8 +93,9 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
         raise EmptyDataset("backbone training requires data")
     model = model or default_hand()
     bb = FeatureBackbone(config)
-    clouds = build_clouds(dataset, config.n_surface, model, seed=config.seed)
-    targets = regression_target(*dataset.pair(np.arange(len(dataset))))
+    x_l, x_r = dataset.pair(np.arange(len(dataset)))
+    clouds = sample_surface_points(*pair_segments(x_l, x_r, model), config.n_surface, config.seed)
+    targets = regression_target(x_l, x_r)
 
     fractions = (1.0 - config.val_fraction, config.val_fraction, 0.0)
     train_idx, val_idx, _ = split_indices(len(dataset), fractions, config.seed)

@@ -47,21 +47,23 @@ class Dataset:
         return HandParam(rows[..., :DIM]), HandParam(rows[..., DIM:])
 
     def objects(self, idx) -> np.ndarray:
-        return self.objects_[np.asarray(idx)].astype(float)
+        return self.objects_[_rows(idx)].astype(float)
 
     def subset(self, idx) -> "Dataset":
         """Records at an index list or array, or where a boolean mask is true."""
-        idx = np.asarray(idx)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        elif idx.size == 0:  # np.asarray([]) is float64
-            idx = idx.astype(np.intp)
+        idx = _rows(idx)
         return Dataset(
             self.params[idx],
             self.objects_[idx] if self.has_objects else None,
             [self.categories[i] for i in idx] if self.categories is not None else None,
             self.mode_ids[idx] if self.mode_ids is not None else None,
         )
+
+
+def _rows(idx) -> np.ndarray:
+    """Integer rows of an index list or array, or of a boolean mask."""
+    idx = np.asarray(idx, dtype=np.intp if np.size(idx) == 0 else None)  # [] is float64
+    return np.flatnonzero(idx) if idx.dtype == bool else idx
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,17 @@ HandParam holds one hand (64,) or a stack of hands (..., 64). One rule holds
 for every function on hands: it broadcasts over the leading axes. That
 covers the parameter-space algebra (mirror, pin_root, relative_root,
 reroot_pair, compose_root), the chain and its reverse sweep, posed_vertices
-(..., V, 3) and the VJPs (..., 64). The exceptions return one object per
-hand: posed_mesh (a HandMesh with its own cached k-d tree), and
-posed_segments and occupancy, which serve one pair's voxel grid. Occupancy
-takes any number of query points and works through them in fixed-size
-chunks, so its memory stays bounded. These are model methods; the
-module-level operations are kinematics_vjp, through which APG reaches
-model.vjp, and the left-hand mirror convention, hand first and model second:
-left_hand_mesh(x_l, model), occupancy_left(x_l, model, points), pair_meshes.
+(..., V, 3), posed_segments (..., bones, 3) and the VJPs (..., 64). The
+exceptions return one object per hand: posed_mesh (a HandMesh with its own
+cached k-d tree, for contact) and occupancy, which serves one pair's voxel
+grid in bounded memory. These are model methods; the module-level ones are
+kinematics_vjp, through which APG reaches model.vjp, and the left-hand
+mirror convention, hand first and model second: left_hand_mesh(x_l, model),
+occupancy_left(x_l, model, points), pair_meshes and pair_segments (for clouds).
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
-and its mesh is the x-negation of that right-hand mesh with flipped faces.
+and its mesh (faces flipped) and capsules are the x-negation of that hand's.
 
 The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
 occupancy, watertight per component. Its kinematic chain is a forward sweep
@@ -433,13 +432,13 @@ class CapsuleHand:
         return HandMesh(self.posed_vertices(params), self.faces)
 
     def posed_segments(self, params: HandParam):
-        """World capsule axis endpoints (B,3),(B,3) and radii (B,) of one hand."""
+        """World capsule axis endpoints (..., bones, 3) twice and radii (..., bones)."""
         Q, p = self.joint_transforms(params.theta, params.beta)
-        axis = self.bone_lengths(params.beta)[:, None] * self.bone_dir
-        e0 = p[self.bone_attach]
-        e1 = e0 + (Q[self.bone_attach] @ axis[:, :, None])[..., 0]
-        R = rot6d_to_matrix(params.omega)
-        return e0 @ R.T + params.tau, e1 @ R.T + params.tau, self.bone_radii(params.beta)
+        axis = self.bone_lengths(params.beta)[..., None] * self.bone_dir
+        e0 = p[..., self.bone_attach, :]
+        e1 = e0 + _apply(Q[..., self.bone_attach, :, :], axis)
+        R_T, tau = np.swapaxes(rot6d_to_matrix(params.omega), -1, -2), params.tau[..., None, :]
+        return e0 @ R_T + tau, e1 @ R_T + tau, self.bone_radii(params.beta)
 
     def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
         """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool.
@@ -533,3 +532,11 @@ def occupancy_left(params_left: HandParam, model, points: np.ndarray) -> np.ndar
 def pair_meshes(x_l: HandParam, x_r: HandParam, model):
     """(left mesh, right mesh) for a stored pair."""
     return left_hand_mesh(x_l, model), model.posed_mesh(x_r)
+
+
+def pair_segments(x_l: HandParam, x_r: HandParam, model):
+    """Capsule endpoints (..., 2 * bones, 3) twice and radii (..., 2 * bones) of a
+    pair or stack of pairs: the left hand's first, mirrored as in left_hand_mesh."""
+    (l0, l1, l_rad), (r0, r1, r_rad) = model.posed_segments(mirror(x_l)), model.posed_segments(x_r)
+    return (np.concatenate([l0 @ MIRROR_MAT.T, r0], axis=-2),
+            np.concatenate([l1 @ MIRROR_MAT.T, r1], axis=-2), np.concatenate([l_rad, r_rad], -1))

@@ -1,4 +1,4 @@
-"""Triangle-mesh container and the geometry ops shared across modules.
+"""Triangle meshes, which serve contact only, and surface clouds of capsules.
 
 Vertices are meters; faces are counter-clockwise when viewed from outside.
 """
@@ -65,24 +65,31 @@ def mirror_mesh(mesh: HandMesh) -> HandMesh:
     return HandMesh(verts, faces)
 
 
-def sample_surface_points(meshes, n: int, seed: int) -> np.ndarray:
-    """Area-weighted uniform surface samples over the union of ``meshes``,
-    a sequence of HandMesh.
-
-    Deterministic for a given seed: triangle choice is multinomial in the
-    concatenated area table, positions use the sqrt barycentric trick.
-    """
-    tris = np.concatenate([m.vertices[m.faces] for m in meshes], axis=0)   # (F, 3, 3)
-    areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
-                                 axis=1)
-    probs = areas / areas.sum()
-    rng = rng_stream(seed, TAG_SURFACE)
-    idx = rng.choice(len(tris), size=n, p=probs)
-    r1 = np.sqrt(rng.random(n))
-    r2 = rng.random(n)
-    a = 1.0 - r1
-    b = r1 * (1.0 - r2)
-    c = r1 * r2
-    chosen = tris[idx]
-    return a[:, None] * chosen[:, 0] + b[:, None] * chosen[:, 1] + c[:, None] * chosen[:, 2]
-
+def sample_surface_points(e0, e1, radii, n: int, seed: int) -> np.ndarray:
+    """n area-uniform points on each capsule set of a stack, endpoints (..., K, 3)
+    twice and radii (..., K) -> (..., n, 3); cloud c draws from rng_stream(seed + c,
+    TAG_SURFACE). A capsule is a side of area 2 pi |r| L and a sphere of area
+    4 pi r^2 split over its ends; a point picks a part by area, then a uniform axial
+    fraction and angle on the side, or a uniform direction u from the end u faces."""
+    *lead, k = np.shape(radii)
+    radii, e0 = np.reshape(radii, (-1, k)), np.reshape(e0, (-1, k, 3))
+    w = np.reshape(e1, (-1, k, 3)) - e0
+    length = np.linalg.norm(w, axis=-1)
+    areas = np.stack([2 * np.pi * np.abs(radii) * length, 4 * np.pi * radii ** 2], axis=-1)
+    p = areas.reshape(-1, 2 * k) / areas.sum(axis=(1, 2))[:, None]
+    d = np.where(length[..., None] > 0, w, [0.0, 0.0, 1.0])     # unit axis, +z at length 0
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    x, y, s = d[..., 0], d[..., 1], np.where(d[..., 2] >= 0, 1.0, -1.0)
+    h = -1.0 / (s + d[..., 2])
+    f1 = np.stack([1 + s * x * x * h, s * x * y * h, -s * x], axis=-1)  # Duff et al., JCGT 2017
+    f2 = np.stack([x * y * h, s + y * y * h, -y], axis=-1)
+    out = np.empty((len(radii), n, 3))    # filled cloud by cloud, in one cloud's memory
+    for c in range(len(radii)):
+        rng = rng_stream(seed + c, TAG_SURFACE)
+        part, (a, b) = rng.choice(2 * k, n, p=p[c]), rng.random((2, n))
+        cap, on_sphere = part // 2, part % 2 == 1
+        z, phi = np.where(on_sphere, 2 * a - 1, 0.0)[:, None], 2 * np.pi * b[:, None]
+        ring = np.cos(phi) * f1[c, cap] + np.sin(phi) * f2[c, cap]
+        centre = e0[c, cap] + np.where(on_sphere, z[:, 0] >= 0, a)[:, None] * w[c, cap]
+        out[c] = centre + radii[c, cap, None] * (z * d[c, cap] + np.sqrt(1 - z ** 2) * ring)
+    return out.reshape(*lead, n, 3)

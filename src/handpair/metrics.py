@@ -1,11 +1,10 @@
 """Generative metric suite for two-hand sets.
 
 Distribution metrics (fhid, khid, precision/recall, diversity) operate on
-feature arrays from the regression backbone; geometry metrics (penetration
-volume/distance, proximity ratio) operate on posed pairs. All metrics are
-pure functions of their inputs and seeds, so reports regenerate bit-for-bit.
-pair_stats makes one nearest-vertex query per pair, sampler.penetration_set,
-and reads both the penetration depth and the minimum distance from it.
+backbone features of a whole set's capsule surface clouds; geometry metrics
+(penetration volume/distance, proximity ratio) on posed pairs. All metrics
+are pure functions of their inputs and seeds, so reports regenerate bit for
+bit. Only pair_stats poses meshes, for its one contact query per pair.
 
 evaluate scores many generated sets against one reference, so it keeps the
 reference features of its latest call for each live backbone and reuses
@@ -25,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from . import sampler
 from .checkpoint import checksum
-from .hand_model import HandParam, default_hand, occupancy_left, pair_meshes
+from .hand_model import HandParam, default_hand, occupancy_left, pair_meshes, pair_segments
 from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 
@@ -252,16 +251,12 @@ class MetricReport:
         return cls(**json.loads(text))
 
 
-def dataset_features(dataset, backbone, model=None, seed: int = 0) -> np.ndarray:
-    """Backbone features for every record; surface clouds keyed per index."""
-    model = model or default_hand()
-    feats = np.empty((len(dataset), backbone.config.feature_dim))
-    for i in range(len(dataset)):
-        x_l, x_r = dataset.pair(i)
-        cloud = sample_surface_points(pair_meshes(x_l, x_r, model),
-                                      backbone.config.n_surface, seed=seed + i)
-        feats[i] = backbone.features(cloud[None, :, :])[0]
-    return feats
+def dataset_features(dataset, backbone, model, seed: int) -> np.ndarray:
+    """Backbone features (N, feature_dim) of every record's capsule surface
+    cloud, in one features call; record i draws its cloud at seed + i."""
+    clouds = sample_surface_points(*pair_segments(*dataset.pair(np.arange(len(dataset))), model),
+                                   backbone.config.n_surface, seed)
+    return backbone.features(clouds)
 
 
 def _geometry_stats(dataset, model, grid):

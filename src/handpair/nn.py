@@ -38,11 +38,10 @@ TAG_INIT = 1 << 62            # Denoiser weights; + 1: FeatureBackbone weights
 TAG_SAMPLE = 1 << 61          # + i: sample_pairs, pair i
 TAG_DATA = 1 << 60            # + i: generate_synthetic, record i
 TAG_SPLIT = 1 << 59           # split_indices
+TAG_SURFACE = 1 << 58         # sample_surface_points; its cloud c is keyed by seed + c
 TAG_METRIC = 1 << 57          # khid; + 1: diversity
 TAG_REG = 1 << 56             # regularizer "fixed" noise; + 1 + k: "fresh" noise of call k
 TAG_BACKBONE_STEP = 1 << 32   # + s: train_backbone batch s (diffusion.train step s is tag s)
-TAG_SURFACE = 0x5A3E          # sample_surface_points. As 23,102 it lies among diffusion.train's
-#                               step tags; kept so that every surface cloud stays bit-identical.
 
 
 class Linear:

@@ -77,6 +77,7 @@ def test_subset_of_no_index_is_an_empty_dataset_with_every_field():
     assert empty.objects_.shape == (0, 512, 3)
     assert empty.categories == []
     assert empty.mode_ids.shape == (0,)
+    assert ds.objects([]).shape == (0, 512, 3)
 
 
 def test_subset_by_boolean_mask_equals_subset_by_index():

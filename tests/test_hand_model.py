@@ -14,6 +14,7 @@ from handpair.hand_model import (
     left_hand_mesh,
     mirror,
     occupancy_left,
+    pair_segments,
     pin_root,
     relative_root,
     reroot_pair,
@@ -186,11 +187,15 @@ def test_stacked_kinematics_match_per_row_calls(hand_model):
     cots = rng.normal(size=(2, 3, hand_model.n_vertices, 3))
     verts = hand_model.posed_vertices(HandParam(stack))
     grads = hand_model.vjp(HandParam(stack), cots)
+    segments = hand_model.posed_segments(HandParam(stack))
     assert verts.shape == (2, 3, hand_model.n_vertices, 3) and grads.shape == (2, 3, 64)
+    assert [a.shape for a in segments] == [(2, 3, 20, 3), (2, 3, 20, 3), (2, 3, 20)]
     for i in np.ndindex(2, 3):
         np.testing.assert_array_equal(verts[i], hand_model.posed_vertices(HandParam(stack[i])))
         np.testing.assert_array_equal(verts[i], hand_model.posed_mesh(HandParam(stack[i])).vertices)
         np.testing.assert_array_equal(grads[i], hand_model.vjp(HandParam(stack[i]), cots[i]))
+        for got, one in zip(segments, hand_model.posed_segments(HandParam(stack[i]))):
+            np.testing.assert_array_equal(got[i], one)
     empty = HandParam(np.zeros((0, 64)))
     assert hand_model.posed_vertices(empty).shape == (0, hand_model.n_vertices, 3)
     assert hand_model.vjp(empty, np.zeros((0, hand_model.n_vertices, 3))).shape == (0, 64)
@@ -210,6 +215,20 @@ def test_mirror_mesh_commutation(hand_model):
         negated = hand_model.posed_mesh(p).vertices @ MIRROR_MAT.T
         mirrored = left_hand_mesh(mirror(p), hand_model).vertices
         assert np.abs(negated - mirrored).max() < 1e-6
+
+
+def test_left_capsules_carry_the_left_mesh(hand_model):
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        x_l, x_r = random_params(rng), random_params(rng)
+        e0, e1, rads = pair_segments(x_l, x_r, hand_model)
+        assert e0.shape == e1.shape == (40, 3) and rads.shape == (40,)
+        verts = left_hand_mesh(x_l, hand_model).vertices
+        bone = np.arange(len(verts)) // hand_model.verts_per_bone
+        gap = [_segment_distance_oracle(v, e0[b], e1[b]) - rads[b] for v, b in zip(verts, bone)]
+        assert np.abs(gap).max() < 1e-12
+        for got, right in zip((e0, e1, rads), hand_model.posed_segments(x_r)):
+            np.testing.assert_array_equal(got[20:], right)
 
 
 # -- vertex normals -----------------------------------------------------------

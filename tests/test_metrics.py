@@ -216,7 +216,7 @@ def test_metric_report_json_round_trips_exactly():
 def counting_hot_spots():
     """Count the calls of the traced hot spots at the lookup sites the
     benchmark's tracer wraps (bench/spans.py); yields the counts."""
-    calls = {"occupancy": 0, "forward_one": 0, "farthest_point_indices": 0,
+    calls = {"occupancy": 0, "posed_mesh": 0, "forward_one": 0, "farthest_point_indices": 0,
              "penetration_set": 0}
 
     def counted(name, fn):
@@ -227,6 +227,7 @@ def counting_hot_spots():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CapsuleHand, "occupancy", counted("occupancy", CapsuleHand.occupancy))
+        mp.setattr(CapsuleHand, "posed_mesh", counted("posed_mesh", CapsuleHand.posed_mesh))
         mp.setattr(PointSetEncoder, "forward_one",
                    counted("forward_one", PointSetEncoder.forward_one))
         mp.setattr(pointset, "farthest_point_indices",
@@ -258,6 +259,7 @@ def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
     assert calls["forward_one"] == 8                       # one cloud per pair, both sets
     assert calls["farthest_point_indices"] == 16           # two levels per cloud
     assert calls["penetration_set"] == 4                   # one per generated pair
+    assert calls["posed_mesh"] == 8                        # contact only: both hands once
     assert calls["occupancy"] >= 2
 
 
@@ -314,6 +316,7 @@ def test_warm_evaluate_equals_cold_and_featurizes_only_the_generated_set(
     assert calls["forward_one"] == 4
     assert calls["farthest_point_indices"] == 8
     assert calls["penetration_set"] == 4
+    assert calls["posed_mesh"] == 8
 
 
 @pytest.mark.parametrize("change", ["weight", "reference_row", "seed", "hand"])

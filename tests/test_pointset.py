@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handpair.data import generate_synthetic, two_mode_spec
-from handpair.hand_model import pair_meshes
+from handpair.hand_model import pair_segments
 from handpair.mesh import sample_surface_points
 from handpair.nn import relu_backward, relu_forward
 from handpair.pointset import PointSetEncoder, SetAbstraction, farthest_point_indices
@@ -81,8 +81,8 @@ def _padded(enc: PointSetEncoder) -> PointSetEncoder:
 @pytest.fixture(scope="module")
 def hand_clouds(hand_model):
     ds = generate_synthetic(two_mode_spec(count=3, seed=5))
-    return [sample_surface_points(pair_meshes(*ds.pair(i), hand_model), 512, seed=i)
-            for i in range(len(ds))]
+    return list(sample_surface_points(*pair_segments(*ds.pair(np.arange(len(ds))), hand_model),
+                                      512, seed=0))
 
 
 def test_ragged_encoder_matches_padded_reference(hand_clouds):

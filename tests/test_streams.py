@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from handpair.hand_model import HandParam, pair_meshes
+from handpair.hand_model import HandParam, pair_segments
 from handpair.mesh import sample_surface_points
 from handpair.nn import TAG_INIT, TAG_SURFACE, rng_stream
 
@@ -32,8 +32,8 @@ def test_numpy_integer_seed_draws_its_python_value_stream():
 
 
 def test_surface_clouds_differ_at_seeds_0_and_minus_1(hand_model):
-    meshes = pair_meshes(HandParam.from_parts(), HandParam.from_parts(tau=[0.12, 0.0, 0.0]),
-                         hand_model)
-    cloud = sample_surface_points(meshes, 64, seed=0)
-    np.testing.assert_array_equal(sample_surface_points(meshes, 64, seed=0), cloud)
-    assert not np.array_equal(sample_surface_points(meshes, 64, seed=-1), cloud)
+    segments = pair_segments(HandParam.from_parts(),
+                             HandParam.from_parts(tau=[0.12, 0.0, 0.0]), hand_model)
+    cloud = sample_surface_points(*segments, 64, seed=0)
+    np.testing.assert_array_equal(sample_surface_points(*segments, 64, seed=0), cloud)
+    assert not np.array_equal(sample_surface_points(*segments, 64, seed=-1), cloud)
