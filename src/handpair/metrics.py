@@ -190,7 +190,10 @@ def penetration_distance(mesh_a, mesh_b) -> float:
 
 
 def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
-    """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?)."""
+    """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?).
+
+    The distance is exact below sampler.CONTACT_RADIUS and inf beyond it,
+    which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller."""
     model = model or default_hand()
     mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
     contact = sampler.penetration_set(mesh_r, mesh_l)

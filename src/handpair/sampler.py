@@ -9,8 +9,8 @@ guidance). Both phases share one network and one deterministic noise stream
 per sample, so a (weights, config) pair fully determines the output.
 
 penetration_set owns contact: its one nearest-vertex query per pair of
-meshes is what APG, the synthetic-data rejection rule and the geometry
-metrics read.
+meshes, bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection
+rule and the geometry metrics read.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ from .rotations import rot6d_degenerate
 W_PEN_START = 4.0       # APG step weight at the last reverse step (k = 0), unitless
 W_PEN_DECAY = 0.9       # factor on the APG weight per reverse step further from t=0
 
+# Contact radius, meters: penetration_set looks for an A vertex's nearest B
+# vertex only this close. Every point inside a capsule of length L and radius
+# r lies within sqrt((L/4)^2 + r^2) of one of its vertices (its rings sit at
+# axial fractions 0, 1/2 and 1), which for default_hand() is at most 2.65 cm
+# at beta = 0 and 4.33 cm at |beta_i| <= 2. So every A vertex inside B still
+# finds its exact nearest vertex and its verdict; the radius drops only
+# vertices outside B and this far from all of its vertices, whose sign test
+# reads a distant normal. It exceeds metrics.PROXIMITY_TAU_M, so proximity
+# verdicts are unchanged too.
+CONTACT_RADIUS = 0.05
+
 
 @dataclass
 class SampleConfig:
@@ -52,6 +63,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
 
     def w_pen_at(self, k: int) -> float:
         """APG weight W_PEN_START * W_PEN_DECAY**k at reverse step k, counted up from t=0."""
@@ -64,7 +77,8 @@ class PenetrationReport:
     delta: np.ndarray                 # (P, 3) A vertex minus its B vertex, meters
     depths: np.ndarray                # (P,) projected depths, meters, > 0
     loss: float
-    min_distance: float               # min over all A vertices of the B distance, meters
+    min_distance: float               # min over all A vertices of the B distance, meters;
+                                      # exact below CONTACT_RADIUS, inf when none is in range
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -80,26 +94,32 @@ def cfg_mix(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarra
 
 
 def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
-    """Contact of A against B from one nearest-vertex query; len() is P.
+    """Contact of A against B from one bounded nearest-vertex query; len() is P.
 
-    Vertex i of A pairs with j, its nearest vertex in B, when it sits behind
-    B's surface there: its depth -n_j . delta is strictly positive, where
-    delta is A's vertex minus B's (the repulsion term of Hasson et al., CVPR
-    2019). The loss is sum |delta|^2 over the pairs; its gradient with
-    respect to A's vertex i is 2 delta on paired rows and 0 elsewhere, with
-    the pair set held constant. An empty pair set gives empty delta and
-    depths and a loss of 0. min_distance covers every A vertex, paired or not.
+    Vertex i of A pairs with j, its nearest vertex in B, when j is closer
+    than CONTACT_RADIUS and i sits behind B's surface there: its depth
+    -n_j . delta is strictly positive, where delta is A's vertex minus B's
+    (the repulsion term of Hasson et al., CVPR 2019). A vertex with no B
+    vertex in range never pairs. The loss is sum |delta|^2 over the pairs;
+    its gradient with respect to A's vertex i is 2 delta on paired rows and
+    0 elsewhere, with the pair set held constant. An empty pair set gives
+    empty delta and depths and a loss of 0. min_distance covers every A
+    vertex, paired or not: exact when below CONTACT_RADIUS, else inf.
 
     Nearest neighbors come from a k-d tree; exact distance ties resolve to
     the lowest index.
     """
-    dist, nearest = mesh_b.tree.query(mesh_a.vertices, k=1)
-    delta = mesh_a.vertices - mesh_b.vertices[nearest]
-    depth = -np.einsum("ij,ij->i", mesh_b.normals[nearest], delta)
-    idx = np.flatnonzero(depth > 0.0)
-    delta = delta[idx]
+    dist, nearest = mesh_b.tree.query(mesh_a.vertices, k=1,
+                                      distance_upper_bound=CONTACT_RADIUS)
+    near = np.flatnonzero(dist < CONTACT_RADIUS)     # the rest come back as (inf, len(B))
+    j = nearest[near]
+    delta = mesh_a.vertices[near] - mesh_b.vertices[j]
+    depth = -np.einsum("ij,ij->i", mesh_b.normals[j], delta)
+    inside = depth > 0.0
+    idx = near[inside]
+    delta = delta[inside]
     loss = float(np.sum(np.linalg.norm(delta, axis=1) ** 2))
-    return PenetrationReport(np.stack([idx, nearest[idx]], axis=1), delta, depth[idx],
+    return PenetrationReport(np.stack([idx, nearest[idx]], axis=1), delta, depth[inside],
                              loss, float(dist.min()))
 
 

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from conftest import (
     icosphere,
     random_params,
 )
+from handpair.checkpoint import load_denoiser
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import forward_diffuse, make_schedule, x0_from_eps
 from handpair.hand_model import (
+    BETA,
     CapsuleHand,
     HandParam,
     default_hand,
@@ -20,8 +25,10 @@ from handpair.hand_model import (
     pin_root,
 )
 from handpair.mesh import HandMesh
+from handpair.metrics import PROXIMITY_TAU_M
 from handpair.nn import TAG_SAMPLE, rng_stream
 from handpair.sampler import (
+    CONTACT_RADIUS,
     SampleConfig,
     apg_gradient,
     apg_step,
@@ -32,14 +39,22 @@ from handpair.sampler import (
 )
 
 
-def brute_force_contact(mesh_a, mesh_b):
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "denoiser_small"
+
+
+def brute_force_contact(mesh_a, mesh_b, radius=CONTACT_RADIUS):
     """O(n^2) evaluation of the nearest-vertex projection test: the pairs,
-    their offsets and depths, the loss and the minimum vertex distance."""
-    pairs, delta, depths, min_d2 = [], [], [], np.inf
+    their offsets and depths, the loss and the minimum vertex distance.
+    A vertex counts only when its nearest distance is strictly below radius,
+    and min_distance is inf when none is; radius=inf is the uncut test."""
+    pairs, delta, depths, min_d = [], [], [], np.inf
     for i, v in enumerate(mesh_a.vertices):
         d2 = ((mesh_b.vertices - v) ** 2).sum(axis=1)
         j = int(d2.argmin())
-        min_d2 = min(min_d2, float(d2[j]))
+        d = float(np.sqrt(d2[j]))
+        if not d < radius:
+            continue
+        min_d = min(min_d, d)
         depth = -float(mesh_b.normals[j] @ (v - mesh_b.vertices[j]))
         if depth > 0.0:
             pairs.append((i, j))
@@ -50,17 +65,25 @@ def brute_force_contact(mesh_a, mesh_b):
             "delta": delta,
             "depths": np.array(depths, dtype=float),
             "loss": float(np.sum(np.linalg.norm(delta, axis=1) ** 2)),
-            "min_distance": float(np.sqrt(min_d2))}
+            "min_distance": min_d}
 
 
-def assert_matches_brute_force(mesh_a, mesh_b):
-    got, expected = penetration_set(mesh_a, mesh_b), brute_force_contact(mesh_a, mesh_b)
+def assert_same_contact(got, expected):
+    """The report's pairs, delta, depths and loss are the oracle's."""
     np.testing.assert_array_equal(got.pairs, expected["pairs"])
     np.testing.assert_array_equal(got.delta, expected["delta"])
     assert got.loss == expected["loss"]
     assert len(got) == len(expected["pairs"])
     np.testing.assert_allclose(got.depths, expected["depths"], rtol=0, atol=1e-12)
-    assert abs(got.min_distance - expected["min_distance"]) <= 1e-12
+
+
+def assert_matches_brute_force(mesh_a, mesh_b):
+    got, expected = penetration_set(mesh_a, mesh_b), brute_force_contact(mesh_a, mesh_b)
+    assert_same_contact(got, expected)
+    if np.isinf(expected["min_distance"]):
+        assert got.min_distance == np.inf
+    else:
+        assert abs(got.min_distance - expected["min_distance"]) <= 1e-12
     return got
 
 
@@ -75,7 +98,7 @@ def test_distant_hands_have_empty_set(hand_model):
     b = hand_model.posed_mesh(b_params)
     report = penetration_set(a, b)
     assert len(report) == 0 and report.loss == 0.0
-    assert report.min_distance > 0.5
+    assert report.min_distance == np.inf     # no vertex within CONTACT_RADIUS
 
 
 def test_sphere_inside_sphere_matches_brute_force():
@@ -96,20 +119,73 @@ def test_random_posed_pairs_match_brute_force(hand_model):
     for _ in range(5):
         a = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
         b = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
-        assert_matches_brute_force(a, b)
+        got = assert_matches_brute_force(a, b)
+        # At hand scale the radius drops no pair of the uncut test.
+        assert_same_contact(got, brute_force_contact(a, b, radius=np.inf))
+
+
+def _plane_cm():
+    """A 1 cm square in z = 0 whose vertex normals are all +z."""
+    verts = np.array([[0, 0, 0], [0.01, 0, 0], [0, 0.01, 0], [0.01, 0.01, 0]], dtype=float)
+    return HandMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
 
 
 def test_surface_point_excluded():
     # Vertex exactly on the plane of its nearest vertex: projection == 0.
-    verts_b = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    faces_b = np.array([[0, 1, 2], [1, 3, 2]])
-    b = HandMesh(verts_b, faces_b)  # normals all +z
-    a = HandMesh(np.array([[0.1, 0.1, 0.0], [0.2, 0.1, 0.3], [0.3, 0.3, -0.2]]),
+    b = _plane_cm()
+    a = HandMesh(np.array([[0.001, 0.001, 0.0], [0.002, 0.001, 0.003],
+                           [0.003, 0.003, -0.002]]),
                  np.array([[0, 1, 2]]))
     pairs = penetration_set(a, b).pairs
     assert 0 not in pairs[:, 0]      # on-surface: excluded by strict inequality
     assert 1 not in pairs[:, 0]      # above: outside
     assert 2 in pairs[:, 0]          # below: inside
+
+
+def test_vertex_beyond_contact_radius_never_pairs():
+    # Both vertices sit behind the plane; only the one in range pairs. A's
+    # faces are never read.
+    b = _plane_cm()
+    a = HandMesh(np.array([[0.001, 0.001, -0.049], [0.001, 0.001, -0.051]]),
+                 np.array([[0, 1, 0]]))
+    assert len(brute_force_contact(a, b, radius=np.inf)["pairs"]) == 2
+    report = assert_matches_brute_force(a, b)
+    np.testing.assert_array_equal(report.pairs, [[0, 0]])
+    assert report.min_distance == pytest.approx(np.sqrt(2e-6 + 0.049**2), abs=1e-15)
+
+    far = HandMesh(a.vertices[1:], np.array([[0, 0, 0]]))
+    report = assert_matches_brute_force(far, b)
+    assert len(report) == 0 and report.loss == 0.0
+    assert report.depths.shape == (0,) and report.delta.shape == (0, 3)
+    assert report.min_distance == np.inf
+
+
+def test_contact_radius_covers_every_capsule():
+    # Every point inside a capsule lies within sqrt((L/4)^2 + r^2) of one of
+    # its vertices; a radius above that bound keeps every inside verdict.
+    assert PROXIMITY_TAU_M < CONTACT_RADIUS
+    model = default_hand()
+    betas = np.vstack([np.zeros(10), np.array(list(itertools.product((-2.0, 2.0), repeat=10)))])
+    bound = np.hypot(model.bone_lengths(betas) / 4, model.bone_radii(betas))
+    assert bound[0].max() == pytest.approx(0.0265, abs=1e-4)
+    assert bound.max() == pytest.approx(0.0433, abs=1e-4)
+    assert bound.max() < CONTACT_RADIUS
+
+    rng = np.random.default_rng(17)
+    worst = betas[1:][bound[1:].max(axis=1).argmax()]
+    for beta in (np.zeros(10), worst):
+        params = random_params(rng)
+        params.vector[BETA] = beta
+        e0, e1, radii = model.posed_segments(params)
+        verts = model.posed_vertices(params).reshape(model.n_bones, -1, 3)
+        u = rng.standard_normal((model.n_bones, 500, 3))
+        u *= (rng.uniform(size=(model.n_bones, 500, 1)) ** (1 / 3)
+              / np.linalg.norm(u, axis=-1, keepdims=True))
+        inside = e0[:, None] + rng.uniform(size=(model.n_bones, 500, 1)) * (e1 - e0)[:, None] \
+            + radii[:, None, None] * u
+        nearest = np.sqrt(((inside[:, :, None] - verts[:, None]) ** 2).sum(-1)).min(-1)
+        cover = np.hypot(model.bone_lengths(beta) / 4, model.bone_radii(beta))
+        assert (nearest.max(axis=1) <= cover).all()
 
 
 def test_no_nonpositive_depths_ever(hand_model):
@@ -174,6 +250,12 @@ def test_cfg_identities():
         np.testing.assert_allclose(cfg_mix(e_c, e_c, w), e_c, atol=1e-12)
     np.testing.assert_allclose(
         cfg_mix(np.ones(4), np.zeros(4), 1.0), 2.0 * np.ones(4))
+
+
+def test_negative_count_is_rejected():
+    with pytest.raises(ValueError, match="count"):
+        SampleConfig(count=-1)
+    SampleConfig(count=0)
 
 
 def test_w_pen_schedule():
@@ -275,6 +357,28 @@ def test_batched_apg_gradient_matches_one_row_calls(hand_model):
     masked = apg_gradient(x_bad, eps_bad, t_prev, anchor_meshes, sched, hand_model)
     np.testing.assert_array_equal(masked[1], np.zeros(64))
     np.testing.assert_array_equal(masked[[0, 2, 3]], grads[[0, 2, 3]])
+
+
+def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
+    # Every contact APG reads while sampling from the committed trained
+    # denoiser is the one the unbounded nearest-vertex test gives.
+    from handpair import sampler
+
+    denoiser, sched, _ = load_denoiser(FIXTURE)
+    reports, contact = [], sampler.penetration_set
+
+    def recording(mesh_a, mesh_b):
+        report = contact(mesh_a, mesh_b)
+        reports.append((report, brute_force_contact(mesh_a, mesh_b, radius=np.inf)))
+        return report
+
+    monkeypatch.setattr(sampler, "penetration_set", recording)
+    sample_pairs(denoiser, SampleConfig(seed=1, count=4, steps=8, apg=True), sched,
+                 CapsuleHand())
+    assert len(reports) == 4 * 8
+    assert any(len(got) for got, _ in reports)
+    for got, expected in reports:
+        assert_same_contact(got, expected)
 
 
 def test_apg_poses_all_rows_in_one_call_per_step(monkeypatch):
