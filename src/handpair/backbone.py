@@ -3,7 +3,9 @@
 The network maps a surface point cloud of an interacting pair to
 [theta_l (45) | theta_r (45) | relative root rotation 6D (6) | relative
 root translation (3)] = 99 values. Features for the distribution metrics
-are the penultimate activations, BackboneConfig.feature_dim of them.
+are the penultimate activations, BackboneConfig.feature_dim of them. Like
+the denoiser, the network computes in the dtype of its weights, float32
+when it draws them itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .data import Dataset, split_indices
 from .errors import EmptyDataset
 from .hand_model import HandParam, default_hand, pair_segments, relative_root
 from .mesh import sample_surface_points
-from .nn import (TAG_BACKBONE_STEP, TAG_INIT, Adam, Linear, check_layout, relu_backward,
+from .nn import (TAG_BACKBONE_STEP, TAG_INIT, Adam, Linear, network_params, relu_backward,
                  relu_forward, rng_stream)
 from .pointset import PointSetEncoder
 
@@ -46,11 +48,7 @@ class FeatureBackbone:
         self.encoder = PointSetEncoder("bb", config.feature_dim,
                                        radii=(0.035, 0.10))
         self.reg_head = Linear("bb_reg", config.feature_dim, TARGET_DIM)
-        if params is None:
-            params = self._init_params(rng_stream(config.seed, TAG_INIT + 1))
-        else:
-            check_layout(params, self._init_params)
-        self.params = params
+        self.params = network_params(self._init_params, params, config.seed, TAG_INIT + 1)
         self.val_loss_curve: list[float] = []
 
     def _init_params(self, rng) -> dict:
@@ -74,7 +72,7 @@ class FeatureBackbone:
         err = pred - targets
         loss = float((err**2).mean())
         grads: dict[str, np.ndarray] = {}
-        dpred = 2.0 * err / err.size
+        dpred = (2.0 * err / err.size).astype(pred.dtype, copy=False)
         dfeats = self.reg_head.backward(self.params, grads, dpred, cache)
         dfeats = relu_backward(dfeats, "bb.feat_relu", cache)
         self.encoder.backward_batch(self.params, grads, dfeats, cache)
@@ -87,7 +85,10 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
     """Fit the regression backbone; records the validation loss per epoch.
 
     The epoch-0 entry of ``val_loss_curve`` is the untrained loss, so the
-    improvement factor is curve[0] / curve[-1].
+    improvement factor is curve[0] / curve[-1]. When the split leaves no
+    validation rows, as it does for n <= 6 records at the default
+    val_fraction of 0.15, the curve is measured on the first tenth of the
+    training rows (at least one), which training also fits.
     """
     if len(dataset) == 0:
         raise EmptyDataset("backbone training requires data")

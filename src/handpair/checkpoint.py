@@ -17,9 +17,8 @@ blob exactly, with no gap), then the checksum. So a truncated blob raises
 LayoutMismatch and a blob with a changed byte raises ChecksumMismatch. A
 manifest that is not a JSON object, or a tensor entry that is not a mapping
 with a shape, raises LayoutMismatch too, chained from the original error.
-Tensors load as stored, float32. The denoiser and the dataset keep them,
-so a reload is the saved artifact bit for bit; the backbone loader upcasts
-them to float64, so a backbone weight comes back as its float32 rounding.
+Tensors load as stored, float32, and every loader keeps them, so a reload
+is the saved artifact bit for bit.
 The network loaders also raise LayoutMismatch, chained from the original
 error, when the manifest lacks the denoiser's schedule or the backbone's
 loss curve, when its config or schedule cannot be built, or when it builds
@@ -147,7 +146,6 @@ def save_backbone(path, backbone: FeatureBackbone) -> None:
 
 def load_backbone(path) -> FeatureBackbone:
     tensors, manifest = load_checkpoint(path, "backbone")
-    tensors = {name: t.astype(float) for name, t in tensors.items()}
     try:
         config = BackboneConfig(**manifest["config"])
         curve = list(manifest["val_loss_curve"])

@@ -33,6 +33,11 @@ class Dataset:
                 len(self.params), OBJECT_POINTS, 3)
         self.categories = list(categories) if categories is not None else None
         self.mode_ids = np.asarray(mode_ids, dtype=np.int64) if mode_ids is not None else None
+        for name in ("categories", "mode_ids"):
+            labels = getattr(self, name)
+            if labels is not None and np.shape(labels) != (len(self.params),):
+                raise ValueError(f"{name} needs one entry per record, {len(self.params)}, "
+                                 f"got shape {np.shape(labels)}")
 
     def __len__(self) -> int:
         return len(self.params)

@@ -34,10 +34,9 @@ from .nn import (
     Linear,
     TransformerBlock,
     _acc,
-    check_layout,
+    network_params,
     relu_backward,
     relu_forward,
-    rng_stream,
     sinusoidal_embedding,
     swish_backward,
     swish_forward,
@@ -126,13 +125,7 @@ class Denoiser:
             self.decoder.append(Linear(f"dec{i}", d_in, d_out))
             d_prev = d_out
 
-        if params is None:
-            params = self._init_params(rng_stream(seed, TAG_INIT))
-            for name in params:     # in place: each float64 draw is freed once cast
-                params[name] = params[name].astype(np.float32)
-        else:
-            check_layout(params, self._init_params)
-        self.params = params
+        self.params = network_params(self._init_params, params, seed, TAG_INIT)
 
     def _init_params(self, rng) -> dict:
         params = {}

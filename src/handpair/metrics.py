@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -225,11 +225,9 @@ def proximity_ratio(min_distances, penetrating) -> float:
 @dataclass
 class MetricReport:
     """The metrics of one evaluate call; per_category holds each category's
-    own metrics when the sets carry labels.
-
-    backbone_checksum is checkpoint.checksum of the backbone's weights, so
-    it names their float32 rounding, as a saved backbone's manifest does:
-    two float64 backbones that round alike share it.
+    own metrics when the sets carry labels. backbone_checksum is
+    checkpoint.checksum of the backbone's weights, as a saved backbone's
+    manifest records it.
     """
 
     fhid: float
@@ -273,33 +271,17 @@ def _geometry_stats(dataset, model, grid):
 class _ReferenceMemo:
     """The reference features of one evaluate call and what they depend on.
 
-    ``weights`` is a copy of the backbone's params and ``features`` maps the
-    bytes of a reference's float32 rows to its features. Every array held
-    is read-only.
+    ``key`` is (model, seed, backbone config, weight checksum) and
+    ``features`` maps the bytes of a reference's float32 rows to its
+    read-only features.
     """
 
-    model: object
-    seed: int
-    config: object
-    weights: dict
+    key: tuple
     features: dict
-
-    def serves(self, backbone, model, seed: int) -> bool:
-        params = backbone.params
-        return (self.model is model and self.seed == seed
-                and self.config == backbone.config
-                and self.weights.keys() == params.keys()
-                and all(w.dtype == params[k].dtype and np.array_equal(w, params[k])
-                        for k, w in self.weights.items()))
 
 
 # The latest evaluate call's _ReferenceMemo for each live backbone.
 _REFERENCE_MEMO = weakref.WeakKeyDictionary()
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def evaluate(reference, generated, backbone, model=None, seed: int = 0,
@@ -314,14 +296,13 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     reference features it used, one entry per category subset, and replaces
     what the previous call stored for ``backbone``. The store holds the
     backbone weakly, so the entry goes away with it, and it holds at most
-    one call's reference features and one copy of the backbone's weights.
-    A later call reuses an entry only if it has the same ``model`` object
-    (hands are immutable), the same ``seed``, an equal ``backbone.config``,
-    weights equal in dtype and value to the copy, and reference rows
-    byte-equal to the stored ones. The weights are compared whole because
-    checkpoint.checksum hashes their float32 rounding, which two float64
-    backbones can share. A reused entry is the read-only array a cold call
-    computed, so the report is the same bit for bit.
+    one call's reference features. A later call reuses an entry only if
+    every weight is float32, so that checkpoint.checksum names the weights
+    exactly, and it has the same ``model`` object (hands are immutable), the
+    same ``seed``, an equal ``backbone.config``, the same weight checksum,
+    and reference rows byte-equal to the stored ones. A reused entry is the
+    read-only array a cold call computed, so the report is the same bit for
+    bit.
     """
     model = model or default_hand()
     categories = None
@@ -331,18 +312,22 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
         if missing:
             raise ValueError(f"no reference records of categories {missing}")
 
+    weight_checksum = checksum(backbone.params)
+    memo_key = (model, seed, backbone.config, weight_checksum)
     memo = _REFERENCE_MEMO.get(backbone)
-    if memo is None or not memo.serves(backbone, model, seed):
-        weights = {k: _read_only(np.array(v)) for k, v in backbone.params.items()}
-        memo = _ReferenceMemo(model, seed, backbone.config, weights, {})
+    stored = {}
+    if memo is not None and memo.key == memo_key and \
+            all(w.dtype == np.float32 for w in backbone.params.values()):
+        stored = memo.features
     ref_features = {}  # this call's entries
 
     def reference_features(ref):
-        key = ref.params.tobytes()
-        features = memo.features.get(key)
+        rows = ref.params.tobytes()
+        features = stored.get(rows)
         if features is None:
-            features = _read_only(dataset_features(ref, backbone, model, seed))
-        ref_features[key] = features
+            features = dataset_features(ref, backbone, model, seed)
+            features.flags.writeable = False
+        ref_features[rows] = features
         return features
 
     def compute(ref, gen):
@@ -373,12 +358,12 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
                for key in next(iter(per_category.values()))}
     else:
         agg = compute(reference, generated)
-    _REFERENCE_MEMO[backbone] = replace(memo, features=ref_features)
+    _REFERENCE_MEMO[backbone] = _ReferenceMemo(memo_key, ref_features)
 
     return MetricReport(
         **agg,
         n_reference=len(reference),
         n_generated=len(generated),
-        backbone_checksum=checksum(backbone.params),
+        backbone_checksum=weight_checksum,
         per_category=per_category,
     )

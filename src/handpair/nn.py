@@ -327,6 +327,23 @@ def check_layout(params: dict, init) -> None:
                 f"{name}: shape {np.shape(params[name])}, expected {value.shape}")
 
 
+def network_params(init, params: dict | None, seed: int, tag: int) -> dict:
+    """The weights of a network whose ``init(rng)`` returns a new parameter dict.
+
+    Given ``params`` are checked against init's layout and kept in their dtype,
+    so a float64 twin computes in float64. Otherwise init draws them from
+    rng_stream(seed, tag) and each is cast to float32: a network that draws its
+    own weights holds them in float32.
+    """
+    if params is not None:
+        check_layout(params, init)
+        return params
+    params = init(rng_stream(seed, tag))
+    for name in params:     # in place: each float64 draw is freed once cast
+        params[name] = params[name].astype(np.float32)
+    return params
+
+
 def _acc(grads: dict, name: str, value: np.ndarray) -> None:
     if name in grads:
         grads[name] += value

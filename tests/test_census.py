@@ -2,21 +2,30 @@
 every error class is raised somewhere in src/, and each of two rules has
 one owner in src/: nn.rng_stream builds every random generator but the one
 of data's fixed mode templates, and checkpoint alone hashes (its checksum
-names every set of weights).
+names every set of weights). Every network holds float32 weights only.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
 that nothing raises promises callers a failure that cannot happen. A second
 generator or hash is a second copy of a rule, free to drift from the first.
+A network in another dtype would not round-trip bit for bit, and its
+checksum would not name its weights.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
 
-from handpair.backbone import BackboneConfig
-from handpair.denoiser import DenoiserConfig
-from handpair.diffusion import TrainConfig
+import numpy as np
+
+from handpair.backbone import BackboneConfig, FeatureBackbone, regression_target, train_backbone
+from handpair.checkpoint import load_backbone, load_denoiser, save_backbone, save_denoiser
+from handpair.data import generate_synthetic, two_mode_spec
+from handpair.denoiser import Denoiser, DenoiserConfig
+from handpair.diffusion import TrainConfig, make_schedule
+from handpair.hand_model import pair_segments
+from handpair.mesh import sample_surface_points
+from handpair.nn import Adam
 from handpair.regularizer import RegularizerConfig
 from handpair.sampler import SampleConfig
 
@@ -119,3 +128,24 @@ def test_stream_tags_are_distinct():
     # (0, 1, 2, ...) stay below 2**32, so tags this far apart never meet.
     values = sorted([0, *tags.values()])
     assert min(b - a for a, b in zip(values, values[1:])) >= 2**32, tags
+
+
+def test_every_network_holds_float32_weights_only(tmp_path, hand_model):
+    dataset = generate_synthetic(two_mode_spec(count=8, seed=1))
+    config = BackboneConfig(feature_dim=16, n_surface=64, epochs=1, batch_size=4)
+    networks = {"Denoiser": Denoiser(), "FeatureBackbone": FeatureBackbone(config),
+                "train_backbone": train_backbone(dataset, config, hand_model)}
+    save_denoiser(tmp_path / "den", networks["Denoiser"], make_schedule(16, 2e-4, 0.02))
+    save_backbone(tmp_path / "bb", networks["train_backbone"])
+    networks["load_denoiser"] = load_denoiser(tmp_path / "den")[0]
+    networks["load_backbone"] = load_backbone(tmp_path / "bb")
+    wrong = sorted((who, name, str(w.dtype)) for who, net in networks.items()
+                   for name, w in net.params.items() if w.dtype != np.float32)
+    assert not wrong, wrong[:4]
+
+    x_l, x_r = dataset.pair(np.arange(4))
+    clouds = sample_surface_points(*pair_segments(x_l, x_r, hand_model), config.n_surface, 0)
+    opt = Adam()
+    networks["FeatureBackbone"].train_step(clouds, regression_target(x_l, x_r), opt, config.lr)
+    moments = [*opt.m.values(), *opt.v.values()]
+    assert moments and all(a.dtype == np.float32 for a in moments)

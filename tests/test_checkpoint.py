@@ -19,6 +19,7 @@ from handpair.data import generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import make_schedule
 from handpair.errors import ChecksumMismatch, LayoutMismatch
+from handpair.metrics import dataset_features
 
 
 def test_denoiser_round_trip_is_float32_exact(tmp_path):
@@ -49,6 +50,19 @@ def test_backbone_round_trip_keeps_config_curve_and_checksum(tmp_path):
     assert loaded.config == config
     assert loaded.val_loss_curve == bb.val_loss_curve
     assert checksum(loaded.params) == checksum(bb.params)
+
+
+def test_backbone_round_trip_is_float32_exact(tmp_path, hand_model):
+    bb = FeatureBackbone(BackboneConfig(feature_dim=32, n_surface=64))
+    save_backbone(tmp_path, bb)
+    loaded = load_backbone(tmp_path)
+    assert sorted(loaded.params) == sorted(bb.params)
+    for name, value in bb.params.items():
+        assert value.dtype == loaded.params[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded.params[name], value)
+    clouds = generate_synthetic(two_mode_spec(count=3, seed=4))
+    assert dataset_features(clouds, loaded, hand_model, 0).tobytes() == \
+        dataset_features(clouds, bb, hand_model, 0).tobytes()
 
 
 # One writer and one reader per artifact kind, and another kind to swap in.

@@ -90,6 +90,17 @@ def test_subset_by_boolean_mask_equals_subset_by_index():
     assert (by_mask.mode_ids == by_index.mode_ids).all()
 
 
+@pytest.mark.parametrize("labels", [
+    {"categories": ["box"], "mode_ids": [0]},
+    {"categories": ["box"] * 4},
+    {"mode_ids": [0, 1]},
+    {"mode_ids": 0},
+], ids=["both", "categories", "mode_ids", "scalar_mode_id"])
+def test_dataset_needs_one_label_per_record(labels):
+    with pytest.raises(ValueError, match="one entry per record"):
+        Dataset(np.zeros((3, 128)), **labels)
+
+
 def test_rejection_stall():
     spec = two_mode_spec(count=1, seed=0)
     spec.modes = spec.modes[:1]

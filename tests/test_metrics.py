@@ -319,7 +319,8 @@ def test_warm_evaluate_equals_cold_and_featurizes_only_the_generated_set(
     assert calls["posed_mesh"] == 8
 
 
-@pytest.mark.parametrize("change", ["weight", "reference_row", "seed", "hand"])
+@pytest.mark.parametrize("change", ["weight", "float64_weight", "reference_row", "seed",
+                                    "hand"])
 def test_evaluate_recomputes_the_reference_when_an_input_changes(
         hand_model, four_pair_sets, change):
     reference, generated = four_pair_sets
@@ -327,10 +328,14 @@ def test_evaluate_recomputes_the_reference_when_an_input_changes(
     backbone = FeatureBackbone()
     model, seed = hand_model, 0
     _evaluate(reference, generated, backbone, model, seed)
+    before = checksum(backbone.params)
     if change == "weight":
-        before = checksum(backbone.params)
         w = backbone.params["bb.head.W"]
-        w.flat[np.argmax(np.abs(w))] += 1e-12
+        i = np.argmax(np.abs(w))
+        w.flat[i] = np.nextafter(w.flat[i], np.float32(np.inf))     # one ulp
+        assert checksum(backbone.params) != before
+    elif change == "float64_weight":
+        backbone.params["bb.head.W"] = backbone.params["bb.head.W"].astype(float)
         assert checksum(backbone.params) == before  # the float32 rounding is unchanged
     elif change == "reference_row":
         reference.params[0, 0] += 0.01
@@ -370,8 +375,7 @@ def test_reference_memo_is_read_only_and_goes_with_its_backbone(hand_model, four
     _evaluate(reference, generated, backbone, hand_model)
     entry = metrics._REFERENCE_MEMO[backbone]
     assert len(entry.features) == 1
-    assert not any(a.flags.writeable
-                   for a in [*entry.weights.values(), *entry.features.values()])
+    assert not any(a.flags.writeable for a in entry.features.values())
     gone = weakref.ref(entry)
     del backbone, entry
     gc.collect()
