@@ -180,9 +180,11 @@ def load_dataset(path) -> Dataset:
     params = tensors.get("params")
     n = len(params) if np.ndim(params) else 0
     shapes = {"params": (n, 2 * DIM), "objects": (n, OBJECT_POINTS, 3)}
-    labels = [manifest.get("categories"), manifest.get("mode_ids")]
-    if (params is None or any(t.shape != shapes.get(k) for k, t in tensors.items())
-            or any(v is not None and len(v) != n for v in labels)):
-        raise LayoutMismatch(f"dataset tensors and labels disagree on the {n}-record count")
-    return Dataset(params, tensors.get("objects"), *labels)
+    if params is None or any(t.shape != shapes.get(k) for k, t in tensors.items()):
+        raise LayoutMismatch(f"dataset tensors disagree on the {n}-record count")
+    try:
+        return Dataset(params, tensors.get("objects"),
+                       manifest.get("categories"), manifest.get("mode_ids"))
+    except (TypeError, ValueError) as err:
+        raise LayoutMismatch(f"dataset labels do not fit its {n} records: {err!r}") from err
 

@@ -102,6 +102,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.modes) < 1:
             raise ValueError("need at least one mode")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
         if min(self.theta_jitter, self.beta_sigma) < 0:
             raise ValueError("jitter sigmas must be >= 0")
 

@@ -1,7 +1,7 @@
 """Noise schedule, diffusion algebra, and the dropout-augmented training loop.
 
-The model predicts the clean vector x0; eps_from_x0 bridges predictions into
-noise space for guidance mixing and the deterministic DDIM update.
+The model predicts the clean vector x0. The sampler mixes guidance in x0 and
+ddim_step steps from x0, dividing by sqrt(1 - alpha_bar_t) only.
 """
 
 from __future__ import annotations
@@ -63,20 +63,14 @@ def eps_from_x0(x_t, x0_hat, t, sched: DiffusionSchedule):
         / _coef(np.sqrt(1.0 - ab), x_t)
 
 
-def x0_from_eps(x_t, eps_hat, t, sched: DiffusionSchedule):
-    """Clean estimate implied by a noise estimate at time t."""
-    x_t = np.asarray(x_t, dtype=float)
-    return (x_t - _coef(sched.sqrt_1mab(t), x_t) * np.asarray(eps_hat, dtype=float)) \
-        / _coef(sched.sqrt_ab(t), x_t)
-
-
-def ddim_step(x_t, eps_hat, t: int, t_prev: int, sched: DiffusionSchedule):
-    """Deterministic reverse update (eta = 0) from time t to t_prev < t."""
+def ddim_step(x_t, x0_hat, t: int, t_prev: int, sched: DiffusionSchedule):
+    """Deterministic reverse update (eta = 0) from t to t_prev < t: with eps the
+    noise x0_hat implies at t, sqrt(ab_prev) x0_hat + sqrt(1 - ab_prev) eps."""
     if not 0 <= t_prev < t <= sched.T:
         raise InvalidSchedule(f"need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
-    x0_hat = x0_from_eps(x_t, eps_hat, t, sched)
-    return _coef(sched.sqrt_ab(t_prev), x_t) * x0_hat \
-        + _coef(sched.sqrt_1mab(t_prev), x_t) * np.asarray(eps_hat, dtype=float)
+    eps = eps_from_x0(x_t, x0_hat, t, sched)
+    return _coef(sched.sqrt_ab(t_prev), eps) * np.asarray(x0_hat, dtype=float) \
+        + _coef(sched.sqrt_1mab(t_prev), eps) * eps
 
 
 def ddim_time_grid(T: int, num_steps: int) -> list[tuple[int, int]]:
@@ -107,6 +101,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_uncond <= 1.0:
             raise ValueError(f"p_uncond must be in [0,1], got {self.p_uncond}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def schedule(self) -> DiffusionSchedule:
         """The noise schedule training uses: make_schedule's defaults."""

@@ -2,11 +2,12 @@
 
 Phase 1 draws an anchor hand unconditionally (null token), pins its root to
 the canonical frame, and mirrors it into a left hand. Phase 2 draws the
-interacting right hand conditioned on that anchor, mixing conditional and
-unconditional noise estimates (classifier-free guidance) and descending the
-inter-hand penetration loss after every reverse step (anti-penetration
-guidance). Both phases share one network and one deterministic noise stream
-per sample, so a (weights, config) pair fully determines the output.
+interacting right hand conditioned on that anchor: every reverse step mixes
+conditional and unconditional clean estimates (classifier-free guidance),
+steps from the mix, and descends the mix's inter-hand penetration loss
+(anti-penetration guidance). Both phases share one network and one
+deterministic noise stream per sample, so a (weights, config) pair fully
+determines the output.
 
 penetration_set owns contact: its one nearest-vertex query per pair of
 meshes, bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid, eps_from_x0, x0_from_eps
+from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid
 from .errors import MissingObject
 from .hand_model import (
     DIM,
@@ -84,13 +85,14 @@ class PenetrationReport:
         return len(self.pairs)
 
 
-def cfg_mix(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """(1+w) conditional - w unconditional noise estimate."""
-    eps_cond = np.asarray(eps_cond, dtype=float)
-    eps_uncond = np.asarray(eps_uncond, dtype=float)
-    if eps_cond.shape != eps_uncond.shape:
+def cfg_mix(x0_cond: np.ndarray, x0_uncond: np.ndarray, w: float) -> np.ndarray:
+    """(1+w) conditional - w unconditional clean estimate; for a fixed x_t the
+    implied noise is affine in x0, so the step equals one from the mixed noise."""
+    x0_cond = np.asarray(x0_cond, dtype=float)
+    x0_uncond = np.asarray(x0_uncond, dtype=float)
+    if x0_cond.shape != x0_uncond.shape:
         raise ValueError("estimate shapes differ")
-    return (1.0 + w) * eps_cond - w * eps_uncond
+    return (1.0 + w) * x0_cond - w * x0_uncond
 
 
 def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
@@ -132,22 +134,21 @@ def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
     return penetration_set(mesh_a, mesh_b).loss
 
 
-def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
-                 anchor_meshes: list[HandMesh], sched: DiffusionSchedule,
-                 model) -> np.ndarray:
-    """d L_pen / d x_prev (B, 64) through the clean-estimate map and the kinematics.
+def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
+                 sched: DiffusionSchedule, model) -> np.ndarray:
+    """d L_pen / d x_prev (B, 64) from the clean estimates x0_hat (B, 64).
 
-    Row i of x_prev and eps_hat (B, 64) is a right hand whose loss is taken
-    against anchor_meshes[i], the posed left-hand mesh of its anchor.
-    eps_hat is held constant, and so is the pair set: it is found once from
-    the clean estimate and not differentiated. All rows are posed in one
-    call and differentiated in one call; only the contact is found row by
-    row, by penetration_set, whose pairs and delta give the cotangent. A
-    row whose clean root rotation is rot6d_degenerate (possible under
+    Row i is a right hand whose loss is taken against anchor_meshes[i], the
+    posed left-hand mesh of its anchor. The step's noise estimate is held
+    constant, so dL/dx_prev is dL/dx0 / sqrt(ab_prev), and so is the pair set:
+    it is found once from x0_hat and not differentiated. All rows are posed
+    in one call and differentiated in one call; only the contact is found
+    row by row, by penetration_set, whose pairs and delta give the cotangent.
+    A row whose clean root rotation is rot6d_degenerate (possible under
     untrained weights) gets a zero gradient, as does a row with no pairs.
     ``model`` must be the one that posed the anchors.
     """
-    x0_hat = x0_from_eps(x_prev, eps_hat, t_prev, sched)
+    x0_hat = np.asarray(x0_hat, dtype=float)
     grad = np.zeros_like(x0_hat)
     ok = np.flatnonzero(~rot6d_degenerate(x0_hat[:, OMEGA]))
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
@@ -162,18 +163,14 @@ def apg_gradient(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
     return grad
 
 
-def apg_step(x_prev: np.ndarray, eps_hat: np.ndarray, t_prev: int,
+def apg_step(x_prev: np.ndarray, x0_hat: np.ndarray, t_prev: int,
              anchor_meshes: list[HandMesh], w_pen: float, sched: DiffusionSchedule,
              model) -> np.ndarray:
-    """One anti-penetration descent step on every row of x_prev (B, 64).
-
-    Rows that do not penetrate their anchor, and rows whose clean root
-    rotation is degenerate, are returned unchanged; see apg_gradient.
-    """
-    x_prev = np.asarray(x_prev, dtype=float)
-    if w_pen == 0.0:
-        return x_prev
-    return x_prev - w_pen * apg_gradient(x_prev, eps_hat, t_prev, anchor_meshes, sched, model)
+    """One anti-penetration descent step on every row of x_prev (B, 64), whose
+    clean estimates are x0_hat. Rows that do not penetrate their anchor, and
+    rows whose clean root rotation is degenerate, are returned unchanged."""
+    return np.asarray(x_prev, dtype=float) - w_pen * apg_gradient(
+        x0_hat, t_prev, anchor_meshes, sched, model)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +194,17 @@ def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
             # Every row is dropped, so the null token replaces these zeros.
             x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(len(x), dtype=bool), tt,
                                     object_embedding=object_embedding)
-            eps_u = eps_from_x0(x, x0_u, t, sched)
         if cond is None:
-            eps = eps_u
+            x0 = x0_u
         else:
-            x0_c = denoiser.predict(x, cond, np.zeros(len(x), dtype=bool), tt,
-                                    object_embedding=object_embedding)
-            eps_c = eps_from_x0(x, x0_c, t, sched)
-            eps = cfg_mix(eps_c, eps_u, config.w_cfg) if config.w_cfg != 0.0 else eps_c
-        x = ddim_step(x, eps, t, t_prev, sched)
+            x0 = denoiser.predict(x, cond, np.zeros(len(x), dtype=bool), tt,
+                                  object_embedding=object_embedding)
+            if config.w_cfg != 0.0:
+                x0 = cfg_mix(x0, x0_u, config.w_cfg)
+        x = ddim_step(x, x0, t, t_prev, sched)
         if anchor_meshes is not None:
             w = config.w_pen_at(len(grid) - 1 - si)
-            x = apg_step(x, eps, t_prev, anchor_meshes, w, sched, model)
+            x = apg_step(x, x0, t_prev, anchor_meshes, w, sched, model)
     return x
 
 

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from handpair.backbone import BackboneConfig, train_backbone
+from handpair.backbone import BackboneConfig, FeatureBackbone, regression_target, train_backbone
 from handpair.checkpoint import checksum
 from handpair.data import generate_synthetic, two_mode_spec
+from handpair.hand_model import pair_segments
+from handpair.mesh import sample_surface_points
 
 
 @pytest.fixture(scope="module")
@@ -22,3 +25,59 @@ def test_backbone_validation_loss_falls_and_seed_fixes_weights(dataset):
     assert all(later < earlier for earlier, later in zip(curve, curve[1:]))
     assert checksum(_train(dataset, seed=0).params) == checksum(bb.params)
     assert checksum(_train(dataset, seed=1).params) != checksum(bb.params)
+
+
+class _RecordingOptimizer:
+    """Stands in for Adam: keeps the gradients train_step hands it and moves
+    no weight."""
+
+    def step(self, params, grads, lr):
+        self.grads = {name: g.copy() for name, g in grads.items()}
+
+
+def test_train_step_gradients_match_central_differences(dataset, hand_model):
+    # On a float64 twin, so central differences resolve the gradients well
+    # below float32 rounding. The loss is piecewise smooth: a ReLU or a
+    # max-pool argmax switches at kinks, dense for the first-level biases,
+    # which shift every grouped row. Each entry takes the largest step h
+    # whose forward and backward quotients agree, so no kink that matters
+    # lies within +-h.
+    config = BackboneConfig(feature_dim=16, n_surface=64)
+    weights = FeatureBackbone(config).params
+    bb = FeatureBackbone(config, params={k: v.astype(float) for k, v in weights.items()})
+    x_l, x_r = dataset.pair(np.arange(3))
+    clouds = sample_surface_points(*pair_segments(x_l, x_r, hand_model), config.n_surface, 0)
+    targets = regression_target(x_l, x_r)
+    opt = _RecordingOptimizer()
+    loss = bb.train_step(clouds, targets, opt, config.lr)
+
+    def loss_at(w, i, value):
+        saved, w[i] = w[i], value
+        out = float(((bb.predict(clouds) - targets) ** 2).mean())
+        w[i] = saved
+        return out
+
+    def central_difference(w, i):
+        base = loss_at(w, i, w[i])
+        for h in (1e-6, 1e-7, 1e-8, 1e-9):
+            up, down = loss_at(w, i, w[i] + h), loss_at(w, i, w[i] - h)
+            forward, backward = (up - base) / h, (base - down) / h
+            if abs(forward - backward) <= 1e-5 * max(abs(forward), abs(backward)) + 1e-8:
+                return (up - down) / (2 * h)
+        raise AssertionError(f"no step h without a kink at entry {i}")
+
+    assert loss_at(bb.params["bb_reg.b"], 0, bb.params["bb_reg.b"][0]) == \
+        pytest.approx(loss, rel=1e-12)
+    rng = np.random.default_rng(0)
+    nonzero = 0
+    for name in ("bb_reg.W", "bb_reg.b", "bb.head.W", "bb.head.b", "bb.sa1.mlp0.W",
+                 "bb.sa1.mlp0.b", "bb.sa1.mlp1.W", "bb.sa1.mlp1.b", "bb.sa2.mlp0.W",
+                 "bb.sa2.mlp0.b", "bb.sa2.mlp1.W", "bb.sa2.mlp1.b"):
+        w, grad = bb.params[name], opt.grads[name]
+        assert grad.shape == w.shape and grad.dtype == np.float64
+        for flat in rng.choice(w.size, size=4, replace=False):
+            i = np.unravel_index(flat, w.shape)
+            fd = central_difference(w, i)
+            assert abs(grad[i] - fd) <= 1e-8 + 1e-5 * abs(fd), (name, i, grad[i], fd)
+            nonzero += grad[i] != 0.0
+    assert nonzero >= 24     # most sampled entries carry a gradient

@@ -1,8 +1,10 @@
 """Every config field is passed by some caller in src/, bench/ or tests/,
-every error class is raised somewhere in src/, and each of two rules has
+every error class is raised somewhere in src/, and each of three rules has
 one owner in src/: nn.rng_stream builds every random generator but the one
-of data's fixed mode templates, and checkpoint alone hashes (its checksum
-names every set of weights). Every network holds float32 weights only.
+of data's fixed mode templates, checkpoint alone hashes (its checksum names
+every set of weights), and diffusion alone turns a clean estimate into noise
+(the sampler works on clean estimates only). Every network holds float32
+weights only.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
@@ -113,6 +115,12 @@ def test_only_checkpoint_hashes():
             if "hashlib" in names:
                 users.add(module)
     assert users == {"checkpoint"}
+
+
+def test_only_diffusion_calls_eps_from_x0():
+    callers = {module for module, tree in _modules()
+               for _, call in _calls_by_function(tree) if _callee(call.func) == "eps_from_x0"}
+    assert callers == {"diffusion"}
 
 
 def test_stream_tags_are_distinct():

@@ -152,11 +152,16 @@ def test_malformed_manifest_rejected(artifact, damage, cause):
     ("backbone", lambda m: m["config"].update(feature_dim=64), None),
     ("backbone", lambda m: m["config"].update(depth=3), TypeError),
     ("backbone", lambda m: m.pop("val_loss_curve"), KeyError),
+    ("dataset", lambda m: m.update(mode_ids=5), ValueError),
+    ("dataset", lambda m: m.update(categories=5), TypeError),
+    ("dataset", lambda m: m.update(mode_ids="a" * len(m["mode_ids"])), ValueError),
 ], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_unknown_profile",
         "denoiser_without_profile", "denoiser_without_schedule",
         "denoiser_schedule_without_betaT", "denoiser_schedule_T_string",
         "backbone_feature_dim",
-        "backbone_unknown_config_key", "backbone_without_val_loss_curve"])
+        "backbone_unknown_config_key", "backbone_without_val_loss_curve",
+        "dataset_mode_ids_a_number", "dataset_categories_a_number",
+        "dataset_mode_ids_a_string"])
 def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit, cause):
     save, load, _ = ARTIFACTS[kind]
     save(tmp_path)

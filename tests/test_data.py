@@ -165,6 +165,13 @@ def test_split_fracs_must_sum_to_one():
         split(ds, (0.5, 0.2, 0.2), seed=0)
 
 
+def test_negative_count_is_rejected_and_zero_is_empty():
+    with pytest.raises(ValueError, match="count"):
+        two_mode_spec(count=-1)
+    empty = generate_synthetic(two_mode_spec(count=0, seed=2))
+    assert len(empty) == 0 and empty.params.shape == (0, 128)
+
+
 def test_overlapping_spec_produces_penetrations():
     ds = generate_synthetic(overlapping_spec(count=16, seed=5))
     model = default_hand()

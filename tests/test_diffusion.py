@@ -7,6 +7,7 @@ from conftest import PointMassDenoiser, random_params
 from handpair.data import Dataset, generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import (
+    DiffusionSchedule,
     TrainConfig,
     assemble_batch,
     ddim_step,
@@ -100,9 +101,8 @@ def test_singularity_guard():
 def test_ddim_step_to_zero_returns_clean_estimate():
     sched = make_schedule(256)
     rng = np.random.default_rng(0)
-    x_t, eps = rng.normal(size=64), rng.normal(size=64)
-    x0_hat = (x_t - np.sqrt(1 - sched.alpha_bar[5]) * eps) / np.sqrt(sched.alpha_bar[5])
-    np.testing.assert_allclose(ddim_step(x_t, eps, 5, 0, sched), x0_hat, atol=1e-12)
+    x_t, x0_hat = rng.normal(size=64), rng.normal(size=64)
+    np.testing.assert_allclose(ddim_step(x_t, x0_hat, 5, 0, sched), x0_hat, atol=1e-12)
 
 
 def test_ddim_step_consistent_with_forward():
@@ -111,8 +111,26 @@ def test_ddim_step_consistent_with_forward():
     x0, eps = rng.normal(size=64), rng.normal(size=64)
     x_t = forward_diffuse(x0, 200, eps, sched)
     np.testing.assert_allclose(
-        ddim_step(x_t, eps, 200, 120, sched),
+        ddim_step(x_t, x0, 200, 120, sched),
         forward_diffuse(x0, 120, eps, sched), atol=1e-12)
+
+
+def test_ddim_step_from_zero_terminal_snr_stays_finite():
+    # Zero terminal SNR (Lin et al., WACV 2024): alpha_bar_T = 0, so x_T holds
+    # no signal and the implied noise at T is x_T itself. A step from T must
+    # not divide by sqrt(alpha_bar_T).
+    base = make_schedule(16)
+    beta, alpha_bar = base.beta.copy(), base.alpha_bar.copy()
+    beta[-1], alpha_bar[-1] = 1.0, 0.0
+    sched = DiffusionSchedule(16, beta, alpha_bar)
+    rng = np.random.default_rng(4)
+    x_T, x0 = rng.normal(size=(2, 3, 64))
+    for t_prev in (0, 8, 15):
+        out = ddim_step(x_T, x0, 16, t_prev, sched)
+        ab = alpha_bar[t_prev]
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * x_T,
+                                   rtol=0, atol=1e-15)
 
 
 def test_ddim_point_mass_trajectory_converges():
@@ -123,17 +141,16 @@ def test_ddim_point_mass_trajectory_converges():
     x = rng.normal(size=(1, 64))
     for t, t_prev in ddim_time_grid(256, 32):
         x0_hat = oracle.predict(x, x, np.ones(1, dtype=bool), [t])
-        eps = eps_from_x0(x, x0_hat, t, sched)
-        x = ddim_step(x, eps, t, t_prev, sched)
+        x = ddim_step(x, x0_hat, t, t_prev, sched)
     assert np.abs(x[0] - x0_star).max() < 1e-6
 
 
 def test_ddim_determinism_is_bitwise():
     sched = make_schedule(256)
     rng = np.random.default_rng(3)
-    x_t, eps = rng.normal(size=64), rng.normal(size=64)
-    a = ddim_step(x_t, eps, 64, 32, sched)
-    b = ddim_step(x_t.copy(), eps.copy(), 64, 32, sched)
+    x_t, x0_hat = rng.normal(size=64), rng.normal(size=64)
+    a = ddim_step(x_t, x0_hat, 64, 32, sched)
+    b = ddim_step(x_t.copy(), x0_hat.copy(), 64, 32, sched)
     np.testing.assert_array_equal(a, b)
 
 
@@ -252,6 +269,13 @@ def test_empty_dataset_raises():
 
     with pytest.raises(EmptyDataset):
         train(Dataset(np.empty((0, 128))), _SpyDenoiser(), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_batch_size_below_one_is_rejected(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=batch_size)
+    TrainConfig(batch_size=1)
 
 
 def test_non_finite_loss_aborts(tiny_dataset):

@@ -14,7 +14,7 @@ from conftest import (
 from handpair.checkpoint import load_denoiser
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
-from handpair.diffusion import forward_diffuse, make_schedule, x0_from_eps
+from handpair.diffusion import forward_diffuse, make_schedule
 from handpair.hand_model import (
     BETA,
     CapsuleHand,
@@ -268,12 +268,13 @@ def test_w_pen_schedule():
 
 
 def test_apg_zero_weight_is_identity(hand_model):
+    # The clean estimate penetrates its anchor, so the gradient is nonzero.
     sched = make_schedule(256)
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=64)
-    anchor_mesh = left_hand_mesh(HandParam.from_parts(), hand_model)
-    out = apg_step(x[None], rng.normal(size=64)[None], 8, [anchor_mesh], 0.0, sched,
-                   hand_model)[0]
+    x = np.random.default_rng(3).normal(size=64)
+    x_l, x_r = _overlapping_pair()
+    anchor_mesh = left_hand_mesh(x_l, hand_model)
+    assert np.abs(apg_gradient(x_r.vector[None], 8, [anchor_mesh], sched, hand_model)).max() > 0
+    out = apg_step(x[None], x_r.vector[None], 8, [anchor_mesh], 0.0, sched, hand_model)[0]
     np.testing.assert_array_equal(out, x)
 
 
@@ -281,11 +282,10 @@ def test_apg_noop_when_disjoint(hand_model):
     sched = make_schedule(256)
     x_l = HandParam.from_parts()
     x_r = HandParam.from_parts(tau=[0.5, 0, 0])
-    eps = np.zeros(64)
     t_prev = 8
-    x_prev = forward_diffuse(x_r.vector, t_prev, eps, sched)
-    out = apg_step(x_prev[None], eps[None], t_prev, [left_hand_mesh(x_l, hand_model)], 1.0,
-                   sched, hand_model)[0]
+    x_prev = forward_diffuse(x_r.vector, t_prev, np.zeros(64), sched)
+    out = apg_step(x_prev[None], x_r.vector[None], t_prev, [left_hand_mesh(x_l, hand_model)],
+                   1.0, sched, hand_model)[0]
     np.testing.assert_array_equal(out, x_prev)
 
 
@@ -298,13 +298,11 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
     sqrt_ab = np.sqrt(sched.alpha_bar[t_prev])
     sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar[t_prev])
     x_prev = sqrt_ab * x_r.vector + sqrt_1mab * eps_hat
+    x0_hat = (x_prev - sqrt_1mab * eps_hat) / sqrt_ab
 
     anchor_mesh = left_hand_mesh(x_l, hand_model)
-    grad = apg_gradient(x_prev[None], eps_hat[None], t_prev, [anchor_mesh], sched,
-                        hand_model)[0]
-    pairs = penetration_set(
-        hand_model.posed_mesh(HandParam(x0_from_eps(x_prev, eps_hat, t_prev, sched))),
-        anchor_mesh).pairs
+    grad = apg_gradient(x0_hat[None], t_prev, [anchor_mesh], sched, hand_model)[0]
+    pairs = penetration_set(hand_model.posed_mesh(HandParam(x0_hat)), anchor_mesh).pairs
     assert len(pairs) > 0
 
     def frozen_loss(xp):
@@ -324,7 +322,7 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
 
     before = penetration_loss(HandParam((x_prev - sqrt_1mab * eps_hat) / sqrt_ab),
                               x_l, hand_model)
-    stepped = apg_step(x_prev[None], eps_hat[None], t_prev, [anchor_mesh], 1e-3, sched,
+    stepped = apg_step(x_prev[None], x0_hat[None], t_prev, [anchor_mesh], 1e-3, sched,
                        hand_model)[0]
     after = penetration_loss(HandParam((stepped - sqrt_1mab * eps_hat) / sqrt_ab),
                              x_l, hand_model)
@@ -339,22 +337,19 @@ def test_batched_apg_gradient_matches_one_row_calls(hand_model):
     anchor_meshes = [left_hand_mesh(a, hand_model) for a in anchors]
     clean = np.stack([HandParam.from_parts(tau=[x, 0.0, 0.0]).vector
                       for x in (0.045, 0.05, 0.5, 0.04)])   # row 2 stays clear
-    eps = rng.normal(0.0, 0.01, (4, 64))
-    x_prev = forward_diffuse(clean, t_prev, eps, sched)
-    grads = apg_gradient(x_prev, eps, t_prev, anchor_meshes, sched, hand_model)
+    grads = apg_gradient(clean, t_prev, anchor_meshes, sched, hand_model)
     for i in range(4):
         np.testing.assert_array_equal(
-            grads[i], apg_gradient(x_prev[i:i + 1], eps[i:i + 1], t_prev,
-                                   [anchor_meshes[i]], sched, hand_model)[0])
+            grads[i], apg_gradient(clean[i:i + 1], t_prev, [anchor_meshes[i]], sched,
+                                   hand_model)[0])
     assert np.abs(grads[[0, 1, 3]]).max(axis=1).min() > 0
     np.testing.assert_array_equal(grads[2], np.zeros(64))
 
     # A clean estimate with a zero root column: that row gets a zero gradient,
     # the others are unchanged.
-    x_bad, eps_bad = x_prev.copy(), eps.copy()
-    x_bad[1, 55:61] = 0.0
-    eps_bad[1, 55:61] = 0.0
-    masked = apg_gradient(x_bad, eps_bad, t_prev, anchor_meshes, sched, hand_model)
+    bad = clean.copy()
+    bad[1, 55:61] = 0.0
+    masked = apg_gradient(bad, t_prev, anchor_meshes, sched, hand_model)
     np.testing.assert_array_equal(masked[1], np.zeros(64))
     np.testing.assert_array_equal(masked[[0, 2, 3]], grads[[0, 2, 3]])
 
@@ -379,6 +374,67 @@ def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
     assert any(len(got) for got, _ in reports)
     for got, expected in reports:
         assert_same_contact(got, expected)
+
+
+def noise_space_reverse_pass(denoiser, x, cond, grid, sched, config, model,
+                             object_embedding, anchor_meshes=None):
+    """The reverse pass written in noise space, as an independent reference.
+
+    Each clean estimate becomes its implied noise, guidance mixes the noises,
+    the DDIM step goes back to x0 through sqrt(alpha_bar_t), and APG takes
+    its clean estimate back from x_prev and the mixed noise.
+    """
+    for k, (t, t_prev) in enumerate(grid):
+        ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t_prev]
+        tt = np.full(len(x), t)
+
+        def noise(cond_rows, dropped):
+            x0 = denoiser.predict(x, cond_rows, np.full(len(x), dropped), tt,
+                                  object_embedding=object_embedding)
+            return (x - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
+
+        if config.w_cfg != 0.0 or cond is None:
+            eps_u = noise(np.zeros_like(x), True)
+        if cond is None:
+            eps = eps_u
+        else:
+            eps = noise(cond, False)
+            if config.w_cfg != 0.0:
+                eps = (1.0 + config.w_cfg) * eps - config.w_cfg * eps_u
+        x0 = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+        x = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
+        if anchor_meshes is not None:
+            x0_prev = (x - np.sqrt(1.0 - ab_prev) * eps) / np.sqrt(ab_prev)
+            x = x - config.w_pen_at(len(grid) - 1 - k) * apg_gradient(
+                x0_prev, t_prev, anchor_meshes, sched, model)
+    return x
+
+
+def test_clean_estimate_steps_match_noise_space_reference(monkeypatch):
+    # Mixing and stepping from x0 is the noise-space algebra rearranged, so on
+    # the committed fixture, with APG on and in contact, both give the same
+    # pairs to rounding.
+    from handpair import sampler
+
+    denoiser, sched, _ = load_denoiser(FIXTURE)
+    for w in denoiser.params.values():
+        w.flags.writeable = False
+    config, model = SampleConfig(seed=1, count=8), CapsuleHand()
+    pairs_found, contact = [], sampler.penetration_set
+
+    def counting(mesh_a, mesh_b):
+        report = contact(mesh_a, mesh_b)
+        pairs_found.append(len(report))
+        return report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler, "penetration_set", counting)
+        got = sample_pairs(denoiser, config, sched, model)
+    assert config.apg and max(pairs_found) > 0
+    monkeypatch.setattr(sampler, "_reverse_pass", noise_space_reverse_pass)
+    expected = sample_pairs(denoiser, config, sched, model)
+    np.testing.assert_allclose(got.x_l, expected.x_l, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.x_r, expected.x_r, rtol=0, atol=1e-12)
 
 
 def test_apg_poses_all_rows_in_one_call_per_step(monkeypatch):
@@ -436,7 +492,7 @@ def test_zero_cfg_no_apg_equals_conditional_only_path(hand_model):
     cfg = SampleConfig(seed=3, count=2, w_cfg=0.0, apg=False)
     result = sample_pairs(den, cfg, sched, hand_model)
 
-    from handpair.diffusion import ddim_step, ddim_time_grid, eps_from_x0
+    from handpair.diffusion import ddim_step, ddim_time_grid
 
     for i in range(cfg.count):
         rng = rng_stream(cfg.seed, TAG_SAMPLE + i)
@@ -445,8 +501,7 @@ def test_zero_cfg_no_apg_equals_conditional_only_path(hand_model):
         cond = result.x_l[i][None, :]
         for t, t_prev in ddim_time_grid(sched.T, cfg.steps):
             x0 = den.predict(x, cond, np.zeros(1, dtype=bool), np.array([t]))
-            eps = eps_from_x0(x, x0, t, sched)
-            x = ddim_step(x, eps, t, t_prev, sched)
+            x = ddim_step(x, x0, t, t_prev, sched)
         np.testing.assert_allclose(result.x_r[i], x[0], atol=1e-12)
 
 
