@@ -107,16 +107,18 @@ class SyntheticSpec:
         if min(self.theta_jitter, self.beta_sigma) < 0:
             raise ValueError("jitter sigmas must be >= 0")
 
-    def classify(self, x_l: HandParam, x_r: HandParam) -> int:
-        """Nearest mode by normalized root-transform + articulation distance."""
+    def classify(self, x_l: HandParam, x_r: HandParam):
+        """Nearest mode by normalized root-transform + articulation distance;
+        an int for one pair, an int array for a stack."""
         scores = []
         R = rot6d_to_matrix(x_r.omega)
         for m in self.modes:
-            dt = np.linalg.norm(x_r.tau - m.rel_translation_mean)
+            dt = np.linalg.norm(x_r.tau - m.rel_translation_mean, axis=-1)
             da = geodesic_angle(m.rel_rotation, R)
-            dth = np.linalg.norm(x_l.theta - m.anchor_theta)
+            dth = np.linalg.norm(x_l.theta - m.anchor_theta, axis=-1)
             scores.append(dt / 0.05 + da / np.pi + dth / max(np.linalg.norm(m.anchor_theta), 1e-6))
-        return int(np.argmin(scores))
+        mode = np.argmin(scores, axis=0)
+        return int(mode) if mode.ndim == 0 else mode
 
 
 def _curl_pose(rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:

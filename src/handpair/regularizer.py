@@ -6,84 +6,75 @@ right-hand space, diffused to a fixed time, denoised in one batched forward
 between the denoised pair and the current pair. The critic is frozen: no
 gradient ever reaches the network weights; the returned gradients are with
 respect to the pair only, with the critic output treated as constant.
+
+Every function is pure and broadcasts over pairs: (..., 64) hands with
+(..., 2, 64) noise. The caller owns the noise, as the optimiser that owns the
+loop does in score distillation; a fresh draw per call is its choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffusion import DiffusionSchedule, forward_diffuse, orient
+from .errors import ShapeMismatch
 from .hand_model import DIM, HandParam, compose_root, mirror, reroot_pair
-from .nn import TAG_REG, rng_stream
 
-
-@dataclass
-class RegularizerConfig:
-    t_reg: int | None = None      # default: round(T / 8)
-    noise_mode: str = "fresh"     # "fresh" draws per call_index; "fixed" reuses one draw
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_mode not in ("fresh", "fixed"):
-            raise ValueError(f"noise_mode must be 'fresh' or 'fixed', got {self.noise_mode!r}")
-
-    def resolve_t(self, sched: DiffusionSchedule) -> int:
-        t = self.t_reg if self.t_reg is not None else int(round(sched.T / 8))
-        if not 1 <= t <= sched.T:
-            raise ValueError(f"t_reg must be in [1, T], got {t}")
-        return t
+T_REG_DIVISOR = 8     # t_reg defaults to round(T / 8)
 
 
 def forward_reverse_step(denoiser, sched: DiffusionSchedule, x_l: HandParam,
                          x_r: HandParam, t_reg: int, noise: np.ndarray):
     """Diffuse both hands to t_reg and denoise each conditioned on the other.
 
-    Row 0 of ``noise`` perturbs the right-hand direction, row 1 the mirrored
-    left-hand direction. Returns (x_l_hat, x_r_hat) in the input frames.
+    Row 0 of each pair's ``noise`` perturbs the right-hand direction, row 1
+    the mirrored left-hand direction. One ``predict`` denoises all 2B rows,
+    pair i's right-hand row followed by its mirrored row. Returns
+    (x_l_hat, x_r_hat) in the input frames.
     """
-    target, cond = orient(x_l, x_r, [False, True])
+    noise = np.asarray(noise, dtype=float)
+    lead = x_l.vector.shape[:-1]
+    if noise.shape != (*lead, 2, DIM):
+        raise ShapeMismatch(f"pairs {lead} need noise {(*lead, 2, DIM)}, got {noise.shape}")
+    target, cond = orient(HandParam(x_l.vector[..., None, :]),
+                          HandParam(x_r.vector[..., None, :]), [False, True])
     rel, cond_pinned = reroot_pair(target, cond)
-    t = np.array([t_reg, t_reg])
-    diffused = forward_diffuse(rel.vector, t, noise, sched)
-    denoised = denoiser.predict(diffused, cond_pinned.vector, np.zeros(2, dtype=bool), t)
-    hat = compose_root(cond, HandParam(denoised))
+    diffused = forward_diffuse(rel.vector, t_reg, noise, sched).reshape(-1, DIM)
+    denoised = denoiser.predict(diffused, cond_pinned.vector.reshape(-1, DIM), None,
+                                np.full(len(diffused), t_reg))
+    hat = compose_root(cond, HandParam(denoised.reshape(noise.shape)))
     # Row 1 was denoised in mirrored space; mirror is its own inverse.
-    return mirror(HandParam(hat.vector[1])), HandParam(hat.vector[0])
+    return mirror(HandParam(hat.vector[..., 1, :])), HandParam(hat.vector[..., 0, :])
 
 
 def reg_loss_and_grad(denoiser, sched: DiffusionSchedule, x_l: HandParam,
-                      x_r: HandParam,
-                      config: RegularizerConfig = RegularizerConfig(),
-                      noise: np.ndarray | None = None, call_index: int = 0):
-    """(loss, d loss/d x_l, d loss/d x_r); loss = |critic pair - pair|, critic detached."""
-    t_reg = config.resolve_t(sched)
-    if noise is None:
-        tag = TAG_REG if config.noise_mode == "fixed" else TAG_REG + 1 + call_index
-        noise = rng_stream(config.seed, tag).standard_normal((2, DIM))
+                      x_r: HandParam, noise: np.ndarray, t_reg: int | None = None):
+    """(loss, d loss/d x_l, d loss/d x_r) per pair, shapes (...), (..., 64) and
+    (..., 64); loss = |critic pair - pair|, critic detached. A pair the critic
+    reproduces (loss below 1e-12) gets zero gradients."""
+    t_reg = int(round(sched.T / T_REG_DIVISOR)) if t_reg is None else t_reg
+    if not 1 <= t_reg <= sched.T:
+        raise ValueError(f"t_reg must be in [1, T], got {t_reg}")
     x_l_hat, x_r_hat = forward_reverse_step(denoiser, sched, x_l, x_r, t_reg, noise)
     diff = np.concatenate([x_l_hat.vector - x_l.vector,
-                           x_r_hat.vector - x_r.vector])
-    loss = float(np.linalg.norm(diff))
-    if loss < 1e-12:
-        return loss, np.zeros(DIM), np.zeros(DIM)
-    grad = -diff / loss          # d||s - x||/dx with s held constant
-    return loss, grad[:DIM], grad[DIM:]
+                           x_r_hat.vector - x_r.vector], axis=-1)
+    # One BLAS dot per pair: the sum np.linalg.norm takes of a single vector.
+    loss = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    fixed = loss[..., None] < 1e-12
+    grad = np.where(fixed, 0.0, -diff / np.where(fixed, 1.0, loss[..., None]))
+    return loss, grad[..., :DIM], grad[..., DIM:]
 
 
 def descend(denoiser, sched: DiffusionSchedule, x_l: HandParam, x_r: HandParam,
-            steps: int, lr: float,
-            config: RegularizerConfig = RegularizerConfig()):
-    """Plain gradient descent on the pair; returns (x_l, x_r, per-step losses)."""
+            steps: int, lr: float, noise: np.ndarray, t_reg: int | None = None):
+    """Plain gradient descent on the pairs with one noise draw at every step;
+    returns (x_l, x_r, losses), losses (steps + 1, ...)."""
     x_l, x_r = x_l.copy(), x_r.copy()
     losses = []
-    for s in range(steps):
-        loss, g_l, g_r = reg_loss_and_grad(denoiser, sched, x_l, x_r, config,
-                                           call_index=s)
+    for _ in range(steps):
+        loss, g_l, g_r = reg_loss_and_grad(denoiser, sched, x_l, x_r, noise, t_reg)
         losses.append(loss)
         x_l.vector[:] -= lr * g_l
         x_r.vector[:] -= lr * g_r
-    losses.append(reg_loss_and_grad(denoiser, sched, x_l, x_r, config,
-                                    call_index=steps)[0])
-    return x_l, x_r, losses
+    losses.append(reg_loss_and_grad(denoiser, sched, x_l, x_r, noise, t_reg)[0])
+    return x_l, x_r, np.array(losses)

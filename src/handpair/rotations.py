@@ -6,9 +6,10 @@ columns and completes the triad with a cross product.
 
 Every function here broadcasts over leading axes: rot6d_to_matrix and
 matrix_to_rot6d map (..., 6) to (..., 3, 3) and back, rot6d_vjp takes
-(..., 6) encodings with (..., 3, 3) cotangents, and axis_angle_to_matrix and
-axis_angle_vjp take (..., 3) vectors. rot6d_degenerate is the one place
-that says which encodings the decode rejects.
+(..., 6) encodings with (..., 3, 3) cotangents, axis_angle_to_matrix and
+axis_angle_vjp take (..., 3) vectors, and geodesic_angle maps (..., 3, 3)
+pairs to (...) angles. One Gram-Schmidt, _gram_schmidt, serves the decode
+and says which encodings it rejects; rot6d_degenerate returns that mask.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
 _EPS = 1e-8
 
 
+def _gram_schmidt(omega: np.ndarray):
+    """(b1, u2, |u2| (..., 1), rot6d_degenerate's mask) of (..., 6) encodings;
+    b1 is a1 itself where |a1| <= 1e-8, so a zero column warns of nothing."""
+    a1, a2 = omega[..., :3], omega[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    b1 = a1 / np.where(n1 <= _EPS, 1.0, n1)
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    return b1, u2, n2, (n1[..., 0] <= _EPS) | (n2[..., 0] <= _EPS)
+
+
 def rot6d_degenerate(omega: np.ndarray) -> np.ndarray:
     """(...) bool: True where rot6d_to_matrix rejects the (..., 6) encoding.
 
@@ -33,12 +45,7 @@ def rot6d_degenerate(omega: np.ndarray) -> np.ndarray:
     u2 = a2 - (b1.a2) b1 and b1 = a1/|a1|). A zero column gives a True
     entry, not a floating-point warning.
     """
-    omega = np.asarray(omega, dtype=float)
-    a1, a2 = omega[..., :3], omega[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    b1 = a1 / np.where(n1 <= _EPS, 1.0, n1)
-    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    return (n1[..., 0] <= _EPS) | (np.linalg.norm(u2, axis=-1) <= _EPS)
+    return _gram_schmidt(np.asarray(omega, dtype=float))[3]
 
 
 def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
@@ -49,12 +56,10 @@ def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (6,):
         raise DegenerateRotation(f"expected 6 entries on the last axis, got shape {omega.shape}")
-    if np.any(rot6d_degenerate(omega)):
+    b1, u2, n2, degenerate = _gram_schmidt(omega)
+    if np.any(degenerate):
         raise DegenerateRotation("first column near zero or columns (near-)collinear")
-    a1, a2 = omega[..., :3], omega[..., 3:]
-    b1 = a1 / np.linalg.norm(a1, axis=-1, keepdims=True)
-    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    b2 = u2 / np.linalg.norm(u2, axis=-1, keepdims=True)
+    b2 = u2 / n2
     return np.stack([b1, b2, _cross(b1, b2)], axis=-1)
 
 
@@ -142,7 +147,7 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(*v.shape, 3)
 
 
-def geodesic_angle(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Rotation angle of r1^T r2, in radians."""
-    c = (np.trace(r1.T @ r2) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+def geodesic_angle(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Rotation angle of r1^T r2 in radians, (...) for (..., 3, 3) matrices."""
+    c = (np.trace(np.swapaxes(r1, -1, -2) @ r2, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(c, -1.0, 1.0))

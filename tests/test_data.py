@@ -186,5 +186,6 @@ def test_overlapping_spec_produces_penetrations():
 def test_mode_classification_matches_sidecar():
     spec = two_mode_spec(count=40, seed=21)
     ds = generate_synthetic(spec)
-    got = np.array([spec.classify(*ds.pair(i)) for i in range(len(ds))])
-    np.testing.assert_array_equal(got, ds.mode_ids)
+    np.testing.assert_array_equal(spec.classify(*ds.pair(np.arange(len(ds)))), ds.mode_ids)
+    one = spec.classify(*ds.pair(0))
+    assert isinstance(one, int) and one == ds.mode_ids[0]

@@ -11,6 +11,7 @@ from handpair.rotations import (
     _cross,
     axis_angle_to_matrix,
     axis_angle_vjp,
+    geodesic_angle,
     matrix_to_rot6d,
     rot6d_degenerate,
     rot6d_to_matrix,
@@ -171,3 +172,23 @@ def test_cross_is_bit_equal_to_np_cross_on_stacks():
     c = rng.normal(size=(4, 5, 3, 3))
     np.testing.assert_array_equal(_cross(a[..., None, :], c), np.cross(a[..., None, :], c))
     np.testing.assert_array_equal(_cross(a[0, 0], b[0, 1]), np.cross(a[0, 0], b[0, 1]))
+
+
+def test_geodesic_angle_is_the_axis_angle_norm_and_broadcasts():
+    # The angle of exp([v]x) is |v| for |v| <= pi, whatever the axis; and
+    # (m b^T)^T m = b, so that pair has b's angle whatever m is.
+    rng = np.random.default_rng(4)
+    axes = rng.normal(size=(3, 4, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    angles = rng.uniform(0.0, np.pi, (3, 4))
+    angles[0, :2] = [0.0, np.pi]
+    mats = axis_angle_to_matrix(axes * angles[..., None])
+    np.testing.assert_allclose(geodesic_angle(np.eye(3), mats), angles, atol=1e-7)
+    base = np.stack([random_rotation(rng) for _ in range(4)])
+    got = geodesic_angle(mats @ np.swapaxes(base, -1, -2), mats)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, np.broadcast_to(geodesic_angle(np.eye(3), base), (3, 4)),
+                               atol=1e-7)
+    np.testing.assert_array_equal(
+        got, [[geodesic_angle(r1, r2) for r1, r2 in zip(row @ np.swapaxes(base, -1, -2), row)]
+              for row in mats])
