@@ -190,11 +190,19 @@ class Denoiser:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, dout, cache) -> dict:
-        """Accumulates parameter grads for a predict() call made with cache."""
+    def backward(self, dout, cache, sink) -> None:
+        """Backpropagates ``dout`` through a predict() call made with cache.
+
+        Hands ``sink`` each part's finished weight gradients, one dict per
+        part, in reverse layer order: each decoder layer, ``to_global``, each
+        transformer block, then the embeddings with ``null_token`` and the
+        object encoder. A part is handed over right after its own backward,
+        when no later part reads its weights, so the sink may step them in
+        place; every tensor arrives exactly once, complete. Collect the whole
+        gradient with ``grads = {}; den.backward(dout, cache, grads.update)``.
+        """
         params = self.params
         dtype = params["null_token"].dtype
-        grads: dict[str, np.ndarray] = {}
         B, drop_mask = cache["#meta"]
         d = self.d_token
         n_skip = (self.n_tokens - 1) * d
@@ -204,28 +212,35 @@ class Denoiser:
         for i in range(N_DECODER_LAYERS, 0, -1):
             if i < N_DECODER_LAYERS:
                 dec_dh = relu_backward(dec_dh, f"dec{i}.relu", cache)
-            dinp = self.decoder[i - 1].backward(params, grads, dec_dh, cache)
+            part = {}
+            dinp = self.decoder[i - 1].backward(params, part, dec_dh, cache)
+            sink(part)
             if i % 2 == 1:
                 d_ex += dinp[:, -d:]
                 dinp = dinp[:, :-d]
             d_skip += dinp[:, -n_skip:]
             dec_dh = dinp[:, :-n_skip]
-        dflat = self.to_global.backward(params, grads, dec_dh, cache)
+        part = {}
+        dflat = self.to_global.backward(params, part, dec_dh, cache)
+        sink(part)
         dx = dflat.reshape(B, self.n_tokens, d)
         for block in reversed(self.blocks):
-            dx = block.backward(params, grads, dx, cache)
+            part = {}
+            dx = block.backward(params, part, dx, cache)
+            sink(part)
         d_ex += dx[:, 0]
         d_skip += dx[:, 1:].reshape(B, n_skip)
         d_ec, d_et = d_skip[:, :d], d_skip[:, d:2 * d]
+        part = {}
         if self.obj_encoder is not None and self.obj_encoder.name in cache:
-            self.obj_encoder.backward_batch(params, grads, d_skip[:, 2 * d:], cache)
+            self.obj_encoder.backward_batch(params, part, d_skip[:, 2 * d:], cache)
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
-        _acc(grads, "null_token", d_ec[drop_mask].sum(axis=0))
+        _acc(part, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)
-        self.emb_c.backward(params, grads, d_ec_raw, cache)
-        self.emb_t.backward(params, grads, d_et, cache)
-        self.emb_x.backward(params, grads, d_ex, cache)
-        return grads
+        self.emb_c.backward(params, part, d_ec_raw, cache)
+        self.emb_t.backward(params, part, d_et, cache)
+        self.emb_x.backward(params, part, d_ex, cache)
+        sink(part)
 
     def new_optimizer(self) -> Adam:
         return Adam()

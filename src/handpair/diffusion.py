@@ -41,10 +41,10 @@ def make_schedule(T: int = 256, beta1: float = 1e-4, betaT: float = 0.01) -> Dif
 
 
 def _coef(values, x):
+    """Per-time values with a unit axis appended for each trailing axis of x,
+    so times of shape (...) scale hands of shape (..., 64)."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or np.ndim(x) <= 1:
-        return values
-    return values.reshape(-1, *([1] * (np.ndim(x) - 1)))
+    return values.reshape(values.shape + (1,) * max(np.ndim(x) - values.ndim, 0))
 
 
 def forward_diffuse(x0, t, eps, sched: DiffusionSchedule):
@@ -183,8 +183,10 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
                 raise NonFiniteLoss(
                     f"step {step}: non-finite loss on records {np.unique(idx)[:16].tolist()}")
             if trainable:
-                grads = denoiser.backward(2.0 * mask * (pred - targets) / denom, cache)
-                opt.step(denoiser.params, grads, lr)
+                # Each part's weights step as soon as its gradient is final,
+                # so one part's gradients are alive at a time, not the whole net's.
+                denoiser.backward(2.0 * mask * (pred - targets) / denom, cache,
+                                  lambda part: opt.step(denoiser.params, part, lr))
 
             losses.append(loss)
             dropped += int(drop.sum())

@@ -17,7 +17,8 @@ cached k-d tree, for contact) and occupancy, which serves one pair's voxel
 grid in bounded memory. These are model methods; the module-level ones are
 kinematics_vjp, through which APG reaches model.vjp, and the left-hand
 mirror convention, hand first and model second: left_hand_mesh(x_l, model),
-occupancy_left(x_l, model, points), pair_meshes and pair_segments (for clouds).
+occupancy_left(x_l, model, points), pair_occupancy (for volumes), pair_meshes
+and pair_segments (for clouds).
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -440,7 +441,7 @@ class CapsuleHand:
         R_T, tau = np.swapaxes(rot6d_to_matrix(params.omega), -1, -2), params.tau[..., None, :]
         return e0 @ R_T + tau, e1 @ R_T + tau, self.bone_radii(params.beta)
 
-    def occupancy(self, params: HandParam, points: np.ndarray) -> np.ndarray:
+    def occupancy(self, params, points: np.ndarray) -> np.ndarray:
         """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool.
 
         A sweep, not a broadcast: the points go through in chunks of
@@ -449,9 +450,12 @@ class CapsuleHand:
         +- radius, padded by _BOX_MARGIN), keeps the slab rows inside the box
         in y and z, and runs the exact segment-distance test on those rows
         only. Memory is bounded by the chunk, whatever N is.
+
+        ``params`` is one hand's HandParam, or its ``posed_segments``, so a
+        caller that tests many blocks of points poses the hand once.
         """
         points = np.asarray(points, dtype=float)
-        e0, e1, rads = self.posed_segments(params)
+        e0, e1, rads = self.posed_segments(params) if isinstance(params, HandParam) else params
         w = e1 - e0                                    # (B,3)
         ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
         pad = rads[:, None] + _BOX_MARGIN
@@ -527,6 +531,15 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
 
 def occupancy_left(params_left: HandParam, model, points: np.ndarray) -> np.ndarray:
     return model.occupancy(mirror(params_left), np.asarray(points) @ MIRROR_MAT.T)
+
+
+def pair_occupancy(x_l: HandParam, x_r: HandParam, model):
+    """(left, right) occupancy tests (N,3) -> (N,) bool of a stored pair, the
+    left one as in occupancy_left; each hand is posed once, here, however
+    many times the tests are called."""
+    left, right = model.posed_segments(mirror(x_l)), model.posed_segments(x_r)
+    return (lambda points: model.occupancy(left, np.asarray(points) @ MIRROR_MAT.T),
+            lambda points: model.occupancy(right, points))
 
 
 def pair_meshes(x_l: HandParam, x_r: HandParam, model):

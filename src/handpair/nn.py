@@ -6,7 +6,8 @@ float32 inputs and weights in float32 (no float64 scalar or buffer promotes
 them). A `Linear` treats every leading axis of its input as rows of one
 matrix, so a (B, S, d) token stack is one 2-D gemm, not one per row of B.
 `Adam` updates moments and parameters in place, in chunks that fit the
-cache. Forward passes optionally record caches keyed by prefix so the
+cache, and counts steps per tensor, so one step may cover any subset of the
+tensors. Forward passes optionally record caches keyed by prefix so the
 matching backward pass can accumulate into a grads dict. Everything is
 deterministic given the generators passed in; dropout is active only when a
 generator is supplied to a training-mode forward.
@@ -243,24 +244,29 @@ class Adam:
     parameter in place, walking the flattened tensors in chunks of
     ``ADAM_CHUNK`` elements through two scratch buffers that stay in cache;
     the arithmetic is the textbook expression's, in its order, so the step
-    is the same to the bit as the whole-tensor update."""
+    is the same to the bit as the whole-tensor update.
+
+    Each tensor keeps its own step count ``t[name]``, so ``step`` updates
+    exactly the tensors in ``grads``, and stepping disjoint subsets in
+    separate calls equals one call with all of them, bit for bit."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t = 0
+        self.t: dict[str, int] = {}
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
-        self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        corr1 = 1.0 - b1**self.t
-        corr2 = 1.0 - b2**self.t
         scratch = {}
         for name in sorted(grads):
             g = np.ravel(grads[name])
             if name not in self.m:
                 self.m[name] = np.zeros(grads[name].shape, g.dtype)
                 self.v[name] = np.zeros(grads[name].shape, g.dtype)
+                self.t[name] = 0
+            self.t[name] += 1
+            corr1 = 1.0 - b1**self.t[name]
+            corr2 = 1.0 - b2**self.t[name]
             p = params[name]
             # A non-C-contiguous parameter is updated through a C-order copy
             # and written back, since reshape(-1) of it would be a copy.

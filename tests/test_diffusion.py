@@ -74,6 +74,23 @@ def test_forward_diffuse_limits():
         np.sqrt(1 - sched.alpha_bar[t]) * eps)
 
 
+def test_forward_diffuse_broadcasts_over_leading_time_axes():
+    # Times (B, 2) scale hands (B, 2, 64): each column equals its own call.
+    sched = make_schedule(256)
+    rng = np.random.default_rng(4)
+    x0, eps = rng.normal(size=(5, 2, 64)), rng.normal(size=(5, 2, 64))
+    t = rng.integers(1, 257, size=(5, 2))
+    x_t = forward_diffuse(x0, t, eps, sched)
+    assert x_t.shape == (5, 2, 64)
+    for k in range(2):
+        np.testing.assert_array_equal(
+            x_t[:, k], forward_diffuse(x0[:, k], t[:, k], eps[:, k], sched))
+    np.testing.assert_array_equal(  # one time per row, a scalar time
+        forward_diffuse(x0[:, 0], t[0, 0], eps[:, 0], sched),
+        np.sqrt(sched.alpha_bar[t[0, 0]]) * x0[:, 0]
+        + np.sqrt(1.0 - sched.alpha_bar[t[0, 0]]) * eps[:, 0])
+
+
 @given(st.integers(1, 256), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_inversion_identity(t, seed):

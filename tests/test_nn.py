@@ -69,6 +69,29 @@ def test_adam_updates_a_non_contiguous_parameter():
     np.testing.assert_array_equal(base[:, ::2], ref_params["strided"])
 
 
+def test_adam_stepping_disjoint_subsets_equals_one_step():
+    # Per-tensor step counts: the tensors stepped in three calls per round,
+    # in any order, end where one call per round and the textbook end.
+    rng = np.random.default_rng(3)
+    shapes = {"a": (7, 5), "b": (ADAM_CHUNK + 9,), "c": (3,), "d": (4, 4), "e": (11,)}
+    params = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+    split = {name: p.copy() for name, p in params.items()}
+    whole = {name: p.copy() for name, p in params.items()}
+    opt_split, opt_whole, ref = Adam(), Adam(), TextbookAdam()
+    for _ in range(4):
+        grads = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+        for subset in (["d", "e"], ["b"], ["c", "a"]):
+            opt_split.step(split, {name: grads[name] for name in subset}, 1e-3)
+        opt_whole.step(whole, grads, 1e-3)
+        ref.step(params, grads, 1e-3)
+    assert opt_split.t == opt_whole.t == {name: 4 for name in shapes}
+    for name in shapes:
+        np.testing.assert_array_equal(split[name], whole[name])
+        np.testing.assert_array_equal(split[name], params[name])
+        np.testing.assert_array_equal(opt_split.m[name], ref.m[name])
+        np.testing.assert_array_equal(opt_split.v[name], ref.v[name])
+
+
 @pytest.mark.parametrize("shape, d_out, dtype", [
     ((256, 3, 512), 512, np.float32),
     ((64, 3, 128), 128, np.float32),
