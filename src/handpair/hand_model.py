@@ -267,6 +267,15 @@ N_CAP = 2
 N_SIDE = 2
 
 
+def capsule_boxes(e0: np.ndarray, e1: np.ndarray, rads: np.ndarray):
+    """Axis-aligned boxes (lo, hi), each (..., bones, 3), of capsules with axis
+    endpoints e0, e1 (..., bones, 3) and radii (..., bones): the endpoints
+    +- (radius + _BOX_MARGIN). Every point that CapsuleHand.occupancy accepts
+    lies in the box of a capsule that holds it."""
+    pad = rads[..., None] + _BOX_MARGIN
+    return np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
+
+
 def _capsule_template():
     """Shared capsule tessellation in (axial fraction, unit offset) form.
 
@@ -446,10 +455,10 @@ class CapsuleHand:
 
         A sweep, not a broadcast: the points go through in chunks of
         _OCC_CHUNK (2**16) rows, each sorted by x once. Each capsule
-        binary-searches the x-slab of its axis-aligned box (segment endpoints
-        +- radius, padded by _BOX_MARGIN), keeps the slab rows inside the box
-        in y and z, and runs the exact segment-distance test on those rows
-        only. Memory is bounded by the chunk, whatever N is.
+        binary-searches the x-slab of its capsule_boxes box, keeps the slab
+        rows inside the box in y and z, and runs the exact segment-distance
+        test on those rows only, so a point it accepts lies in that box.
+        Memory is bounded by the chunk, whatever N is.
 
         ``params`` is one hand's HandParam, or its ``posed_segments``, so a
         caller that tests many blocks of points poses the hand once.
@@ -458,8 +467,7 @@ class CapsuleHand:
         e0, e1, rads = self.posed_segments(params) if isinstance(params, HandParam) else params
         w = e1 - e0                                    # (B,3)
         ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
-        pad = rads[:, None] + _BOX_MARGIN
-        box_lo, box_hi = np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
+        box_lo, box_hi = capsule_boxes(e0, e1, rads)
         out = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), _OCC_CHUNK):
             chunk = points[lo:lo + _OCC_CHUNK]
@@ -529,17 +537,33 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
     return mirror_mesh(model.posed_mesh(mirror(params_left)))
 
 
+def _mirror_points(points) -> np.ndarray:
+    """A float copy of (..., 3) points with x negated: MIRROR_MAT's action
+    without a matmul, which would wake the BLAS thread pool. A zero
+    coordinate may keep a sign that the matmul would flip."""
+    out = np.array(points, dtype=float)
+    np.negative(out[..., 0], out=out[..., 0])
+    return out
+
+
 def occupancy_left(params_left: HandParam, model, points: np.ndarray) -> np.ndarray:
-    return model.occupancy(mirror(params_left), np.asarray(points) @ MIRROR_MAT.T)
+    return model.occupancy(mirror(params_left), _mirror_points(points))
 
 
 def pair_occupancy(x_l: HandParam, x_r: HandParam, model):
-    """(left, right) occupancy tests (N,3) -> (N,) bool of a stored pair, the
-    left one as in occupancy_left; each hand is posed once, here, however
-    many times the tests are called."""
+    """(left test, right test, left boxes, right boxes) of a stored pair.
+
+    The tests map (N,3) points to (N,) bools, the left one as in
+    occupancy_left; the boxes are the world capsule_boxes of each hand, the
+    left hand's mirrored, so every point a test accepts lies in one of its
+    hand's boxes. Each hand is posed once, here, however many times the
+    tests are called."""
     left, right = model.posed_segments(mirror(x_l)), model.posed_segments(x_r)
-    return (lambda points: model.occupancy(left, np.asarray(points) @ MIRROR_MAT.T),
-            lambda points: model.occupancy(right, points))
+    l0, l1, l_rad = left
+    return (lambda points: model.occupancy(left, _mirror_points(points)),
+            lambda points: model.occupancy(right, points),
+            capsule_boxes(_mirror_points(l0), _mirror_points(l1), l_rad),
+            capsule_boxes(*right))
 
 
 def pair_meshes(x_l: HandParam, x_r: HandParam, model):

@@ -30,18 +30,44 @@ def _sq_dist(xyz: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
 
 
-def farthest_point_indices(xyz: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic FPS seeded at the point farthest from the centroid."""
+def farthest_point_indices(xyz: np.ndarray, m: int):
+    """Deterministic FPS seeded at the point farthest from the centroid.
+
+    Returns (idx (m,), d2 (m, N)): d2[k] is _sq_dist(xyz, xyz[idx[k]]) bit
+    for bit, the distance row the sampling computes for each pick, kept for
+    grouping. The rows are summed in _sq_dist's order from contiguous x, y
+    and z, straight into d2.
+    """
     n = len(xyz)
     m = min(m, n)
-    d0 = _sq_dist(xyz, xyz.mean(axis=0))
+    coords = np.ascontiguousarray(xyz.T)                # (3, N)
+    diff = np.empty_like(coords)
+    d2 = np.empty((m, n))
     idx = np.empty(m, dtype=np.int64)
-    idx[0] = int(np.argmax(d0))
-    dist = _sq_dist(xyz, xyz[idx[0]])
+
+    def row(k):
+        np.subtract(coords, xyz[idx[k], :, None], out=diff)
+        np.square(diff, out=diff)
+        np.add(diff[0], diff[1], out=d2[k])
+        d2[k] += diff[2]
+        return d2[k]
+
+    idx[0] = int(np.argmax(_sq_dist(xyz, xyz.mean(axis=0))))
+    dist = row(0).copy()
     for k in range(1, m):
         idx[k] = int(np.argmax(dist))
-        dist = np.minimum(dist, _sq_dist(xyz, xyz[idx[k]]))
-    return idx
+        np.minimum(dist, row(k), out=dist)
+    return idx, d2
+
+
+def _first_max_rows(h: np.ndarray, pooled: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group and channel, the first row of h that reaches the group's
+    max in pooled, as argmax picks it: a group whose max is NaN routes to
+    its first NaN row. Groups are the row runs that begin at starts."""
+    hit = h == np.repeat(pooled, np.diff(starts, append=len(h)), axis=0)
+    hit |= np.isnan(h)
+    rows = np.where(hit, np.arange(len(h))[:, None], len(h))
+    return np.minimum.reduceat(rows, starts, axis=0)
 
 
 class SetAbstraction:
@@ -62,28 +88,43 @@ class SetAbstraction:
         for lin in self.linears:
             lin.init(params, rng, bias_scale=0.02)
 
+    def _group(self, xyz, feats, dtype):
+        """Centroids (M,3), member indices, group starts and the MLP input
+        rows [member - centroid | member feats] in dtype. Groups are ragged,
+        centroid-major, members in index order; every group holds at least
+        its own centroid, so no group is empty. A method of its own so that
+        the (M, N) distances are freed before the MLP runs."""
+        cidx, d2 = farthest_point_indices(xyz, self.n_centroid)
+        centroids = xyz[cidx]
+        rows, cols = np.nonzero(d2 <= self.radius**2)
+        starts = np.searchsorted(rows, np.arange(len(centroids)))
+        h = np.empty((len(cols), self.dims[0]), dtype)
+        h[:, :3] = xyz[cols] - centroids[rows]
+        if feats is not None:
+            h[:, 3:] = feats[cols]
+        return centroids, cols, starts, h
+
     def forward(self, params, xyz, feats, cache=None):
         """xyz: (N,3); feats: (N,C) or None -> (centroid xyz (M,3), (M,dims[-1]))."""
-        cidx = farthest_point_indices(xyz, self.n_centroid)
-        centroids = xyz[cidx]
-        # Ragged groups, centroid-major, members in index order; every group
-        # holds at least its own centroid, so no group is empty.
-        rows, cols = np.nonzero(_sq_dist(xyz, centroids) <= self.radius**2)
-        bounds = np.searchsorted(rows, np.arange(len(centroids) + 1))
-        rel = xyz[cols] - centroids[rows]
-        h = rel if feats is None else np.concatenate([rel, feats[cols]], axis=1)
-        h = h.astype(params[self.linears[0].name + ".W"].dtype, copy=False)
+        centroids, cols, starts, h = self._group(
+            xyz, feats, params[self.linears[0].name + ".W"].dtype)
         local_cache = {} if cache is not None else None
         for k, lin in enumerate(self.linears):
-            h = lin.forward(params, h, local_cache)
-            h = relu_forward(h, f"{self.name}.relu{k}", local_cache)
-        # Max pool: per group and channel, the first member row that reaches
-        # the max (a loop over groups beats np.maximum.reduceat here).
-        arg = np.stack([h[lo:hi].argmax(axis=0) + lo
-                        for lo, hi in zip(bounds[:-1], bounds[1:])])
+            if cache is None:
+                # Linear then ReLU in place: one array per layer, not three,
+                # so the per-cloud temporaries stay small enough for glibc to
+                # serve from its heap instead of mapping them anew.
+                h = h @ params[lin.name + ".W"]
+                h += params[lin.name + ".b"]
+                np.maximum(h, 0.0, out=h)
+            else:
+                h = relu_forward(lin.forward(params, h, local_cache), f"{self.name}.relu{k}",
+                                 local_cache)
+        pooled = np.maximum.reduceat(h, starts, axis=0)
         if cache is not None:
-            cache[self.name] = (local_cache, cols, arg, feats is not None)
-        return centroids, h[arg, np.arange(h.shape[1])]
+            cache[self.name] = (local_cache, cols, _first_max_rows(h, pooled, starts),
+                                feats is not None)
+        return centroids, pooled
 
     def backward(self, params, grads, dpooled, cache, n_points):
         """Returns gradient w.r.t. the input feats (None when feats was None)."""

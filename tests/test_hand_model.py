@@ -14,6 +14,7 @@ from handpair.hand_model import (
     left_hand_mesh,
     mirror,
     occupancy_left,
+    pair_occupancy,
     pair_segments,
     pin_root,
     relative_root,
@@ -361,6 +362,24 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
     right = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
     np.testing.assert_array_equal(occupancy_left(p, hand_model, pts), right)
+
+
+def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
+    # The left tests negate x instead of multiplying by MIRROR_MAT. The two
+    # may disagree on the sign of a zero coordinate, never on a verdict.
+    rng = np.random.default_rng(5)
+    p = random_params(rng, tau_scale=0.0)       # the wrist sits at the origin
+    pts = rng.uniform(-0.06, 0.06, size=(20_000, 3))
+    zero = rng.random(pts.shape) < 0.3
+    pts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    expected = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
+    assert expected[zero.any(axis=1)].sum() > 100
+    np.testing.assert_array_equal(occupancy_left(p, hand_model, pts), expected)
+    left, _, (lo, hi), _ = pair_occupancy(p, p, hand_model)
+    np.testing.assert_array_equal(left(pts), expected)
+    # Every accepted point lies in a world box of the left hand's capsules.
+    inside = pts[expected]
+    assert ((inside[:, None] >= lo) & (inside[:, None] <= hi)).all(axis=2).any(axis=1).all()
 
 
 def _dense_occupancy(model, params, points):

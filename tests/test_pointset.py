@@ -5,7 +5,8 @@ from handpair.data import generate_synthetic, two_mode_spec
 from handpair.hand_model import pair_segments
 from handpair.mesh import sample_surface_points
 from handpair.nn import relu_backward, relu_forward
-from handpair.pointset import PointSetEncoder, SetAbstraction, farthest_point_indices
+from handpair.pointset import (PointSetEncoder, SetAbstraction, _first_max_rows, _sq_dist,
+                               farthest_point_indices)
 
 
 def test_grouping_matches_per_centroid_loop():
@@ -18,7 +19,7 @@ def test_grouping_matches_per_centroid_loop():
     sa.forward(params, xyz, None, cache)
     _, cols, arg, _ = cache["sa"]
     # Reference: each centroid's members in index order, one group after another.
-    centroids = xyz[farthest_point_indices(xyz, sa.n_centroid)]
+    centroids = xyz[farthest_point_indices(xyz, sa.n_centroid)[0]]
     inside = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2) <= sa.radius**2
     groups = [np.flatnonzero(inside[i]) for i in range(len(inside))]
     sizes = np.array([len(g) for g in groups])
@@ -29,11 +30,94 @@ def test_grouping_matches_per_centroid_loop():
     assert ((arg >= starts[:, None]) & (arg < (starts + sizes)[:, None])).all()
 
 
+def test_fps_distance_rows_equal_sq_dist_bit_for_bit(hand_clouds):
+    rng = np.random.default_rng(6)
+    for xyz, m in [(hand_clouds[0], 128), (rng.normal(0.0, 0.05, (300, 3)), 40),
+                   (rng.normal(size=(20, 3)), 64)]:
+        idx, d2 = farthest_point_indices(xyz, m)
+        assert d2.shape == (min(m, len(xyz)), len(xyz))
+        assert len(set(idx.tolist())) == len(idx)
+        np.testing.assert_array_equal(d2, _sq_dist(xyz, xyz[idx]))
+
+
+def _argmax_loop(h, starts):
+    """Reference: per group and channel, the first row that reaches the max."""
+    bounds = [*starts, len(h)]
+    return np.stack([h[lo:hi].argmax(axis=0) + lo for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def test_pooling_equals_the_per_group_argmax_loop(hand_clouds):
+    rng = np.random.default_rng(7)
+    enc = PointSetEncoder("enc", 16)
+    params = {}
+    enc.init(params, rng)
+    params = {k: v.astype(np.float32) for k, v in params.items()}   # as the backbone holds them
+    xyz, feats = hand_clouds[1], None
+    for sa in (enc.sa1, enc.sa2):
+        centroids, pooled = sa.forward(params, xyz, feats)
+        # Reference: group on fresh distances, run the MLP through Linear and
+        # relu_forward, pool with the argmax loop.
+        rows, cols = np.nonzero(_sq_dist(xyz, centroids) <= sa.radius**2)
+        starts = np.searchsorted(rows, np.arange(len(centroids)))
+        rel = xyz[cols] - centroids[rows]
+        h = (rel if feats is None else np.concatenate([rel, feats[cols]], axis=1)).astype(
+            np.float32)
+        for k, lin in enumerate(sa.linears):
+            h = relu_forward(lin.forward(params, h), f"relu{k}")
+        arg = _argmax_loop(h, starts)
+        np.testing.assert_array_equal(pooled, h[arg, np.arange(h.shape[1])])
+        cache = {}
+        sa.forward(params, xyz, feats, cache)
+        np.testing.assert_array_equal(cache[sa.name][2], arg)
+        xyz, feats = centroids, pooled
+
+
+def test_first_max_rows_follow_argmax_on_ties_zeros_and_nans():
+    h = np.array([[1.0, 0.0, 0.0, np.nan],
+                  [3.0, 0.0, -0.0, 2.0],
+                  [3.0, 0.0, 0.0, np.nan],
+                  [2.0, 5.0, 0.0, 1.0],
+                  [2.0, 0.0, 0.0, 1.0],
+                  [-0.0, 5.0, np.nan, 1.0]], dtype=np.float32)
+    starts = np.array([0, 3, 5])
+    pooled = np.maximum.reduceat(h, starts, axis=0)
+    # A NaN max stays NaN, as indexing with argmax would give.
+    np.testing.assert_array_equal(np.isnan(pooled), np.isnan(h[_argmax_loop(h, starts),
+                                                                np.arange(4)]))
+    first = _first_max_rows(h, pooled, starts)
+    np.testing.assert_array_equal(first, _argmax_loop(h, starts))
+    np.testing.assert_array_equal(first, [[1, 0, 0, 0], [3, 3, 3, 3], [5, 5, 5, 5]])
+
+
+def test_backward_routes_a_tied_group_to_its_first_row(hand_clouds):
+    # Zero weights make every row of a group equal: channel 0 passes the ReLU
+    # (bias 0.5), channel 1 is all zero after it (bias -0.5).
+    sa = SetAbstraction("sa", 16, 0.04, [3, 2])
+    params = {"sa.mlp0.W": np.zeros((3, 2)), "sa.mlp0.b": np.array([0.5, -0.5])}
+    xyz = hand_clouds[2][:200]
+    cache = {}
+    _, pooled = sa.forward(params, xyz, None, cache)
+    np.testing.assert_array_equal(pooled, np.tile([0.5, 0.0], (16, 1)))
+    _, cols, arg, _ = cache["sa"]
+    cidx, d2 = farthest_point_indices(xyz, 16)
+    rows, _ = np.nonzero(d2 <= sa.radius**2)
+    first = np.searchsorted(rows, np.arange(16))
+    np.testing.assert_array_equal(arg, np.stack([first, first], axis=1))
+    # Only each group's first row gets its group's gradient.
+    dpooled = np.random.default_rng(10).normal(size=pooled.shape)
+    grads = {}
+    sa.backward(params, grads, dpooled, cache, len(xyz))
+    rel = xyz[cols[first]] - xyz[cidx]
+    np.testing.assert_allclose(grads["sa.mlp0.W"][:, 0], rel.T @ dpooled[:, 0], rtol=1e-12)
+    np.testing.assert_array_equal(grads["sa.mlp0.W"][:, 1], 0.0)
+    np.testing.assert_allclose(grads["sa.mlp0.b"], [dpooled[:, 0].sum(), 0.0], rtol=1e-12)
+
+
 class PaddedSetAbstraction(SetAbstraction):
     """Reference: every group padded to the largest one, pooled with -inf fill."""
 
     def forward(self, params, xyz, feats, cache=None):
-        cidx = farthest_point_indices(xyz, self.n_centroid)
+        cidx, _ = farthest_point_indices(xyz, self.n_centroid)
         centroids = xyz[cidx]
         d2 = np.sum((xyz[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
         inside = d2 <= self.radius**2
