@@ -47,7 +47,8 @@ TAG_BACKBONE_STEP = 1 << 32   # + s: train_backbone batch s (diffusion.train ste
 class Linear:
     """y = x W + b over the last axis. Every leading axis is a row of one
     matrix: forward and backward reshape to (rows, d) and run one 2-D gemm
-    per product, then restore the leading axes."""
+    per product, then restore the leading axes. The bias is added in place,
+    so y holds the dtype of x W and no second output array is made."""
 
     def __init__(self, name: str, d_in: int, d_out: int):
         self.name = name
@@ -65,7 +66,8 @@ class Linear:
 
     def forward(self, params, x, cache=None):
         x2 = x.reshape(-1, self.d_in)
-        y = x2 @ params[self.name + ".W"] + params[self.name + ".b"]
+        y = x2 @ params[self.name + ".W"]
+        y += params[self.name + ".b"]
         if cache is not None:
             cache[self.name] = x2
         return y.reshape(*x.shape[:-1], self.d_out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch, TooFewPoints
-from .nn import Linear, relu_backward, relu_forward
+from .nn import Linear, relu_backward
 
 
 def _sq_dist(xyz: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def farthest_point_indices(xyz: np.ndarray, m: int):
     m = min(m, n)
     coords = np.ascontiguousarray(xyz.T)                # (3, N)
     diff = np.empty_like(coords)
-    d2 = np.empty((m, n))
+    d2 = np.empty((m, n), coords.dtype)
     idx = np.empty(m, dtype=np.int64)
 
     def row(k):
@@ -110,16 +110,14 @@ class SetAbstraction:
             xyz, feats, params[self.linears[0].name + ".W"].dtype)
         local_cache = {} if cache is not None else None
         for k, lin in enumerate(self.linears):
-            if cache is None:
-                # Linear then ReLU in place: one array per layer, not three,
-                # so the per-cloud temporaries stay small enough for glibc to
-                # serve from its heap instead of mapping them anew.
-                h = h @ params[lin.name + ".W"]
-                h += params[lin.name + ".b"]
-                np.maximum(h, 0.0, out=h)
-            else:
-                h = relu_forward(lin.forward(params, h, local_cache), f"{self.name}.relu{k}",
-                                 local_cache)
+            # The ReLU runs in place on Linear's fresh output (Linear caches
+            # its input, the ReLU only its mask): one array per layer, so the
+            # per-cloud temporaries stay small enough for glibc to serve from
+            # its heap instead of mapping them anew.
+            h = lin.forward(params, h, local_cache)
+            if local_cache is not None:
+                local_cache[f"{self.name}.relu{k}"] = h > 0
+            np.maximum(h, 0.0, out=h)
         pooled = np.maximum.reduceat(h, starts, axis=0)
         if cache is not None:
             cache[self.name] = (local_cache, cols, _first_max_rows(h, pooled, starts),

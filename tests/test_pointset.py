@@ -33,9 +33,10 @@ def test_grouping_matches_per_centroid_loop():
 def test_fps_distance_rows_equal_sq_dist_bit_for_bit(hand_clouds):
     rng = np.random.default_rng(6)
     for xyz, m in [(hand_clouds[0], 128), (rng.normal(0.0, 0.05, (300, 3)), 40),
-                   (rng.normal(size=(20, 3)), 64)]:
+                   (rng.normal(size=(20, 3)), 64), (hand_clouds[1].astype(np.float32), 128)]:
         idx, d2 = farthest_point_indices(xyz, m)
         assert d2.shape == (min(m, len(xyz)), len(xyz))
+        assert d2.dtype == xyz.dtype
         assert len(set(idx.tolist())) == len(idx)
         np.testing.assert_array_equal(d2, _sq_dist(xyz, xyz[idx]))
 
@@ -55,7 +56,7 @@ def test_pooling_equals_the_per_group_argmax_loop(hand_clouds):
     xyz, feats = hand_clouds[1], None
     for sa in (enc.sa1, enc.sa2):
         centroids, pooled = sa.forward(params, xyz, feats)
-        # Reference: group on fresh distances, run the MLP through Linear and
+        # Reference: group on fresh distances, run the MLP as h @ W + b and
         # relu_forward, pool with the argmax loop.
         rows, cols = np.nonzero(_sq_dist(xyz, centroids) <= sa.radius**2)
         starts = np.searchsorted(rows, np.arange(len(centroids)))
@@ -63,7 +64,7 @@ def test_pooling_equals_the_per_group_argmax_loop(hand_clouds):
         h = (rel if feats is None else np.concatenate([rel, feats[cols]], axis=1)).astype(
             np.float32)
         for k, lin in enumerate(sa.linears):
-            h = relu_forward(lin.forward(params, h), f"relu{k}")
+            h = relu_forward(h @ params[lin.name + ".W"] + params[lin.name + ".b"], f"relu{k}")
         arg = _argmax_loop(h, starts)
         np.testing.assert_array_equal(pooled, h[arg, np.arange(h.shape[1])])
         cache = {}
