@@ -17,8 +17,9 @@ cached k-d tree, for contact) and occupancy, which serves one pair's voxel
 grid in bounded memory. These are model methods; the module-level ones are
 kinematics_vjp, through which APG reaches model.vjp, and the left-hand
 mirror convention, hand first and model second: left_hand_mesh(x_l, model),
-occupancy_left(x_l, model, points), pair_occupancy (for volumes), pair_meshes
-and pair_segments (for clouds).
+pair_occupancy (for volumes), pair_meshes and pair_segments (for clouds). The
+left hand's world capsules have one owner, _left_segments, which both
+pair_occupancy and pair_segments read.
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
@@ -537,33 +538,29 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
     return mirror_mesh(model.posed_mesh(mirror(params_left)))
 
 
-def _mirror_points(points) -> np.ndarray:
-    """A float copy of (..., 3) points with x negated: MIRROR_MAT's action
-    without a matmul, which would wake the BLAS thread pool. A zero
-    coordinate may keep a sign that the matmul would flip."""
-    out = np.array(points, dtype=float)
-    np.negative(out[..., 0], out=out[..., 0])
-    return out
-
-
-def occupancy_left(params_left: HandParam, model, points: np.ndarray) -> np.ndarray:
-    return model.occupancy(mirror(params_left), _mirror_points(points))
+def _left_segments(params_left: HandParam, model):
+    """World capsule segments of a left hand: its mirror image's
+    posed_segments with x negated. Negation is MIRROR_MAT's action without a
+    matmul, which would wake the BLAS thread pool; a zero coordinate may
+    keep a sign that the matmul would flip."""
+    e0, e1, rads = model.posed_segments(mirror(params_left))
+    np.negative(e0[..., 0], out=e0[..., 0])
+    np.negative(e1[..., 0], out=e1[..., 0])
+    return e0, e1, rads
 
 
 def pair_occupancy(x_l: HandParam, x_r: HandParam, model):
     """(left test, right test, left boxes, right boxes) of a stored pair.
 
-    The tests map (N,3) points to (N,) bools, the left one as in
-    occupancy_left; the boxes are the world capsule_boxes of each hand, the
-    left hand's mirrored, so every point a test accepts lies in one of its
-    hand's boxes. Each hand is posed once, here, however many times the
-    tests are called."""
-    left, right = model.posed_segments(mirror(x_l)), model.posed_segments(x_r)
-    l0, l1, l_rad = left
-    return (lambda points: model.occupancy(left, _mirror_points(points)),
+    The tests map (N,3) points to (N,) bools through model.occupancy on
+    each hand's world capsules, the left hand's from _left_segments; the
+    boxes are their capsule_boxes, so every point a test accepts lies in one
+    of its hand's boxes. Each hand is posed once, here, however many times
+    the tests are called."""
+    left, right = _left_segments(x_l, model), model.posed_segments(x_r)
+    return (lambda points: model.occupancy(left, points),
             lambda points: model.occupancy(right, points),
-            capsule_boxes(_mirror_points(l0), _mirror_points(l1), l_rad),
-            capsule_boxes(*right))
+            capsule_boxes(*left), capsule_boxes(*right))
 
 
 def pair_meshes(x_l: HandParam, x_r: HandParam, model):
@@ -574,6 +571,6 @@ def pair_meshes(x_l: HandParam, x_r: HandParam, model):
 def pair_segments(x_l: HandParam, x_r: HandParam, model):
     """Capsule endpoints (..., 2 * bones, 3) twice and radii (..., 2 * bones) of a
     pair or stack of pairs: the left hand's first, mirrored as in left_hand_mesh."""
-    (l0, l1, l_rad), (r0, r1, r_rad) = model.posed_segments(mirror(x_l)), model.posed_segments(x_r)
-    return (np.concatenate([l0 @ MIRROR_MAT.T, r0], axis=-2),
-            np.concatenate([l1 @ MIRROR_MAT.T, r1], axis=-2), np.concatenate([l_rad, r_rad], -1))
+    (l0, l1, l_rad), (r0, r1, r_rad) = _left_segments(x_l, model), model.posed_segments(x_r)
+    return (np.concatenate([l0, r0], axis=-2), np.concatenate([l1, r1], axis=-2),
+            np.concatenate([l_rad, r_rad], -1))

@@ -29,7 +29,6 @@ from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 
 
-KHID_SUBSETS = 10       # subset rounds averaged into one KHID value
 DIVERSITY_PAIRS = 300   # random index pairs averaged into one diversity value
 PROXIMITY_TAU_M = 0.02  # metres: a pair closer than this counts as in proximity
 # Most grid cells per penetration_volume block: 3 MB of points. The cells
@@ -46,76 +45,59 @@ class DegenerateCovariance(UserWarning):
 # Distribution metrics
 
 
-def _clamped_cov(features: np.ndarray):
-    cov = np.cov(features, rowvar=False)
-    cov = np.atleast_2d(0.5 * (cov + cov.T))
-    vals, vecs = np.linalg.eigh(cov)
-    if vals.min() < -1e-10 * max(vals.max(), 1.0) or \
-            np.sum(vals > 1e-10 * max(vals.max(), 1.0)) < cov.shape[0]:
+def _mean_and_factor(features):
+    """Mean and triangular factor R of a feature set, with R^T R its
+    covariance: the QR factor of the centred features over sqrt(n - 1).
+    Warns DegenerateCovariance when fewer than d of R's squared singular
+    values (the covariance's eigenvalues) exceed 1e-10 * max(largest, 1)."""
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    if len(x) < 2:
+        raise ValueError("need at least 2 samples per set for a covariance")
+    mu = x.mean(axis=0)
+    R = np.linalg.qr((x - mu) / np.sqrt(len(x) - 1), mode="r")
+    eig = np.linalg.svd(R, compute_uv=False) ** 2
+    if np.sum(eig > 1e-10 * max(eig.max(), 1.0)) < x.shape[1]:
         warnings.warn("rank-deficient covariance", DegenerateCovariance)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.T, vals, vecs
+    return mu, R
 
 
 def fhid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     """Frechet distance between Gaussian fits of the two feature sets.
 
-    ||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa Sb)^(1/2)), with the square root
-    evaluated as (Sa^(1/2) Sb Sa^(1/2))^(1/2) after eigenvalue clamping.
+    ||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa^(1/2) Sb Sa^(1/2))^(1/2)) with
+    Sa = Ra^T Ra and Sb = Rb^T Rb (see _mean_and_factor): Tr Sa = ||Ra||_F^2,
+    and the trace of the root is the sum of the singular values of Ra Rb^T.
+    No covariance is formed or clamped, so the value is exact to rounding at
+    any set size, rank deficient or not; it costs O(n d^2) per set.
+    """
+    mu_a, Ra = _mean_and_factor(features_a)
+    mu_b, Rb = _mean_and_factor(features_b)
+    trace_sqrt = np.linalg.svd(Ra @ Rb.T, compute_uv=False).sum()
+    return float(((mu_a - mu_b) ** 2).sum() + (Ra * Ra).sum() + (Rb * Rb).sum()
+                 - 2.0 * trace_sqrt)
 
-    With no more samples than feature dimensions the covariances are rank
-    deficient, and the value moves by ~1e8 times the relative change of the
-    features; compare such values only within a loose tolerance.
+
+def khid(features_a: np.ndarray, features_b: np.ndarray) -> float:
+    """Unbiased squared MMD with the cubic kernel k(x, y) = (x.y/d + 1)^3.
+
+    Gretton et al. (JMLR 2012), Lemma 6, over the full sets: the mean of
+    k over distinct pairs within A, plus the same within B, minus twice the
+    mean of k over every (A, B) pair. The sets may differ in size.
     """
     a = np.atleast_2d(np.asarray(features_a, dtype=float))
     b = np.atleast_2d(np.asarray(features_b, dtype=float))
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("need at least 2 samples per set for a covariance")
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    Sa, va, Va = _clamped_cov(a)
-    Sb, _, _ = _clamped_cov(b)
-    sqrt_a = (Va * np.sqrt(va)) @ Va.T
-    M = sqrt_a @ Sb @ sqrt_a
-    mvals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    trace_sqrt = np.sqrt(np.clip(mvals, 0.0, None)).sum()
-    value = float(((mu_a - mu_b) ** 2).sum() + np.trace(Sa) + np.trace(Sb)
-                  - 2.0 * trace_sqrt)
-    return value
-
-
-def khid(features_a: np.ndarray, features_b: np.ndarray,
-         subset_size: int | None = None, seed: int = 0) -> float:
-    """Mean unbiased squared MMD with the cubic kernel (x.y/d + 1)^3.
-
-    Each round draws a subset without replacement from each set; equally
-    sized sets share the round's index draw (paired subsets), which makes
-    the diagonal-excluded estimator exactly zero for identical inputs.
-    """
-    a = np.atleast_2d(np.asarray(features_a, dtype=float))
-    b = np.atleast_2d(np.asarray(features_b, dtype=float))
-    n, m_b = len(a), len(b)
+    n, m = len(a), len(b)
+    if n < 2 or m < 2:
+        raise ValueError("need at least 2 samples per set")
     d = a.shape[1]
-    m = subset_size if subset_size is not None else min(n, m_b, 1000)
-    if not 2 <= m <= min(n, m_b):
-        raise ValueError(f"subset_size must be in [2, min(N,M)], got {m}")
-    rng = rng_stream(seed, TAG_METRIC)
 
     def kernel(x, y):
         return (x @ y.T / d + 1.0) ** 3
 
-    def sum_off_diagonal(K):
-        return K.sum() - np.trace(K)
-
-    vals = []
-    for _ in range(KHID_SUBSETS):
-        ia = rng.choice(n, size=m, replace=False)
-        ib = ia if m_b == n else rng.choice(m_b, size=m, replace=False)
-        x, y = a[ia], b[ib]
-        Kxy = kernel(x, y)
-        mmd = (sum_off_diagonal(kernel(x, x)) + sum_off_diagonal(kernel(y, y))
-               - sum_off_diagonal(Kxy) - sum_off_diagonal(Kxy.T)) / (m * (m - 1))
-        vals.append(mmd)
-    return float(np.mean(vals))
+    Kaa, Kbb = kernel(a, a), kernel(b, b)
+    return float((Kaa.sum() - np.trace(Kaa)) / (n * (n - 1))
+                 + (Kbb.sum() - np.trace(Kbb)) / (m * (m - 1))
+                 - 2.0 * kernel(a, b).mean())
 
 
 def _covered(points: np.ndarray, manifold: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -254,7 +236,6 @@ class MetricReport:
     precision: float
     recall: float
     pen_vol_mm3: float
-    pen_vol_cm3: float
     pen_dist_cm: float
     prox_ratio: float
     n_reference: int
@@ -312,8 +293,8 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
 
     FHID fits a covariance to each set's backbone features. It is full
     rank only with more than ``backbone.config.feature_dim`` (128) pairs
-    per set (or per category); smaller sets warn DegenerateCovariance and
-    give a value that is only stable within a loose tolerance (see fhid).
+    per set (or per category); smaller sets warn DegenerateCovariance, and
+    the value is still exact to rounding (see fhid).
 
     Reference features are memoised per backbone. Each call stores the
     reference features it used, one entry per category subset, and replaces
@@ -360,12 +341,11 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
         vol, dist, prox = _geometry_stats(gen, model, grid)
         return {
             "fhid": fhid(f_ref, f_gen),
-            "khid": khid(f_ref, f_gen, seed=seed),
+            "khid": khid(f_ref, f_gen),
             "diversity": diversity(f_gen, seed=seed),
             "precision": p,
             "recall": r,
             "pen_vol_mm3": vol,
-            "pen_vol_cm3": vol * 1e-3,
             "pen_dist_cm": dist,
             "prox_ratio": prox,
         }

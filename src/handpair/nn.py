@@ -40,7 +40,7 @@ TAG_SAMPLE = 1 << 61          # + i: sample_pairs, pair i
 TAG_DATA = 1 << 60            # + i: generate_synthetic, record i
 TAG_SPLIT = 1 << 59           # split_indices
 TAG_SURFACE = 1 << 58         # sample_surface_points; its cloud c is keyed by seed + c
-TAG_METRIC = 1 << 57          # khid; + 1: diversity
+TAG_METRIC = 1 << 57          # + 1: diversity (+ 0 is unused; moving there changes its values)
 TAG_BACKBONE_STEP = 1 << 32   # + s: train_backbone batch s (diffusion.train step s is tag s)
 
 

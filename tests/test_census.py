@@ -3,15 +3,16 @@ every error class is raised somewhere in src/, and each of three rules has
 one owner in src/: nn.rng_stream builds every random generator but the one
 of data's fixed mode templates, checkpoint alone hashes (its checksum names
 every set of weights), and diffusion alone turns a clean estimate into noise
-(the sampler works on clean estimates only). Every network holds float32
-weights only.
+(the sampler works on clean estimates only). Every stream tag in nn is read
+by another module, and every network holds float32 weights only.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
 that nothing raises promises callers a failure that cannot happen. A second
 generator or hash is a second copy of a rule, free to drift from the first.
-A network in another dtype would not round-trip bit for bit, and its
-checksum would not name its weights.
+A tag that nothing reads keys a stream that nothing draws. A network in
+another dtype would not round-trip bit for bit, and its checksum would not
+name its weights.
 """
 
 import ast
@@ -134,6 +135,18 @@ def test_stream_tags_are_distinct():
     # (0, 1, 2, ...) stay below 2**32, so tags this far apart never meet.
     values = sorted([0, *tags.values()])
     assert min(b - a for a, b in zip(values, values[1:])) >= 2**32, tags
+
+
+def test_every_stream_tag_is_read_outside_nn():
+    modules = dict(_modules())
+    tags = {node.targets[0].id for node in modules.pop("nn").body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith("TAG_")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unread = sorted(tags - read)
+    assert tags and not unread, unread
 
 
 def test_every_network_holds_float32_weights_only(tmp_path, hand_model):

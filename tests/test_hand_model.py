@@ -13,7 +13,6 @@ from handpair.hand_model import (
     kinematics_vjp,
     left_hand_mesh,
     mirror,
-    occupancy_left,
     pair_occupancy,
     pair_segments,
     pin_root,
@@ -361,12 +360,13 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     p = random_params(rng)
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
     right = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
-    np.testing.assert_array_equal(occupancy_left(p, hand_model, pts), right)
+    np.testing.assert_array_equal(pair_occupancy(p, p, hand_model)[0](pts), right)
 
 
 def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
-    # The left tests negate x instead of multiplying by MIRROR_MAT. The two
-    # may disagree on the sign of a zero coordinate, never on a verdict.
+    # The left test negates x of the capsules instead of multiplying the
+    # points by MIRROR_MAT. The two may disagree on the sign of a zero
+    # coordinate, never on a verdict.
     rng = np.random.default_rng(5)
     p = random_params(rng, tau_scale=0.0)       # the wrist sits at the origin
     pts = rng.uniform(-0.06, 0.06, size=(20_000, 3))
@@ -374,7 +374,6 @@ def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
     pts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
     expected = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
     assert expected[zero.any(axis=1)].sum() > 100
-    np.testing.assert_array_equal(occupancy_left(p, hand_model, pts), expected)
     left, _, (lo, hi), _ = pair_occupancy(p, p, hand_model)
     np.testing.assert_array_equal(left(pts), expected)
     # Every accepted point lies in a world box of the left hand's capsules.

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -14,7 +15,7 @@ from handpair import mesh, metrics, pointset, sampler
 from handpair.backbone import BackboneConfig, FeatureBackbone
 from handpair.checkpoint import checksum, load_backbone, save_backbone
 from handpair.data import Dataset, generate_synthetic, overlapping_spec, two_mode_spec
-from handpair.hand_model import CapsuleHand, occupancy_left, pair_meshes, pair_segments
+from handpair.hand_model import CapsuleHand, mirror, pair_meshes, pair_segments
 from handpair.metrics import (
     DegenerateCovariance,
     MetricReport,
@@ -27,6 +28,7 @@ from handpair.metrics import (
     precision_recall,
 )
 from handpair.pointset import PointSetEncoder
+from handpair.rotations import MIRROR_MAT
 
 
 def _ball(center, r):
@@ -95,7 +97,7 @@ def test_pair_stats_volume_equals_zplane_reference(hand_model, overlapping_pairs
             if not penetrating:
                 continue
             ref = _zplane_volume(
-                lambda pts: occupancy_left(x_l, hand_model, pts),
+                lambda pts: hand_model.occupancy(mirror(x_l), pts @ MIRROR_MAT.T),
                 lambda pts: hand_model.occupancy(x_r, pts),
                 *_capsule_hulls(x_l, x_r, hand_model),
                 grid,
@@ -220,11 +222,39 @@ def test_fhid_zero_on_identical_and_mean_shift_on_shifted(gaussian_features):
     assert fhid(a, a + s) == pytest.approx(float(s @ s), abs=1e-9)
 
 
-def test_khid_zero_on_identical_and_grows_with_shift(gaussian_features):
+def test_khid_grows_with_shift(gaussian_features):
     a, s = gaussian_features
-    assert khid(a, a, subset_size=100) == 0.0
-    values = [khid(a, a + k * s, subset_size=100) for k in (0.5, 1.0, 2.0)]
+    values = [khid(a, a + k * s) for k in (0.5, 1.0, 2.0)]
     assert 0.0 < values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("n, m", [(7, 7), (7, 11)])
+def test_khid_equals_the_lemma_6_sums(n, m):
+    # Gretton et al. (JMLR 2012), Lemma 6, term by term in exact-rounded sums.
+    rng = np.random.default_rng(n + m)
+    a, b = rng.normal(size=(n, 5)), rng.normal(0.3, 1.2, size=(m, 5))
+
+    def k(x, y):
+        return (math.fsum(x * y) / 5 + 1.0) ** 3
+
+    within_a = math.fsum(k(a[i], a[j]) for i in range(n) for j in range(n) if i != j)
+    within_b = math.fsum(k(b[i], b[j]) for i in range(m) for j in range(m) if i != j)
+    cross = math.fsum(k(x, y) for x in a for y in b)
+    expected = within_a / (n * (n - 1)) + within_b / (m * (m - 1)) - 2.0 * cross / (n * m)
+    assert khid(a, b) == pytest.approx(expected, rel=1e-12)
+
+
+def test_khid_is_unbiased_on_two_draws_of_one_gaussian():
+    # Lemma 6 has expectation 0 when both sets come from one distribution.
+    # Means over seeds 0-19, 20-39, 40-59, 60-79, 80-99, 1000-1019 and
+    # 5000-5019 read -0.039 to 0.036, with a standard error of 0.017-0.027;
+    # keeping each set's diagonal would add about +0.5, and shifting b by
+    # 0.25 per coordinate reads +0.27.
+    def value(seed):
+        rng = np.random.default_rng(seed)
+        return khid(rng.normal(size=(32, 8)), rng.normal(size=(48, 8)))
+
+    assert abs(np.mean([value(seed) for seed in range(20)])) < 0.1
 
 
 def test_precision_recall_identical_and_disjoint(gaussian_features):
@@ -280,12 +310,52 @@ def test_fhid_matches_gaussian_closed_form():
     assert got == pytest.approx(_frechet_closed_form(mu_a, cov_a, mu_b, cov_b), rel=0.02)
 
 
+def _planted_sets(eps):
+    """Two 16-pair sets in 128-d with covariances V diag(s^2) V^T of rank
+    12, s_b = s_a (1 + eps), and their exact FHID |mu_a - mu_b|^2 +
+    sum (s_a - s_b)^2. Each set is mu + sqrt(n - 1) P diag(s) V^T with P's
+    columns orthonormal and orthogonal to the ones vector, so its mean is mu
+    and its covariance the one planted."""
+    rng = np.random.default_rng(7)
+    n, d, k = 16, 128, 12
+    V, _ = np.linalg.qr(rng.normal(size=(d, k)))
+    s_a = rng.uniform(0.005, 0.02, k)
+    s_b = s_a * (1.0 + eps)
+    mu_a = rng.normal(0.1, 0.05, d)
+    mu_b = mu_a + rng.normal(0.0, 3e-4, d)
+
+    def planted(mu, s):
+        P, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, k))]))
+        return mu + np.sqrt(n - 1) * (P[:, 1:] * s) @ V.T
+
+    exact = math.fsum((mu_a - mu_b) ** 2) + math.fsum((s_a - s_b) ** 2)
+    return planted(mu_a, s_a), planted(mu_b, s_b), exact, math.fsum(s_a ** 2)
+
+
+def test_fhid_matches_a_planted_spectrum_with_fewer_pairs_than_features():
+    # FHID is about 1/100 of Tr Sa, a small difference of large terms, as
+    # on the evaluate workload (16 pairs in 128-d features).
+    a, b, exact, trace_a = _planted_sets(0.1)
+    assert exact < 0.02 * trace_a
+    with pytest.warns(DegenerateCovariance):
+        got = fhid(a, b)
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_fhid_moves_by_rounding_only_when_the_features_do():
+    a, b, _, _ = _planted_sets(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        base = fhid(a, b)
+        for nudged in (fhid(a * (1.0 + 4e-16), b), fhid(a, b * (1.0 - 4e-16))):
+            assert nudged == pytest.approx(base, rel=1e-12)
+
+
 def test_metric_report_json_round_trips_exactly():
     report = MetricReport(
         fhid=0.1 + 0.2, khid=-1e-300, diversity=np.pi, precision=1.0 / 3.0, recall=0.0,
-        pen_vol_mm3=1234.5678901234567, pen_vol_cm3=1.2345678901234567,
-        pen_dist_cm=5e-324, prox_ratio=0.75, n_reference=16, n_generated=4,
-        backbone_checksum="ab" * 32,
+        pen_vol_mm3=1234.5678901234567, pen_dist_cm=5e-324, prox_ratio=0.75,
+        n_reference=16, n_generated=4, backbone_checksum="ab" * 32,
         per_category={"cup": {"fhid": 2.0 / 7.0, "recall": 1e308}},
     )
     back = MetricReport.from_json(report.to_json())
