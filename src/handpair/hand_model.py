@@ -271,9 +271,10 @@ N_SIDE = 2
 def capsule_boxes(e0: np.ndarray, e1: np.ndarray, rads: np.ndarray):
     """Axis-aligned boxes (lo, hi), each (..., bones, 3), of capsules with axis
     endpoints e0, e1 (..., bones, 3) and radii (..., bones): the endpoints
-    +- (radius + _BOX_MARGIN). Every point that CapsuleHand.occupancy accepts
-    lies in the box of a capsule that holds it."""
-    pad = rads[..., None] + _BOX_MARGIN
+    +- (|radius| + _BOX_MARGIN), as a beta can make a radius negative. Every
+    point that CapsuleHand.occupancy accepts, and every posed vertex, lies in
+    the box of its capsule."""
+    pad = np.abs(rads)[..., None] + _BOX_MARGIN
     return np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
 
 

@@ -291,10 +291,12 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     category and the top-level fields are the category means; a generated
     category with no reference records raises ValueError.
 
-    FHID fits a covariance to each set's backbone features. It is full
-    rank only with more than ``backbone.config.feature_dim`` (128) pairs
-    per set (or per category); smaller sets warn DegenerateCovariance, and
-    the value is still exact to rounding (see fhid).
+    FHID fits a covariance to each set's backbone features. More than
+    ``backbone.config.feature_dim`` (128) pairs per set (or per category)
+    are needed for it to be full rank, but they are not enough: dead
+    features keep the untrained backbone's rank at 78 even at 512 pairs.
+    A rank-deficient set warns DegenerateCovariance, and the value is still
+    exact to rounding (see fhid).
 
     Reference features are memoised per backbone. Each call stores the
     reference features it used, one entry per category subset, and replaces

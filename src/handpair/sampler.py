@@ -11,7 +11,11 @@ determines the output.
 
 penetration_set owns contact: its one nearest-vertex query per pair of
 meshes, bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection
-rule and the geometry metrics read.
+rule and the geometry metrics read. reach_box owns the broad phase in front
+of it: B's vertex box widened by CONTACT_RADIUS holds every point that the
+bounded query can answer, so penetration_set queries only the A vertices
+inside it, and APG poses vertices only for rows whose capsule box meets it.
+Neither cull changes an output bit.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import numpy as np
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid
 from .errors import MissingObject
 from .hand_model import (
+    _BOX_MARGIN,
     DIM,
     OMEGA,
     HandParam,
+    capsule_boxes,
     default_hand,
     kinematics_vjp,
     left_hand_mesh,
@@ -48,7 +54,9 @@ W_PEN_DECAY = 0.9       # factor on the APG weight per reverse step further from
 # finds its exact nearest vertex and its verdict; the radius drops only
 # vertices outside B and this far from all of its vertices, whose sign test
 # reads a distant normal. It exceeds metrics.PROXIMITY_TAU_M, so proximity
-# verdicts are unchanged too.
+# verdicts are unchanged too. reach_box widens B's vertex box by this
+# radius (and _BOX_MARGIN): an A vertex outside it is farther than the
+# radius from every B vertex, so the query is skipped, not cut short.
 CONTACT_RADIUS = 0.05
 
 
@@ -95,6 +103,15 @@ def cfg_mix(x0_cond: np.ndarray, x0_uncond: np.ndarray, w: float) -> np.ndarray:
     return (1.0 + w) * x0_cond - w * x0_uncond
 
 
+def reach_box(mesh_b: HandMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Corners lo, hi (3,) of the box that holds every point within
+    CONTACT_RADIUS of a vertex of B: B's vertex box, read off its k-d tree,
+    widened by CONTACT_RADIUS + _BOX_MARGIN. A point outside it is, along
+    one axis alone, more than CONTACT_RADIUS from every B vertex."""
+    pad = CONTACT_RADIUS + _BOX_MARGIN
+    return mesh_b.tree.mins - pad, mesh_b.tree.maxes + pad
+
+
 def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
     """Contact of A against B from one bounded nearest-vertex query; len() is P.
 
@@ -108,21 +125,30 @@ def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
     empty delta and depths and a loss of 0. min_distance covers every A
     vertex, paired or not: exact when below CONTACT_RADIUS, else inf.
 
-    Nearest neighbors come from a k-d tree; exact distance ties resolve to
-    the lowest index.
+    Only the A vertices inside reach_box(B) are queried; the query would
+    answer (inf, len(B)) for the rest. Nearest neighbors come from a k-d
+    tree built on B alone, which fixes each query point's answer, exact
+    distance ties included, whatever else is queried with it. Raises
+    ValueError when A has a non-finite vertex.
     """
-    dist, nearest = mesh_b.tree.query(mesh_a.vertices, k=1,
-                                      distance_upper_bound=CONTACT_RADIUS)
-    near = np.flatnonzero(dist < CONTACT_RADIUS)     # the rest come back as (inf, len(B))
-    j = nearest[near]
-    delta = mesh_a.vertices[near] - mesh_b.vertices[j]
+    verts = mesh_a.vertices
+    if not np.isfinite(verts).all():
+        raise ValueError("non-finite vertices in mesh_a")
+    lo, hi = reach_box(mesh_b)
+    cand = np.flatnonzero(((verts >= lo) & (verts <= hi)).all(axis=1))
+    if not cand.size:
+        return PenetrationReport(np.empty((0, 2), dtype=np.int64), np.empty((0, 3)),
+                                 np.empty(0), 0.0, np.inf)
+    dist, nearest = mesh_b.tree.query(verts[cand], k=1, distance_upper_bound=CONTACT_RADIUS)
+    hit = dist < CONTACT_RADIUS                      # the rest come back as (inf, len(B))
+    near, j = cand[hit], nearest[hit]
+    delta = verts[near] - mesh_b.vertices[j]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[j], delta)
     inside = depth > 0.0
-    idx = near[inside]
     delta = delta[inside]
     loss = float(np.sum(np.linalg.norm(delta, axis=1) ** 2))
-    return PenetrationReport(np.stack([idx, nearest[idx]], axis=1), delta, depth[inside],
-                             loss, float(dist.min()))
+    return PenetrationReport(np.stack([near[inside], j[inside]], axis=1), delta,
+                             depth[inside], loss, float(dist.min()))
 
 
 def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
@@ -141,16 +167,26 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     Row i is a right hand whose loss is taken against anchor_meshes[i], the
     posed left-hand mesh of its anchor. The step's noise estimate is held
     constant, so dL/dx_prev is dL/dx0 / sqrt(ab_prev), and so is the pair set:
-    it is found once from x0_hat and not differentiated. All rows are posed
-    in one call and differentiated in one call; only the contact is found
-    row by row, by penetration_set, whose pairs and delta give the cotangent.
-    A row whose clean root rotation is rot6d_degenerate (possible under
-    untrained weights) gets a zero gradient, as does a row with no pairs.
-    ``model`` must be the one that posed the anchors.
+    it is found once from x0_hat and not differentiated. The rows' capsule
+    boxes come first, from one posed_segments call: a row whose hand box
+    (the union of its bones' capsule_boxes, which hold its vertices) misses
+    its anchor's reach_box has no vertex within CONTACT_RADIUS of it, so no
+    pairs. The other rows are posed in one call and differentiated in one
+    call; only their contact is found row by row, by penetration_set, whose
+    pairs and delta give the cotangent. A row with no pairs gets a zero
+    gradient, as does a row whose clean estimate is non-finite or whose
+    root rotation is rot6d_degenerate (both possible under untrained
+    weights). ``model`` must be the one that posed the anchors.
     """
     x0_hat = np.asarray(x0_hat, dtype=float)
     grad = np.zeros_like(x0_hat)
-    ok = np.flatnonzero(~rot6d_degenerate(x0_hat[:, OMEGA]))
+    ok = np.flatnonzero(np.isfinite(x0_hat).all(axis=1))
+    ok = ok[~rot6d_degenerate(x0_hat[ok, OMEGA])]
+    lo, hi = capsule_boxes(*model.posed_segments(HandParam(x0_hat[ok])))
+    reach = np.array([reach_box(anchor_meshes[i]) for i in ok]).reshape(-1, 2, 3)
+    ok = ok[((lo.min(axis=1) <= reach[:, 1]) & (hi.max(axis=1) >= reach[:, 0])).all(axis=1)]
+    if not ok.size:
+        return grad
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
     cot = np.zeros_like(verts)
     for r, i in enumerate(ok):

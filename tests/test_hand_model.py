@@ -463,6 +463,20 @@ def test_occupancy_sweep_handles_nan_empty_and_chunk_edges(hand_model, posed_han
     assert got[:_OCC_CHUNK].any() and got[_OCC_CHUNK:].any()
 
 
+def test_occupancy_matches_dense_with_negative_radii(hand_model):
+    # beta[1] = -15 makes every capsule radius negative; the boxes pad by
+    # |radius|, so the sweep still finds every point the segment test holds.
+    beta = np.zeros(10)
+    beta[1] = -15.0
+    p = HandParam.from_parts(beta=beta, tau=[0.02, -0.01, 0.03])
+    e0, e1, rads = hand_model.posed_segments(p)
+    assert (rads < 0).all()
+    pts = np.random.default_rng(45).uniform(np.minimum(e0, e1).min(axis=0) - 0.03,
+                                            np.maximum(e0, e1).max(axis=0) + 0.03,
+                                            (50_000, 3))
+    assert _occupancy_checked_against_dense(hand_model, p, pts).sum() > 500
+
+
 def test_occupancy_memory_stays_bounded(hand_model, posed_hands):
     p = posed_hands[1]
     e0, e1, _ = hand_model.posed_segments(p)

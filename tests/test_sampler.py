@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import (
     NearestModeDenoiser,
@@ -10,13 +11,17 @@ from conftest import (
     float64_twin,
     icosphere,
     random_params,
+    uncut_apg_gradient,
 )
 from handpair.checkpoint import load_denoiser
 from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import forward_diffuse, make_schedule
 from handpair.hand_model import (
+    _BOX_MARGIN,
     BETA,
+    OMEGA,
+    TAU,
     CapsuleHand,
     HandParam,
     default_hand,
@@ -27,6 +32,7 @@ from handpair.hand_model import (
 from handpair.mesh import HandMesh
 from handpair.metrics import PROXIMITY_TAU_M
 from handpair.nn import TAG_SAMPLE, rng_stream
+from handpair.rotations import IDENTITY_6D
 from handpair.sampler import (
     CONTACT_RADIUS,
     SampleConfig,
@@ -35,6 +41,7 @@ from handpair.sampler import (
     cfg_mix,
     penetration_loss,
     penetration_set,
+    reach_box,
     sample_pairs,
 )
 
@@ -200,6 +207,90 @@ def test_no_nonpositive_depths_ever(hand_model):
             assert report.depths.min() > 0
 
 
+def _planted_at_reach_faces(mesh_b):
+    """A vertices on, just inside and just outside each face of B's reach
+    box, each offset along that face's axis from B's extreme vertex there:
+    at CONTACT_RADIUS and the margin, and a few rounding steps either side."""
+    verts = mesh_b.vertices
+    gap = CONTACT_RADIUS + _BOX_MARGIN
+    steps = np.array([CONTACT_RADIUS - 1e-9, CONTACT_RADIUS - 1e-12, CONTACT_RADIUS,
+                      CONTACT_RADIUS + 1e-12, gap - 1e-12, gap, gap + 1e-12,
+                      CONTACT_RADIUS + 2 * _BOX_MARGIN])
+    planted = []
+    for k in range(3):
+        for side in (-1.0, 1.0):
+            v = verts[np.argmax(side * verts[:, k])]
+            offsets = np.zeros((len(steps), 3))
+            offsets[:, k] = side * steps
+            planted.append(v + offsets)
+    return np.concatenate(planted)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1e2, 1e3])
+def test_reach_box_faces_match_brute_force(hand_model, tau):
+    # Two hands in contact, moved together by tau meters, with A's vertices
+    # joined by vertices planted at B's reach box: the bounded contact is the
+    # bounded brute force's, and its pairs are the uncut test's.
+    rng = np.random.default_rng(3)
+    a_params, b_params = random_params(rng), random_params(rng)
+    b_params.vector[TAU] += tau
+    a_params.vector[TAU] = b_params.vector[TAU] + [0.01, 0.0, 0.0]
+    a, b = hand_model.posed_mesh(a_params), hand_model.posed_mesh(b_params)
+    planted = _planted_at_reach_faces(b)
+    lo, hi = reach_box(b)
+    outside = ~((planted >= lo) & (planted <= hi)).all(axis=1)
+    assert 0 < outside.sum() < len(planted)
+    mixed = HandMesh(np.concatenate([a.vertices, planted]), a.faces)
+    got = assert_matches_brute_force(mixed, b)
+    assert len(got) > 0
+    assert got.min_distance < CONTACT_RADIUS
+    assert_same_contact(got, brute_force_contact(mixed, b, radius=np.inf))
+    # One at a time, each planted vertex is in range just when the brute
+    # force finds a B vertex closer than CONTACT_RADIUS.
+    in_range = [assert_matches_brute_force(HandMesh(v[None], a.faces), b).min_distance
+                < CONTACT_RADIUS for v in planted]
+    assert 0 < sum(in_range) < len(planted)
+
+
+def test_tree_fixes_each_query_points_answer_under_exact_ties():
+    # The cull queries a subset of A's vertices. A tree built on B alone
+    # answers each point the same whatever is queried with it, even at
+    # exact ties, which it does not break toward the lowest index.
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    tree = cKDTree(lattice)
+    centres = lattice[(lattice < 5).all(axis=1)] + 0.5       # 8 nearest at sqrt(3)/2 each
+    dist, nearest = tree.query(centres, k=1, distance_upper_bound=1.0)
+    lowest = np.argmin(((centres[:, None] - lattice) ** 2).sum(-1), axis=1)
+    assert (dist == np.sqrt(0.75)).all() and (nearest != lowest).any()
+    rng = np.random.default_rng(23)
+    for subset in [rng.permutation(len(centres))[:k] for k in (1, 7, 60)]:
+        np.testing.assert_array_equal(tree.query(centres[subset], k=1,
+                                                 distance_upper_bound=1.0)[1],
+                                      nearest[subset])
+
+
+def test_nothing_in_reach_gives_the_empty_report(hand_model):
+    b = hand_model.posed_mesh(HandParam.from_parts())
+    lo, hi = reach_box(b)
+    a = HandMesh(np.array([hi + 1e-6, lo - 1e-6, [hi[0] + 1e-6, 0.0, 0.0]]),
+                 np.array([[0, 1, 2]]))
+    report = penetration_set(a, b)
+    assert report.pairs.shape == (0, 2) and report.pairs.dtype == np.int64
+    assert report.delta.shape == (0, 3) and report.delta.dtype == np.float64
+    assert report.depths.shape == (0,) and report.depths.dtype == np.float64
+    assert report.loss == 0.0 and report.min_distance == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_a_vertices_raise(hand_model, bad):
+    # However far the hands are apart, so the cull would otherwise skip them.
+    a = hand_model.posed_mesh(HandParam.from_parts(tau=[5.0, 0.0, 0.0]))
+    b = hand_model.posed_mesh(HandParam.from_parts())
+    a.vertices[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        penetration_set(a, b)
+
+
 # -- penetration loss ----------------------------------------------------------
 
 
@@ -354,26 +445,105 @@ def test_batched_apg_gradient_matches_one_row_calls(hand_model):
     np.testing.assert_array_equal(masked[[0, 2, 3]], grads[[0, 2, 3]])
 
 
+def test_non_finite_clean_rows_get_a_zero_gradient(hand_model):
+    sched = make_schedule(256)
+    anchor_meshes = [left_hand_mesh(HandParam.from_parts(), hand_model)] * 4
+    clean = np.stack([HandParam.from_parts(tau=[x, 0.0, 0.0]).vector
+                      for x in (0.045, 0.05, 0.04, 0.048)])
+    grads = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
+    assert np.abs(grads).max(axis=1).min() > 0
+    bad = clean.copy()
+    bad[1, 3] = np.nan          # theta, with a valid root
+    bad[2, 56] = np.inf         # the root itself
+    masked = apg_gradient(bad, 8, anchor_meshes, sched, hand_model)
+    np.testing.assert_array_equal(masked[[1, 2]], np.zeros((2, 64)))
+    np.testing.assert_array_equal(masked[[0, 3]], grads[[0, 3]])
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e3])
+def test_apg_row_cull_matches_the_uncut_gradient(hand_model, tau, monkeypatch):
+    # Partners placed so that their nearest vertex in x sits just inside or
+    # just outside their anchor's reach box, or in contact, at hand scale
+    # and 1 km out: every row with a vertex in reach is queried, and the
+    # gradient is the one from posing and querying every row, bit for bit.
+    from handpair import sampler
+
+    sched = make_schedule(256)
+    rng = np.random.default_rng(19)
+    edge = [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3, 0.02, -1e-9, 1e-9]  # inside an x face by
+    # Both hands of a pair face the same way, so the partner's nearest
+    # vertex in x lies inside the anchor's reach in y and z.
+    anchors = np.stack([random_params(rng, tau_scale=0.0).vector
+                        for _ in range(len(edge) + 2)])
+    anchors[:, OMEGA], anchors[:, TAU] = IDENTITY_6D, tau
+    anchor_meshes = [hand_model.posed_mesh(HandParam(p)) for p in anchors]
+    clean = np.stack([random_params(rng, tau_scale=0.0).vector for _ in anchors])
+    clean[:, OMEGA], clean[:, TAU] = IDENTITY_6D, tau
+    clean[-2:, 61] += 0.03                                    # two rows in contact
+    # Partners alternate between the anchor's +x face and its -x face.
+    side = np.resize([1.0, -1.0], len(edge))
+    x = hand_model.posed_vertices(HandParam(clean[:-2]))[..., 0]
+    nearest = np.where(side > 0, x.min(axis=1), x.max(axis=1))
+    face = np.array([reach_box(m)[int(s > 0)][0] for m, s in zip(anchor_meshes, side)])
+    clean[:-2, 61] += face - nearest - side * edge
+
+    queried, contact = [], sampler.penetration_set
+
+    def recording(mesh_a, mesh_b):
+        queried.append(next(i for i, m in enumerate(anchor_meshes) if m is mesh_b))
+        return contact(mesh_a, mesh_b)
+
+    monkeypatch.setattr(sampler, "penetration_set", recording)
+    got = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
+    verts = hand_model.posed_vertices(HandParam(clean))
+    boxes = np.array([reach_box(m) for m in anchor_meshes])
+    in_reach = ((verts >= boxes[:, None, 0]) & (verts <= boxes[:, None, 1])).all(-1).any(-1)
+    np.testing.assert_array_equal(in_reach[:len(edge)], np.array(edge) > 0)
+    assert set(np.flatnonzero(in_reach)) <= set(queried) != set(range(len(clean)))
+    assert np.abs(got[-2:]).max(axis=1).min() > 0
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, uncut_apg_gradient(clean, 8, anchor_meshes, sched,
+                                                          hand_model))
+
+
 def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
-    # Every contact APG reads while sampling from the committed trained
-    # denoiser is the one the unbounded nearest-vertex test gives.
+    # Every (row, step) APG meets while sampling from the committed trained
+    # denoiser is accounted for: a row it queried gets the contact of the
+    # unbounded nearest-vertex test, and a row it skipped has none there.
     from handpair import sampler
 
     denoiser, sched, _ = load_denoiser(FIXTURE)
-    reports, contact = [], sampler.penetration_set
+    model = CapsuleHand()
+    steps, contact, gradient = [], sampler.penetration_set, sampler.apg_gradient
 
-    def recording(mesh_a, mesh_b):
+    def recording_gradient(x0_hat, t_prev, anchor_meshes, sched, model):
+        steps.append((np.array(x0_hat), anchor_meshes, []))
+        return gradient(x0_hat, t_prev, anchor_meshes, sched, model)
+
+    def recording_contact(mesh_a, mesh_b):
         report = contact(mesh_a, mesh_b)
-        reports.append((report, brute_force_contact(mesh_a, mesh_b, radius=np.inf)))
+        steps[-1][2].append((mesh_a, mesh_b, report))
         return report
 
-    monkeypatch.setattr(sampler, "penetration_set", recording)
-    sample_pairs(denoiser, SampleConfig(seed=1, count=4, steps=8, apg=True), sched,
-                 CapsuleHand())
-    assert len(reports) == 4 * 8
-    assert any(len(got) for got, _ in reports)
-    for got, expected in reports:
-        assert_same_contact(got, expected)
+    monkeypatch.setattr(sampler, "apg_gradient", recording_gradient)
+    monkeypatch.setattr(sampler, "penetration_set", recording_contact)
+    sample_pairs(denoiser, SampleConfig(seed=1, count=4, steps=8, apg=True), sched, model)
+    assert len(steps) == 8
+    queried, skipped, touching = 0, 0, 0
+    for x0_hat, anchor_meshes, calls in steps:
+        rows = [next(i for i, m in enumerate(anchor_meshes) if m is mesh_b)
+                for _, mesh_b, _ in calls]
+        assert rows == sorted(set(rows))
+        for mesh_a, mesh_b, report in calls:
+            assert_same_contact(report, brute_force_contact(mesh_a, mesh_b, radius=np.inf))
+            touching += len(report) > 0
+        for i in sorted(set(range(4)) - set(rows)):
+            mesh_a = model.posed_mesh(HandParam(x0_hat[i]))
+            assert len(brute_force_contact(mesh_a, anchor_meshes[i], radius=np.inf)["pairs"]) == 0
+            skipped += 1
+        queried += len(rows)
+    assert queried + skipped == 4 * 8
+    assert touching > 0 and skipped > 0
 
 
 def noise_space_reverse_pass(denoiser, x, cond, grid, sched, config, model,
