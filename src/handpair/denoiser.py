@@ -13,7 +13,7 @@ Profiles:
            global feature 2056, decoder width 2056.
   "small": token 128, embed hidden 256, 1 attention block, FFN 256,
            global feature 256, decoder width 256. Used by the fast tests.
-Both profiles share N_HEADS attention heads and DROP_RATE dropout.
+Both profiles share nn.N_HEADS attention heads and nn.DROP_RATE dropout.
 
 The network computes in the dtype of its parameters, float32 when it draws
 them itself: predict and backward cast their inputs to that dtype, and
@@ -50,8 +50,6 @@ PROFILES = {
                   d_ff=256, d_global=256, d_decoder=256),
 }
 
-N_HEADS = 4             # attention heads per block; d_token splits evenly among them
-DROP_RATE = 0.1         # dropout probability on each attention and FFN sublayer output
 N_DECODER_LAYERS = 7
 
 
@@ -107,10 +105,7 @@ class Denoiser:
         self.emb_x = _EmbedMLP("emb_x", DIM, w["d_embed_hidden"], d)
         self.emb_c = _EmbedMLP("emb_c", DIM, w["d_embed_hidden"], d)
         self.emb_t = _EmbedMLP("emb_t", d, w["d_embed_hidden"], d)
-        self.blocks = [
-            TransformerBlock(f"block{i}", d, N_HEADS, w["d_ff"], DROP_RATE)
-            for i in range(w["n_blocks"])
-        ]
+        self.blocks = [TransformerBlock(f"block{i}", d, w["d_ff"]) for i in range(w["n_blocks"])]
         self.to_global = Linear("to_global", self.n_tokens * d, w["d_global"])
         self.obj_encoder = None
         if config.object_conditional:

@@ -13,17 +13,17 @@ covers the parameter-space algebra (mirror, pin_root, relative_root,
 reroot_pair, compose_root), the chain and its reverse sweep, posed_vertices
 (..., V, 3), posed_segments (..., bones, 3) and the VJPs (..., 64). The
 exceptions return one object per hand: posed_mesh (a HandMesh with its own
-cached k-d tree, for contact) and occupancy, which serves one pair's voxel
-grid in bounded memory. These are model methods; the module-level ones are
-kinematics_vjp, through which APG reaches model.vjp, and the left-hand
-mirror convention, hand first and model second: left_hand_mesh(x_l, model),
-pair_occupancy (for volumes), pair_meshes and pair_segments (for clouds). The
-left hand's world capsules have one owner, _left_segments, which both
-pair_occupancy and pair_segments read.
+cached k-d tree, the anchor of contact; this module builds every HandMesh)
+and occupancy, which serves one pair's voxel grid in bounded memory. These
+are model methods; the module-level ones are kinematics_vjp, through which
+APG reaches model.vjp, and the left-hand mirror convention, hand first and
+model second: left_hand_mesh(x_l, model), pair_occupancy (for volumes),
+pair_meshes and pair_segments (for clouds).
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector,
-and its mesh (faces flipped) and capsules are the x-negation of that hand's.
+and its mesh (faces flipped) and capsules are that hand's with x negated by
+_negate_x, the one owner of the negation (left_hand_mesh, _left_segments).
 
 The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
 occupancy, watertight per component. Its kinematic chain is a forward sweep
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import HandMesh, mirror_mesh
+from .mesh import HandMesh
 from .rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
@@ -271,7 +271,7 @@ N_SIDE = 2
 def capsule_boxes(e0: np.ndarray, e1: np.ndarray, rads: np.ndarray):
     """Axis-aligned boxes (lo, hi), each (..., bones, 3), of capsules with axis
     endpoints e0, e1 (..., bones, 3) and radii (..., bones): the endpoints
-    +- (|radius| + _BOX_MARGIN), as a beta can make a radius negative. Every
+    +- (|radius| + _BOX_MARGIN), as a caller may pass signed radii. Every
     point that CapsuleHand.occupancy accepts, and every posed vertex, lies in
     the box of its capsule."""
     pad = np.abs(rads)[..., None] + _BOX_MARGIN
@@ -406,7 +406,9 @@ class CapsuleHand:
         return self.bone_len0 * (1.0 + _apply(self.len_basis, beta))
 
     def bone_radii(self, beta: np.ndarray) -> np.ndarray:
-        return self.bone_rad0 * (1.0 + _apply(self.rad_basis, beta))
+        """Capsule radii (..., bones): the magnitude of the signed radius
+        bone_rad0 * (1 + rad_basis @ beta), which a beta can make negative."""
+        return np.abs(self.bone_rad0 * (1.0 + _apply(self.rad_basis, beta)))
 
     def joint_offsets(self, beta: np.ndarray) -> np.ndarray:
         """Per-joint rest offsets from the parent, (..., J, 3); the root row is 0."""
@@ -452,8 +454,8 @@ class CapsuleHand:
         R_T, tau = np.swapaxes(rot6d_to_matrix(params.omega), -1, -2), params.tau[..., None, :]
         return e0 @ R_T + tau, e1 @ R_T + tau, self.bone_radii(params.beta)
 
-    def occupancy(self, params, points: np.ndarray) -> np.ndarray:
-        """Analytic point-in-capsule-union test. points: (N,3) -> (N,) bool.
+    def occupancy(self, segments, points: np.ndarray) -> np.ndarray:
+        """Analytic point-in-capsule-union test of one hand's posed_segments: (N,3) -> (N,) bool.
 
         A sweep, not a broadcast: the points go through in chunks of
         _OCC_CHUNK (2**16) rows, each sorted by x once. Each capsule
@@ -461,12 +463,9 @@ class CapsuleHand:
         rows inside the box in y and z, and runs the exact segment-distance
         test on those rows only, so a point it accepts lies in that box.
         Memory is bounded by the chunk, whatever N is.
-
-        ``params`` is one hand's HandParam, or its ``posed_segments``, so a
-        caller that tests many blocks of points poses the hand once.
         """
         points = np.asarray(points, dtype=float)
-        e0, e1, rads = self.posed_segments(params) if isinstance(params, HandParam) else params
+        e0, e1, rads = segments
         w = e1 - e0                                    # (B,3)
         ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
         box_lo, box_hi = capsule_boxes(e0, e1, rads)
@@ -510,7 +509,9 @@ class CapsuleHand:
         p_bar = self._joint_of_bone @ w_bar.sum(axis=-2)
         local_bar = w_bar @ Q[..., self.bone_attach, :, :]
         len_bar = np.einsum("...bki,bi,k->...b", local_bar, self.bone_dir, self._tmpl_a)
-        rad_bar = np.einsum("...bki,bki->...b", local_bar, self._bone_n)
+        # bone_rad0 > 0, so the signed radius has the sign of its factor.
+        rad_bar = np.einsum("...bki,bki->...b", local_bar, self._bone_n) \
+            * np.sign(1.0 + _apply(self.rad_basis, beta))
 
         grad[..., THETA], off_bar = _chain_vjp(self.parents, theta, offsets, Q, Q_bar, p_bar)
         off_len_bar = np.einsum("...ji,ji->...j", off_bar, self.offset_dir)
@@ -534,20 +535,28 @@ def kinematics_vjp(params: HandParam, model, vertex_cotangent: np.ndarray) -> np
     return model.vjp(params, vertex_cotangent)
 
 
+def _negate_x(points: np.ndarray) -> np.ndarray:
+    """Negate x of (..., 3) points in place and return them: MIRROR_MAT's
+    action without a matmul, which would wake the BLAS thread pool; a zero
+    coordinate may keep a sign that the matmul would flip."""
+    np.negative(points[..., 0], out=points[..., 0])
+    return points
+
+
 def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
-    """Mesh of a left hand: x-negated right mesh of its mirror image."""
-    return mirror_mesh(model.posed_mesh(mirror(params_left)))
+    """Mesh of a left hand: its mirror image's posed mesh with x negated,
+    before any cached property is read, and faces reversed to stay CCW."""
+    mesh = model.posed_mesh(mirror(params_left))
+    _negate_x(mesh.vertices)
+    mesh.faces = mesh.faces[:, ::-1]
+    return mesh
 
 
 def _left_segments(params_left: HandParam, model):
     """World capsule segments of a left hand: its mirror image's
-    posed_segments with x negated. Negation is MIRROR_MAT's action without a
-    matmul, which would wake the BLAS thread pool; a zero coordinate may
-    keep a sign that the matmul would flip."""
+    posed_segments with x negated."""
     e0, e1, rads = model.posed_segments(mirror(params_left))
-    np.negative(e0[..., 0], out=e0[..., 0])
-    np.negative(e1[..., 0], out=e1[..., 0])
-    return e0, e1, rads
+    return _negate_x(e0), _negate_x(e1), rads
 
 
 def pair_occupancy(x_l: HandParam, x_r: HandParam, model):

@@ -1,6 +1,7 @@
-"""Triangle meshes, which serve contact only, and surface clouds of capsules.
+"""Triangle meshes, which serve only as contact's anchors, and surface clouds of capsules.
 
-Vertices are meters; faces are counter-clockwise when viewed from outside.
+Contact reads an anchor's normals and k-d tree; the moving hand reaches it as
+points. Vertices are meters; faces are counter-clockwise when viewed from outside.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from scipy.spatial import cKDTree
 
 from .errors import ZeroAreaStar
 from .nn import TAG_SURFACE, rng_stream
-from .rotations import MIRROR_MAT
 
 
 @dataclass
@@ -58,24 +58,18 @@ def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return acc / norms[:, None]
 
 
-def mirror_mesh(mesh: HandMesh) -> HandMesh:
-    """x-negated copy with face orientation flipped (stays outward-CCW)."""
-    verts = mesh.vertices @ MIRROR_MAT.T
-    faces = mesh.faces[:, ::-1].copy()
-    return HandMesh(verts, faces)
-
-
 def sample_surface_points(e0, e1, radii, n: int, seed: int) -> np.ndarray:
     """n area-uniform points on each capsule set of a stack, endpoints (..., K, 3)
     twice and radii (..., K) -> (..., n, 3); cloud c draws from rng_stream(seed + c,
-    TAG_SURFACE). A capsule is a side of area 2 pi |r| L and a sphere of area
-    4 pi r^2 split over its ends; a point picks a part by area, then a uniform axial
-    fraction and angle on the side, or a uniform direction u from the end u faces."""
+    TAG_SURFACE). A capsule of radius r = |radius|, as a caller may pass signed radii,
+    is a side of area 2 pi r L and a sphere of area 4 pi r^2 split over its ends; a
+    point picks a part by area, then a uniform axial fraction and angle on the side,
+    or a uniform direction u from the end u faces."""
     *lead, k = np.shape(radii)
-    radii, e0 = np.reshape(radii, (-1, k)), np.reshape(e0, (-1, k, 3))
+    radii, e0 = np.abs(np.reshape(radii, (-1, k))), np.reshape(e0, (-1, k, 3))
     w = np.reshape(e1, (-1, k, 3)) - e0
     length = np.linalg.norm(w, axis=-1)
-    areas = np.stack([2 * np.pi * np.abs(radii) * length, 4 * np.pi * radii ** 2], axis=-1)
+    areas = np.stack([2 * np.pi * radii * length, 4 * np.pi * radii ** 2], axis=-1)
     p = areas.reshape(-1, 2 * k) / areas.sum(axis=(1, 2))[:, None]
     d = np.where(length[..., None] > 0, w, [0.0, 0.0, 1.0])     # unit axis, +z at length 0
     d /= np.linalg.norm(d, axis=-1, keepdims=True)

@@ -31,6 +31,7 @@ from .nn import TAG_METRIC, rng_stream
 
 DIVERSITY_PAIRS = 300   # random index pairs averaged into one diversity value
 PROXIMITY_TAU_M = 0.02  # metres: a pair closer than this counts as in proximity
+PR_K = 3                # precision_recall's k: a point's k-th neighbour sets its ball
 # Most grid cells per penetration_volume block: 3 MB of points. The cells
 # tested on 56 interpenetrating overlapping_spec pairs (median 70,040, at most
 # 201,017 at 1 mm; at most 26,963 at 2 mm) fit one or two blocks.
@@ -110,17 +111,16 @@ def _covered(points: np.ndarray, manifold: np.ndarray, radii: np.ndarray) -> np.
     return out
 
 
-def precision_recall(features_real: np.ndarray, features_gen: np.ndarray,
-                     k: int = 3):
-    """k-NN manifold coverage: precision of generated, recall of real."""
+def precision_recall(features_real: np.ndarray, features_gen: np.ndarray):
+    """k-NN manifold coverage at k = PR_K: precision of generated, recall of real."""
     real = np.atleast_2d(np.asarray(features_real, dtype=float))
     gen = np.atleast_2d(np.asarray(features_gen, dtype=float))
-    if len(real) < k + 1 or len(gen) < k + 1:
-        raise ValueError(f"both sets need at least k+1={k + 1} points")
+    if len(real) < PR_K + 1 or len(gen) < PR_K + 1:
+        raise ValueError(f"both sets need at least k+1={PR_K + 1} points")
 
     def knn_radii(X):
-        d, _ = cKDTree(X).query(X, k=k + 1)
-        return d[:, k]
+        d, _ = cKDTree(X).query(X, k=PR_K + 1)
+        return d[:, PR_K]
 
     precision = float(_covered(gen, real, knn_radii(real)).mean())
     recall = float(_covered(real, gen, knn_radii(gen)).mean())
@@ -192,7 +192,7 @@ def _mean_depth_cm(report) -> float:
 
 def penetration_distance(mesh_a, mesh_b) -> float:
     """Mean projected penetration depth of A's vertices into B, in cm."""
-    return _mean_depth_cm(sampler.penetration_set(mesh_a, mesh_b))
+    return _mean_depth_cm(sampler.penetration_set(mesh_a.vertices, mesh_b))
 
 
 def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
@@ -202,7 +202,7 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller."""
     model = model or default_hand()
     mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-    contact = sampler.penetration_set(mesh_r, mesh_l)
+    contact = sampler.penetration_set(mesh_r.vertices, mesh_l)
     pen_dist = _mean_depth_cm(contact)
     penetrating = pen_dist > 0.0
     vol = 0.0

@@ -26,6 +26,8 @@ ADAM_BETA1 = 0.9       # Adam decay rate of the first-moment (mean) estimate
 ADAM_BETA2 = 0.999     # Adam decay rate of the second-moment estimate
 ADAM_EPS = 1e-8        # added to sqrt(second moment) in the Adam denominator
 ADAM_CHUNK = 1 << 16   # elements per in-place Adam chunk: 6 float32 chunks, 1.5 MB, fit L2
+N_HEADS = 4            # attention heads per block; the token width splits evenly among them
+DROP_RATE = 0.1        # dropout probability on each attention and FFN sublayer output
 
 
 def rng_stream(seed: int, tag: int) -> np.random.Generator:
@@ -132,13 +134,13 @@ def relu_backward(dy, name, cache):
     return dy * cache[name]
 
 
-def dropout_forward(x, rate, name, cache=None, rng=None):
-    """Inverted dropout; identity when no generator is supplied."""
-    if rng is None or rate <= 0.0:
+def dropout_forward(x, name, cache=None, rng=None):
+    """Inverted dropout at DROP_RATE; identity when no generator is supplied."""
+    if rng is None:
         if cache is not None:
             cache[name] = None
         return x
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= DROP_RATE).astype(x.dtype) / (1.0 - DROP_RATE)
     if cache is not None:
         cache[name] = mask
     return x * mask
@@ -150,14 +152,13 @@ def dropout_backward(dy, name, cache):
 
 
 class SelfAttention:
-    """Multi-head self-attention over short token sequences (B, S, d)."""
+    """N_HEADS-head self-attention over short token sequences (B, S, d)."""
 
-    def __init__(self, name: str, d: int, heads: int):
-        assert d % heads == 0
+    def __init__(self, name: str, d: int):
+        assert d % N_HEADS == 0
         self.name = name
         self.d = d
-        self.h = heads
-        self.dh = d // heads
+        self.dh = d // N_HEADS
         self.wq = Linear(name + ".q", d, d)
         self.wk = Linear(name + ".k", d, d)
         self.wv = Linear(name + ".v", d, d)
@@ -169,7 +170,7 @@ class SelfAttention:
 
     def _split(self, x):
         B, S, _ = x.shape
-        return x.reshape(B, S, self.h, self.dh).transpose(0, 2, 1, 3)
+        return x.reshape(B, S, N_HEADS, self.dh).transpose(0, 2, 1, 3)
 
     def forward(self, params, x, cache=None):
         q = self._split(self.wq.forward(params, x, cache))
@@ -190,7 +191,7 @@ class SelfAttention:
         q, k, v, att = cache[self.name]
         dmerged = self.wo.backward(params, grads, dy, cache)
         B, S, _ = dmerged.shape
-        dctx = dmerged.reshape(B, S, self.h, self.dh).transpose(0, 2, 1, 3)
+        dctx = dmerged.reshape(B, S, N_HEADS, self.dh).transpose(0, 2, 1, 3)
         datt = dctx @ v.transpose(0, 1, 3, 2)
         dv = att.transpose(0, 1, 3, 2) @ dctx
         dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
@@ -207,14 +208,13 @@ class SelfAttention:
 class TransformerBlock:
     """Post-LN block: residual MHA then residual FFN, dropout on sublayers."""
 
-    def __init__(self, name: str, d: int, heads: int, d_ff: int, drop_rate: float):
+    def __init__(self, name: str, d: int, d_ff: int):
         self.name = name
-        self.attn = SelfAttention(name + ".attn", d, heads)
+        self.attn = SelfAttention(name + ".attn", d)
         self.ln1 = LayerNorm(name + ".ln1", d)
         self.ff1 = Linear(name + ".ff1", d, d_ff)
         self.ff2 = Linear(name + ".ff2", d_ff, d)
         self.ln2 = LayerNorm(name + ".ln2", d)
-        self.drop_rate = drop_rate
 
     def init(self, params, rng) -> None:
         for part in (self.attn, self.ln1, self.ff1, self.ff2, self.ln2):
@@ -222,12 +222,12 @@ class TransformerBlock:
 
     def forward(self, params, x, cache=None, rng=None):
         a = self.attn.forward(params, x, cache)
-        a = dropout_forward(a, self.drop_rate, self.name + ".d1", cache, rng)
+        a = dropout_forward(a, self.name + ".d1", cache, rng)
         h = self.ln1.forward(params, x + a, cache)
         f = self.ff1.forward(params, h, cache)
         f = relu_forward(f, self.name + ".relu", cache)
         f = self.ff2.forward(params, f, cache)
-        f = dropout_forward(f, self.drop_rate, self.name + ".d2", cache, rng)
+        f = dropout_forward(f, self.name + ".d2", cache, rng)
         return self.ln2.forward(params, h + f, cache)
 
     def backward(self, params, grads, dy, cache):

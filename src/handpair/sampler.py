@@ -9,13 +9,14 @@ steps from the mix, and descends the mix's inter-hand penetration loss
 deterministic noise stream per sample, so a (weights, config) pair fully
 determines the output.
 
-penetration_set owns contact: its one nearest-vertex query per pair of
-meshes, bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection
-rule and the geometry metrics read. reach_box owns the broad phase in front
-of it: B's vertex box widened by CONTACT_RADIUS holds every point that the
-bounded query can answer, so penetration_set queries only the A vertices
-inside it, and APG poses vertices only for rows whose capsule box meets it.
-Neither cull changes an output bit.
+penetration_set owns contact: its one nearest-vertex query of the moving
+hand's points against an anchor mesh (whose normals and k-d tree it reads),
+bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection rule and
+the geometry metrics read. reach_box owns the broad phase in front of it: B's
+vertex box widened by CONTACT_RADIUS holds every point that the bounded query
+can answer, so penetration_set queries only the points inside it, and APG
+poses vertices only for rows whose capsule box meets it. Neither cull
+changes an output bit.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ class SampleConfig:
 
 @dataclass
 class PenetrationReport:
-    pairs: np.ndarray                 # (P, 2) vertex indices (i in A, j in B)
-    delta: np.ndarray                 # (P, 3) A vertex minus its B vertex, meters
+    pairs: np.ndarray                 # (P, 2) indices (i of an A point, j of a B vertex)
+    delta: np.ndarray                 # (P, 3) A point minus its B vertex, meters
     depths: np.ndarray                # (P,) projected depths, meters, > 0
     loss: float
-    min_distance: float               # min over all A vertices of the B distance, meters;
+    min_distance: float               # min over all A points of the B distance, meters;
                                       # exact below CONTACT_RADIUS, inf when none is in range
 
     def __len__(self) -> int:
@@ -112,37 +113,37 @@ def reach_box(mesh_b: HandMesh) -> tuple[np.ndarray, np.ndarray]:
     return mesh_b.tree.mins - pad, mesh_b.tree.maxes + pad
 
 
-def penetration_set(mesh_a: HandMesh, mesh_b: HandMesh) -> PenetrationReport:
-    """Contact of A against B from one bounded nearest-vertex query; len() is P.
+def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
+    """Contact of A's points (V, 3) against the anchor mesh B from one bounded
+    nearest-vertex query; len() is P.
 
-    Vertex i of A pairs with j, its nearest vertex in B, when j is closer
+    Point i of A pairs with j, its nearest vertex in B, when j is closer
     than CONTACT_RADIUS and i sits behind B's surface there: its depth
-    -n_j . delta is strictly positive, where delta is A's vertex minus B's
-    (the repulsion term of Hasson et al., CVPR 2019). A vertex with no B
-    vertex in range never pairs. The loss is sum |delta|^2 over the pairs;
-    its gradient with respect to A's vertex i is 2 delta on paired rows and
-    0 elsewhere, with the pair set held constant. An empty pair set gives
-    empty delta and depths and a loss of 0. min_distance covers every A
-    vertex, paired or not: exact when below CONTACT_RADIUS, else inf.
+    -n_j . delta is strictly positive, where delta is A's point minus B's
+    vertex (the "inside" repulsion of Hasson et al., CVPR 2019). A point
+    with no B vertex in range never pairs. The loss is sum |delta|^2 over
+    the pairs; its gradient with respect to A's point i is 2 delta on paired
+    rows and 0 elsewhere, with the pair set held constant. An empty pair set
+    gives empty delta and depths and a loss of 0. min_distance covers every
+    A point, paired or not: exact when below CONTACT_RADIUS, else inf.
 
-    Only the A vertices inside reach_box(B) are queried; the query would
+    Only the A points inside reach_box(B) are queried; the query would
     answer (inf, len(B)) for the rest. Nearest neighbors come from a k-d
     tree built on B alone, which fixes each query point's answer, exact
     distance ties included, whatever else is queried with it. Raises
-    ValueError when A has a non-finite vertex.
+    ValueError when A has a non-finite point.
     """
-    verts = mesh_a.vertices
-    if not np.isfinite(verts).all():
-        raise ValueError("non-finite vertices in mesh_a")
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite points in A")
     lo, hi = reach_box(mesh_b)
-    cand = np.flatnonzero(((verts >= lo) & (verts <= hi)).all(axis=1))
+    cand = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
     if not cand.size:
         return PenetrationReport(np.empty((0, 2), dtype=np.int64), np.empty((0, 3)),
                                  np.empty(0), 0.0, np.inf)
-    dist, nearest = mesh_b.tree.query(verts[cand], k=1, distance_upper_bound=CONTACT_RADIUS)
+    dist, nearest = mesh_b.tree.query(points[cand], k=1, distance_upper_bound=CONTACT_RADIUS)
     hit = dist < CONTACT_RADIUS                      # the rest come back as (inf, len(B))
     near, j = cand[hit], nearest[hit]
-    delta = verts[near] - mesh_b.vertices[j]
+    delta = points[near] - mesh_b.vertices[j]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[j], delta)
     inside = depth > 0.0
     delta = delta[inside]
@@ -155,9 +156,8 @@ def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
                      model=None) -> float:
     """Penetration loss of a right hand (clean) against a left anchor."""
     model = model or default_hand()
-    mesh_a = model.posed_mesh(params_clean)
-    mesh_b = left_hand_mesh(params_anchor, model)
-    return penetration_set(mesh_a, mesh_b).loss
+    return penetration_set(model.posed_vertices(params_clean),
+                           left_hand_mesh(params_anchor, model)).loss
 
 
 def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
@@ -190,7 +190,7 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
     cot = np.zeros_like(verts)
     for r, i in enumerate(ok):
-        report = penetration_set(HandMesh(verts[r], model.faces), anchor_meshes[i])
+        report = penetration_set(verts[r], anchor_meshes[i])
         cot[r, report.pairs[:, 0]] = 2.0 * report.delta
     active = cot.any(axis=(1, 2))    # rows with at least one pair
     if active.any():
@@ -222,21 +222,18 @@ class SampleResult:
         return HandParam(self.x_l[i].copy()), HandParam(self.x_r[i].copy())
 
 
-def _reverse_pass(denoiser, x, cond, grid, sched, config, model,
+def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
                   object_embedding, anchor_meshes=None):
+    """Reverse steps from x along grid on the condition cond with its drop
+    mask, mixed with the unconditional estimate at CFG weight w_cfg."""
     for si, (t, t_prev) in enumerate(grid):
         tt = np.full(len(x), t)
-        if config.w_cfg != 0.0 or cond is None:
+        x0 = denoiser.predict(x, cond, drop, tt, object_embedding=object_embedding)
+        if w_cfg != 0.0:
             # Every row is dropped, so the null token replaces these zeros.
             x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(len(x), dtype=bool), tt,
                                     object_embedding=object_embedding)
-        if cond is None:
-            x0 = x0_u
-        else:
-            x0 = denoiser.predict(x, cond, np.zeros(len(x), dtype=bool), tt,
-                                  object_embedding=object_embedding)
-            if config.w_cfg != 0.0:
-                x0 = cfg_mix(x0, x0_u, config.w_cfg)
+            x0 = cfg_mix(x0, x0_u, w_cfg)
         x = ddim_step(x, x0, t, t_prev, sched)
         if anchor_meshes is not None:
             w = config.w_pen_at(len(grid) - 1 - si)
@@ -263,9 +260,9 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     elif config.object_points is not None:
         raise ValueError("object_points given to a denoiser without an object branch")
 
-    # Phase 1: unconditional anchor in canonical right-hand space.
-    x = _reverse_pass(denoiser, noise[0].copy(), None, grid, sched,
-                      config, model, object_embedding)
+    # Phase 1: unconditional anchor in canonical right-hand space, every row dropped.
+    x = _reverse_pass(denoiser, noise[0].copy(), np.zeros((B, DIM)), np.ones(B, dtype=bool),
+                      0.0, grid, sched, config, model, object_embedding)
     anchor = HandParam(x)
     if object_embedding is None:
         # Unconditional roots are unsupervised; only the relative
@@ -275,7 +272,8 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
 
     # Phase 2: conditional partner with CFG and optional APG.
     anchor_meshes = [left_hand_mesh(HandParam(row), model) for row in x_l] if config.apg else None
-    x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), grid, sched,
-                        config, model, object_embedding, anchor_meshes)
+    x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), np.zeros(B, dtype=bool),
+                        config.w_cfg, grid, sched, config, model, object_embedding,
+                        anchor_meshes)
     return SampleResult(x_l=x_l, x_r=x_r)
 

@@ -68,16 +68,15 @@ def float64_twin(denoiser):
     return Denoiser(denoiser.config, params=params)
 
 
-def uncut_penetration_set(mesh_a, mesh_b):
-    """sampler.penetration_set before its reach-box cull: every A vertex is
+def uncut_penetration_set(points, mesh_b):
+    """sampler.penetration_set before its reach-box cull: every A point is
     queried. A reference for checks that the cull changes no output bit."""
     from handpair.sampler import CONTACT_RADIUS, PenetrationReport
 
-    dist, nearest = mesh_b.tree.query(mesh_a.vertices, k=1,
-                                      distance_upper_bound=CONTACT_RADIUS)
+    dist, nearest = mesh_b.tree.query(points, k=1, distance_upper_bound=CONTACT_RADIUS)
     near = np.flatnonzero(dist < CONTACT_RADIUS)
     j = nearest[near]
-    delta = mesh_a.vertices[near] - mesh_b.vertices[j]
+    delta = points[near] - mesh_b.vertices[j]
     depth = -np.einsum("ij,ij->i", mesh_b.normals[j], delta)
     inside = depth > 0.0
     idx = near[inside]
@@ -91,7 +90,6 @@ def uncut_apg_gradient(x0_hat, t_prev, anchor_meshes, sched, model):
     """sampler.apg_gradient before its row cull: every row with a usable root
     rotation is posed and queried with uncut_penetration_set."""
     from handpair.hand_model import OMEGA, kinematics_vjp
-    from handpair.mesh import HandMesh
     from handpair.rotations import rot6d_degenerate
 
     x0_hat = np.asarray(x0_hat, dtype=float)
@@ -100,7 +98,7 @@ def uncut_apg_gradient(x0_hat, t_prev, anchor_meshes, sched, model):
     verts = model.posed_vertices(HandParam(x0_hat[ok]))
     cot = np.zeros_like(verts)
     for r, i in enumerate(ok):
-        report = uncut_penetration_set(HandMesh(verts[r], model.faces), anchor_meshes[i])
+        report = uncut_penetration_set(verts[r], anchor_meshes[i])
         cot[r, report.pairs[:, 0]] = 2.0 * report.delta
     active = cot.any(axis=(1, 2))
     if active.any():

@@ -1,18 +1,21 @@
 """Every config field is passed by some caller in src/, bench/ or tests/,
-every error class is raised somewhere in src/, and each of three rules has
+every error class is raised somewhere in src/, and each of five rules has
 one owner in src/: nn.rng_stream builds every random generator but the one
 of data's fixed mode templates, checkpoint alone hashes (its checksum names
-every set of weights), and diffusion alone turns a clean estimate into noise
-(the sampler works on clean estimates only). Every stream tag in nn is read
-by another module, and every network holds float32 weights only.
+every set of weights), diffusion alone turns a clean estimate into noise
+(the sampler works on clean estimates only), hand_model alone builds a
+HandMesh (contact's anchors; the moving hand reaches contact as points), and
+only rotations and hand_model read MIRROR_MAT (a left hand is one
+x-negation, hand_model._negate_x). Every stream tag in nn is read by another
+module, and every network holds float32 weights only.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
 that nothing raises promises callers a failure that cannot happen. A second
-generator or hash is a second copy of a rule, free to drift from the first.
-A tag that nothing reads keys a stream that nothing draws. A network in
-another dtype would not round-trip bit for bit, and its checksum would not
-name its weights.
+generator, hash, mesh builder or mirror is a second copy of a rule, free to
+drift from the first. A tag that nothing reads keys a stream that nothing
+draws. A network in another dtype would not round-trip bit for bit, and its
+checksum would not name its weights.
 """
 
 import ast
@@ -120,6 +123,19 @@ def test_only_diffusion_calls_eps_from_x0():
     callers = {module for module, tree in _modules()
                for _, call in _calls_by_function(tree) if _callee(call.func) == "eps_from_x0"}
     assert callers == {"diffusion"}
+
+
+def test_only_hand_model_builds_hand_meshes():
+    builders = {module for module, tree in _modules()
+                for _, call in _calls_by_function(tree) if _callee(call.func) == "HandMesh"}
+    assert builders == {"hand_model"}
+
+
+def test_only_rotations_and_hand_model_read_the_mirror_matrix():
+    readers = {module for module, tree in _modules() for node in ast.walk(tree)
+               if "MIRROR_MAT" in ([alias.name for alias in node.names]
+                                   if isinstance(node, ast.ImportFrom) else [_callee(node)])}
+    assert readers <= {"rotations", "hand_model"}, readers
 
 
 def test_stream_tags_are_distinct():

@@ -179,7 +179,7 @@ def test_overlapping_spec_produces_penetrations():
     for i in range(len(ds)):
         x_l, x_r = ds.pair(i)
         mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-        hits += int(len(penetration_set(mesh_r, mesh_l)) > 0)
+        hits += int(len(penetration_set(mesh_r.vertices, mesh_l)) > 0)
     assert hits >= 4
 
 

@@ -19,7 +19,7 @@ from handpair.hand_model import (
     relative_root,
     reroot_pair,
 )
-from handpair.mesh import HandMesh, mirror_mesh, vertex_normals
+from handpair.mesh import HandMesh, vertex_normals
 from handpair.rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
@@ -215,6 +215,8 @@ def test_mirror_mesh_commutation(hand_model):
         negated = hand_model.posed_mesh(p).vertices @ MIRROR_MAT.T
         mirrored = left_hand_mesh(mirror(p), hand_model).vertices
         assert np.abs(negated - mirrored).max() < 1e-6
+        twice = hand_model.posed_mesh(mirror(mirror(p))).vertices
+        assert (mirrored == twice @ MIRROR_MAT.T).all()
 
 
 def test_left_capsules_carry_the_left_mesh(hand_model):
@@ -293,6 +295,24 @@ def test_normals_unit_norm(hand_model):
     np.testing.assert_allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, atol=1e-6)
 
 
+def test_normals_point_away_from_their_capsule_axes_at_negative_radii(hand_model):
+    # beta[1] = -15 makes every signed radius negative; each vertex still sits
+    # |radius| out from its capsule's axis, and its normal points away from it.
+    rng = np.random.default_rng(13)
+    for theta_scale in (0.0, 0.3):
+        p = random_params(rng, theta_scale=theta_scale)
+        p.vector[46] = -15.0
+        mesh = hand_model.posed_mesh(p)
+        e0, e1, rads = hand_model.posed_segments(p)
+        bone = np.arange(hand_model.n_vertices) // hand_model.verts_per_bone
+        w = e1[bone] - e0[bone]
+        t = np.clip(np.einsum("vi,vi->v", mesh.vertices - e0[bone], w)
+                    / np.einsum("vi,vi->v", w, w), 0.0, 1.0)
+        out = mesh.vertices - (e0[bone] + t[:, None] * w)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), rads[bone], rtol=0, atol=1e-12)
+        assert (np.einsum("vi,vi->v", mesh.normals, out) > 0).all()
+
+
 def test_zero_area_star_raises():
     verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     faces = np.array([[0, 1, 2], [0, 2, 1], [0, 3, 4]])  # vertex 1's star cancels
@@ -323,9 +343,10 @@ def test_occupancy_trivial_points(hand_model):
     _, joints = hand_model.joint_transforms(p.theta, p.beta)
     R = rot6d_to_matrix(p.omega)
     posed_joints = joints @ R.T + p.tau
-    assert hand_model.occupancy(p, posed_joints).all()
+    segments = hand_model.posed_segments(p)
+    assert hand_model.occupancy(segments, posed_joints).all()
     far = posed_joints[0] + np.array([1.0, 0.0, 0.0])
-    assert not hand_model.occupancy(p, far[None])[0]
+    assert not hand_model.occupancy(segments, far[None])[0]
 
 
 def _segment_distance_oracle(point, e0, e1):
@@ -343,7 +364,7 @@ def test_occupancy_matches_brute_force(hand_model):
     lo = e0.min(axis=0) - 0.05
     hi = e1.max(axis=0) + 0.05
     pts = rng.uniform(lo, hi, size=(10_000, 3))
-    got = hand_model.occupancy(p, pts)
+    got = hand_model.occupancy((e0, e1, rads), pts)
     margin = np.empty(len(pts))
     expected = np.zeros(len(pts), dtype=bool)
     for i, pt in enumerate(pts):
@@ -359,7 +380,7 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     rng = np.random.default_rng(4)
     p = random_params(rng)
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
-    right = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
+    right = hand_model.occupancy(hand_model.posed_segments(mirror(p)), pts @ MIRROR_MAT.T)
     np.testing.assert_array_equal(pair_occupancy(p, p, hand_model)[0](pts), right)
 
 
@@ -372,7 +393,7 @@ def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
     pts = rng.uniform(-0.06, 0.06, size=(20_000, 3))
     zero = rng.random(pts.shape) < 0.3
     pts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
-    expected = hand_model.occupancy(mirror(p), pts @ MIRROR_MAT.T)
+    expected = hand_model.occupancy(hand_model.posed_segments(mirror(p)), pts @ MIRROR_MAT.T)
     assert expected[zero.any(axis=1)].sum() > 100
     left, _, (lo, hi), _ = pair_occupancy(p, p, hand_model)
     np.testing.assert_array_equal(left(pts), expected)
@@ -403,7 +424,7 @@ def posed_hands():
 
 
 def _occupancy_checked_against_dense(model, p, pts):
-    got = model.occupancy(p, pts)
+    got = model.occupancy(model.posed_segments(p), pts)
     assert got.dtype == bool and got.shape == (len(pts),)
     np.testing.assert_array_equal(got, _dense_occupancy(model, p, pts))
     return got
@@ -455,7 +476,7 @@ def test_occupancy_sweep_handles_nan_empty_and_chunk_edges(hand_model, posed_han
     pts[7, 1] = np.nan
     got = _occupancy_checked_against_dense(hand_model, p, pts)
     assert not got[3] and not got[7] and got.any()
-    assert hand_model.occupancy(p, np.empty((0, 3))).shape == (0,)
+    assert hand_model.occupancy(hand_model.posed_segments(p), np.empty((0, 3))).shape == (0,)
     # Two chunks, the second short; both ends of the straddle hit the hand.
     n = _OCC_CHUNK + 1000
     pts = e0[rng.integers(0, len(e0), n)] + rng.normal(0.0, 0.02, (n, 3))
@@ -464,13 +485,16 @@ def test_occupancy_sweep_handles_nan_empty_and_chunk_edges(hand_model, posed_han
 
 
 def test_occupancy_matches_dense_with_negative_radii(hand_model):
-    # beta[1] = -15 makes every capsule radius negative; the boxes pad by
-    # |radius|, so the sweep still finds every point the segment test holds.
+    # beta[1] = -15 makes every signed capsule radius negative, and
+    # posed_segments gives its magnitude, so the sweep still finds every
+    # point the segment test holds.
     beta = np.zeros(10)
     beta[1] = -15.0
     p = HandParam.from_parts(beta=beta, tau=[0.02, -0.01, 0.03])
     e0, e1, rads = hand_model.posed_segments(p)
-    assert (rads < 0).all()
+    signed = hand_model.bone_rad0 * (1.0 + hand_model.rad_basis @ beta)
+    assert (signed < 0).all()
+    np.testing.assert_array_equal(rads, -signed)
     pts = np.random.default_rng(45).uniform(np.minimum(e0, e1).min(axis=0) - 0.03,
                                             np.maximum(e0, e1).max(axis=0) + 0.03,
                                             (50_000, 3))
@@ -478,13 +502,13 @@ def test_occupancy_matches_dense_with_negative_radii(hand_model):
 
 
 def test_occupancy_memory_stays_bounded(hand_model, posed_hands):
-    p = posed_hands[1]
-    e0, e1, _ = hand_model.posed_segments(p)
+    segments = hand_model.posed_segments(posed_hands[1])
+    e0, e1, _ = segments
     pts = np.random.default_rng(44).uniform(np.minimum(e0, e1).min(axis=0),
                                             np.maximum(e0, e1).max(axis=0), (10**6, 3))
     tracemalloc.start()
     try:
-        hand_model.occupancy(p, pts)
+        hand_model.occupancy(segments, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,6 +557,19 @@ def test_vjp_matches_finite_differences(hand_model):
         np.testing.assert_allclose(got, _fd_vjp(p, hand_model, cot), rtol=0.0, atol=1e-9)
 
 
+def test_vjp_matches_finite_differences_at_negative_radii(hand_model):
+    # Radii are the magnitude of a signed radius that beta[1] = -15 makes
+    # negative everywhere, so their cotangent reaches beta with a sign flip.
+    # Along the vertex normals the radii carry most of beta[1]'s gradient.
+    p = random_params(np.random.default_rng(18))
+    p.vector[46] = -15.0
+    assert (hand_model.bone_rad0 * (1.0 + hand_model.rad_basis @ p.beta) < 0).all()
+    cot = hand_model.posed_mesh(p).normals
+    got = kinematics_vjp(p, hand_model, cot)
+    np.testing.assert_allclose(got, _fd_vjp(p, hand_model, cot), rtol=0.0, atol=1e-9)
+    assert got[46] < -0.5
+
+
 def test_chain_builds_local_rotations_in_one_call(hand_model, monkeypatch):
     from handpair import hand_model as hm
 
@@ -556,8 +593,14 @@ def test_chain_builds_local_rotations_in_one_call(hand_model, monkeypatch):
 
 
 def test_mirror_mesh_flips_x_and_orientation(hand_model):
-    mesh = hand_model.posed_mesh(HandParam.from_parts())
-    m = mirror_mesh(mesh)
-    np.testing.assert_allclose(m.vertices[:, 0], -mesh.vertices[:, 0])
-    np.testing.assert_allclose(m.normals, mesh.normals @ MIRROR_MAT.T, atol=1e-9)
+    # left_hand_mesh negates x of its mirror image's posed mesh: the matmul
+    # by MIRROR_MAT to the bit, with the faces reversed to stay outward-CCW.
+    rng = np.random.default_rng(12)
+    for _ in range(64):
+        x = random_params(rng)
+        right = hand_model.posed_mesh(mirror(x))
+        left = left_hand_mesh(x, hand_model)
+        assert (left.vertices == right.vertices @ MIRROR_MAT.T).all()
+        np.testing.assert_array_equal(left.faces, hand_model.faces[:, ::-1])
+    np.testing.assert_allclose(left.normals, right.normals @ MIRROR_MAT.T, atol=1e-9)
 

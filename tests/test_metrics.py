@@ -17,6 +17,7 @@ from handpair.checkpoint import checksum, load_backbone, save_backbone
 from handpair.data import Dataset, generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.hand_model import CapsuleHand, mirror, pair_meshes, pair_segments
 from handpair.metrics import (
+    PR_K,
     DegenerateCovariance,
     MetricReport,
     dataset_features,
@@ -96,9 +97,10 @@ def test_pair_stats_volume_equals_zplane_reference(hand_model, overlapping_pairs
             vol, _, _, penetrating = pair_stats(x_l, x_r, hand_model, grid)
             if not penetrating:
                 continue
+            left, right = hand_model.posed_segments(mirror(x_l)), hand_model.posed_segments(x_r)
             ref = _zplane_volume(
-                lambda pts: hand_model.occupancy(mirror(x_l), pts @ MIRROR_MAT.T),
-                lambda pts: hand_model.occupancy(x_r, pts),
+                lambda pts: hand_model.occupancy(left, pts @ MIRROR_MAT.T),
+                lambda pts: hand_model.occupancy(right, pts),
                 *_capsule_hulls(x_l, x_r, hand_model),
                 grid,
             )
@@ -263,14 +265,14 @@ def test_precision_recall_identical_and_disjoint(gaussian_features):
     assert precision_recall(a, a + 100.0) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("gen_shift, k, expected", [
-    ((5.0, 0.0), 1, (0.6, 0.6)),    # generated 5..9 sit on real points, 10 in 9's ball
-    ((5.0, 0.0), 3, (0.8, 0.8)),    # real 9's 3-NN radius is 3: generated 10..12 join
-    ((0.0, 5.0), 3, (0.0, 0.0)),    # parallel lines 5 apart, every radius below 5
+@pytest.mark.parametrize("gen_shift, expected", [
+    ((5.0, 0.0), (0.8, 0.8)),    # real 9's 3-NN radius is 3: generated 5..12 are covered
+    ((0.0, 5.0), (0.0, 0.0)),    # parallel lines 5 apart, every radius below 5
 ])
-def test_precision_recall_counts_on_overlapping_lines(gen_shift, k, expected):
+def test_precision_recall_counts_on_overlapping_lines(gen_shift, expected):
+    assert PR_K == 3
     real = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
-    assert precision_recall(real, real + np.array(gen_shift), k=k) == expected
+    assert precision_recall(real, real + np.array(gen_shift)) == expected
 
 
 def test_penetration_volume_calls_each_occupancy_once():

@@ -14,7 +14,6 @@ from conftest import (
     uncut_apg_gradient,
 )
 from handpair.checkpoint import load_denoiser
-from handpair.data import generate_synthetic, overlapping_spec, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import forward_diffuse, make_schedule
 from handpair.hand_model import (
@@ -49,13 +48,13 @@ from handpair.sampler import (
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "denoiser_small"
 
 
-def brute_force_contact(mesh_a, mesh_b, radius=CONTACT_RADIUS):
+def brute_force_contact(points, mesh_b, radius=CONTACT_RADIUS):
     """O(n^2) evaluation of the nearest-vertex projection test: the pairs,
     their offsets and depths, the loss and the minimum vertex distance.
     A vertex counts only when its nearest distance is strictly below radius,
     and min_distance is inf when none is; radius=inf is the uncut test."""
     pairs, delta, depths, min_d = [], [], [], np.inf
-    for i, v in enumerate(mesh_a.vertices):
+    for i, v in enumerate(points):
         d2 = ((mesh_b.vertices - v) ** 2).sum(axis=1)
         j = int(d2.argmin())
         d = float(np.sqrt(d2[j]))
@@ -84,8 +83,8 @@ def assert_same_contact(got, expected):
     np.testing.assert_allclose(got.depths, expected["depths"], rtol=0, atol=1e-12)
 
 
-def assert_matches_brute_force(mesh_a, mesh_b):
-    got, expected = penetration_set(mesh_a, mesh_b), brute_force_contact(mesh_a, mesh_b)
+def assert_matches_brute_force(points, mesh_b):
+    got, expected = penetration_set(points, mesh_b), brute_force_contact(points, mesh_b)
     assert_same_contact(got, expected)
     if np.isinf(expected["min_distance"]):
         assert got.min_distance == np.inf
@@ -103,21 +102,20 @@ def test_distant_hands_have_empty_set(hand_model):
     b_params = random_params(rng)
     b_params.vector[61] += 1.0  # one meter apart
     b = hand_model.posed_mesh(b_params)
-    report = penetration_set(a, b)
+    report = penetration_set(a.vertices, b)
     assert len(report) == 0 and report.loss == 0.0
     assert report.min_distance == np.inf     # no vertex within CONTACT_RADIUS
 
 
 def test_sphere_inside_sphere_matches_brute_force():
     big_v, big_f = icosphere(2, 0.05)
-    small_v, small_f = icosphere(1, 0.02)
+    small_v, _ = icosphere(1, 0.02)
     # Slight rotation breaks the shared-tessellation symmetry (no exact ties).
     ang = 0.3
     R = np.array([[np.cos(ang), -np.sin(ang), 0],
                   [np.sin(ang), np.cos(ang), 0], [0, 0, 1]])
-    small = HandMesh(small_v @ R.T, small_f)
     big = HandMesh(big_v, big_f)
-    got = assert_matches_brute_force(small, big)
+    got = assert_matches_brute_force(small_v @ R.T, big)
     assert set(got.pairs[:, 0].tolist()) == set(range(len(small_v)))  # all inside
 
 
@@ -126,9 +124,9 @@ def test_random_posed_pairs_match_brute_force(hand_model):
     for _ in range(5):
         a = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
         b = hand_model.posed_mesh(random_params(rng, tau_scale=0.04))
-        got = assert_matches_brute_force(a, b)
+        got = assert_matches_brute_force(a.vertices, b)
         # At hand scale the radius drops no pair of the uncut test.
-        assert_same_contact(got, brute_force_contact(a, b, radius=np.inf))
+        assert_same_contact(got, brute_force_contact(a.vertices, b, radius=np.inf))
 
 
 def _plane_cm():
@@ -140,9 +138,7 @@ def _plane_cm():
 def test_surface_point_excluded():
     # Vertex exactly on the plane of its nearest vertex: projection == 0.
     b = _plane_cm()
-    a = HandMesh(np.array([[0.001, 0.001, 0.0], [0.002, 0.001, 0.003],
-                           [0.003, 0.003, -0.002]]),
-                 np.array([[0, 1, 2]]))
+    a = np.array([[0.001, 0.001, 0.0], [0.002, 0.001, 0.003], [0.003, 0.003, -0.002]])
     pairs = penetration_set(a, b).pairs
     assert 0 not in pairs[:, 0]      # on-surface: excluded by strict inequality
     assert 1 not in pairs[:, 0]      # above: outside
@@ -150,18 +146,15 @@ def test_surface_point_excluded():
 
 
 def test_vertex_beyond_contact_radius_never_pairs():
-    # Both vertices sit behind the plane; only the one in range pairs. A's
-    # faces are never read.
+    # Both vertices sit behind the plane; only the one in range pairs.
     b = _plane_cm()
-    a = HandMesh(np.array([[0.001, 0.001, -0.049], [0.001, 0.001, -0.051]]),
-                 np.array([[0, 1, 0]]))
+    a = np.array([[0.001, 0.001, -0.049], [0.001, 0.001, -0.051]])
     assert len(brute_force_contact(a, b, radius=np.inf)["pairs"]) == 2
     report = assert_matches_brute_force(a, b)
     np.testing.assert_array_equal(report.pairs, [[0, 0]])
     assert report.min_distance == pytest.approx(np.sqrt(2e-6 + 0.049**2), abs=1e-15)
 
-    far = HandMesh(a.vertices[1:], np.array([[0, 0, 0]]))
-    report = assert_matches_brute_force(far, b)
+    report = assert_matches_brute_force(a[1:], b)
     assert len(report) == 0 and report.loss == 0.0
     assert report.depths.shape == (0,) and report.delta.shape == (0, 3)
     assert report.min_distance == np.inf
@@ -200,7 +193,7 @@ def test_no_nonpositive_depths_ever(hand_model):
     for _ in range(10):
         a = hand_model.posed_mesh(random_params(rng, tau_scale=0.03))
         b = hand_model.posed_mesh(random_params(rng, tau_scale=0.03))
-        report = penetration_set(a, b)
+        report = penetration_set(a.vertices, b)
         if len(report) == 0:
             assert report.loss == 0.0
         else:
@@ -240,14 +233,14 @@ def test_reach_box_faces_match_brute_force(hand_model, tau):
     lo, hi = reach_box(b)
     outside = ~((planted >= lo) & (planted <= hi)).all(axis=1)
     assert 0 < outside.sum() < len(planted)
-    mixed = HandMesh(np.concatenate([a.vertices, planted]), a.faces)
+    mixed = np.concatenate([a.vertices, planted])
     got = assert_matches_brute_force(mixed, b)
     assert len(got) > 0
     assert got.min_distance < CONTACT_RADIUS
     assert_same_contact(got, brute_force_contact(mixed, b, radius=np.inf))
     # One at a time, each planted vertex is in range just when the brute
     # force finds a B vertex closer than CONTACT_RADIUS.
-    in_range = [assert_matches_brute_force(HandMesh(v[None], a.faces), b).min_distance
+    in_range = [assert_matches_brute_force(v[None], b).min_distance
                 < CONTACT_RADIUS for v in planted]
     assert 0 < sum(in_range) < len(planted)
 
@@ -272,8 +265,7 @@ def test_tree_fixes_each_query_points_answer_under_exact_ties():
 def test_nothing_in_reach_gives_the_empty_report(hand_model):
     b = hand_model.posed_mesh(HandParam.from_parts())
     lo, hi = reach_box(b)
-    a = HandMesh(np.array([hi + 1e-6, lo - 1e-6, [hi[0] + 1e-6, 0.0, 0.0]]),
-                 np.array([[0, 1, 2]]))
+    a = np.array([hi + 1e-6, lo - 1e-6, [hi[0] + 1e-6, 0.0, 0.0]])
     report = penetration_set(a, b)
     assert report.pairs.shape == (0, 2) and report.pairs.dtype == np.int64
     assert report.delta.shape == (0, 3) and report.delta.dtype == np.float64
@@ -288,7 +280,7 @@ def test_non_finite_a_vertices_raise(hand_model, bad):
     b = hand_model.posed_mesh(HandParam.from_parts())
     a.vertices[7, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        penetration_set(a, b)
+        penetration_set(a.vertices, b)
 
 
 # -- penetration loss ----------------------------------------------------------
@@ -311,7 +303,7 @@ def test_penetration_loss_matches_manual_sum(hand_model):
     x_l, x_r = _overlapping_pair()
     mesh_r = hand_model.posed_mesh(x_r)
     mesh_l = left_hand_mesh(x_l, hand_model)
-    pairs = brute_force_contact(mesh_r, mesh_l)["pairs"]
+    pairs = brute_force_contact(mesh_r.vertices, mesh_l)["pairs"]
     assert len(pairs) > 0
     manual = sum(float(((mesh_r.vertices[i] - mesh_l.vertices[j]) ** 2).sum())
                  for i, j in pairs)
@@ -393,7 +385,7 @@ def test_apg_reduces_loss_and_matches_fd(hand_model):
 
     anchor_mesh = left_hand_mesh(x_l, hand_model)
     grad = apg_gradient(x0_hat[None], t_prev, [anchor_mesh], sched, hand_model)[0]
-    pairs = penetration_set(hand_model.posed_mesh(HandParam(x0_hat)), anchor_mesh).pairs
+    pairs = penetration_set(hand_model.posed_vertices(HandParam(x0_hat)), anchor_mesh).pairs
     assert len(pairs) > 0
 
     def frozen_loss(xp):
@@ -489,9 +481,9 @@ def test_apg_row_cull_matches_the_uncut_gradient(hand_model, tau, monkeypatch):
 
     queried, contact = [], sampler.penetration_set
 
-    def recording(mesh_a, mesh_b):
+    def recording(points, mesh_b):
         queried.append(next(i for i, m in enumerate(anchor_meshes) if m is mesh_b))
-        return contact(mesh_a, mesh_b)
+        return contact(points, mesh_b)
 
     monkeypatch.setattr(sampler, "penetration_set", recording)
     got = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
@@ -520,9 +512,9 @@ def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
         steps.append((np.array(x0_hat), anchor_meshes, []))
         return gradient(x0_hat, t_prev, anchor_meshes, sched, model)
 
-    def recording_contact(mesh_a, mesh_b):
-        report = contact(mesh_a, mesh_b)
-        steps[-1][2].append((mesh_a, mesh_b, report))
+    def recording_contact(points, mesh_b):
+        report = contact(points, mesh_b)
+        steps[-1][2].append((points, mesh_b, report))
         return report
 
     monkeypatch.setattr(sampler, "apg_gradient", recording_gradient)
@@ -534,19 +526,19 @@ def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
         rows = [next(i for i, m in enumerate(anchor_meshes) if m is mesh_b)
                 for _, mesh_b, _ in calls]
         assert rows == sorted(set(rows))
-        for mesh_a, mesh_b, report in calls:
-            assert_same_contact(report, brute_force_contact(mesh_a, mesh_b, radius=np.inf))
+        for points, mesh_b, report in calls:
+            assert_same_contact(report, brute_force_contact(points, mesh_b, radius=np.inf))
             touching += len(report) > 0
         for i in sorted(set(range(4)) - set(rows)):
-            mesh_a = model.posed_mesh(HandParam(x0_hat[i]))
-            assert len(brute_force_contact(mesh_a, anchor_meshes[i], radius=np.inf)["pairs"]) == 0
+            points = model.posed_vertices(HandParam(x0_hat[i]))
+            assert len(brute_force_contact(points, anchor_meshes[i], radius=np.inf)["pairs"]) == 0
             skipped += 1
         queried += len(rows)
     assert queried + skipped == 4 * 8
     assert touching > 0 and skipped > 0
 
 
-def noise_space_reverse_pass(denoiser, x, cond, grid, sched, config, model,
+def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
                              object_embedding, anchor_meshes=None):
     """The reverse pass written in noise space, as an independent reference.
 
@@ -559,18 +551,13 @@ def noise_space_reverse_pass(denoiser, x, cond, grid, sched, config, model,
         tt = np.full(len(x), t)
 
         def noise(cond_rows, dropped):
-            x0 = denoiser.predict(x, cond_rows, np.full(len(x), dropped), tt,
-                                  object_embedding=object_embedding)
+            x0 = denoiser.predict(x, cond_rows, dropped, tt, object_embedding=object_embedding)
             return (x - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
 
-        if config.w_cfg != 0.0 or cond is None:
-            eps_u = noise(np.zeros_like(x), True)
-        if cond is None:
-            eps = eps_u
-        else:
-            eps = noise(cond, False)
-            if config.w_cfg != 0.0:
-                eps = (1.0 + config.w_cfg) * eps - config.w_cfg * eps_u
+        eps = noise(cond, drop)
+        if w_cfg != 0.0:
+            eps_u = noise(np.zeros_like(x), np.ones(len(x), dtype=bool))
+            eps = (1.0 + w_cfg) * eps - w_cfg * eps_u
         x0 = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
         x = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
         if anchor_meshes is not None:
@@ -592,8 +579,8 @@ def test_clean_estimate_steps_match_noise_space_reference(monkeypatch):
     config, model = SampleConfig(seed=1, count=8), CapsuleHand()
     pairs_found, contact = [], sampler.penetration_set
 
-    def counting(mesh_a, mesh_b):
-        report = contact(mesh_a, mesh_b)
+    def counting(points, mesh_b):
+        report = contact(points, mesh_b)
         pairs_found.append(len(report))
         return report
 

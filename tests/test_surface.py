@@ -37,7 +37,9 @@ def test_every_point_lies_on_a_capsule_surface(hand_model, pairs):
     rng = np.random.default_rng(5)
     x_l, x_r = random_params(rng, theta_scale=1.0), random_params(rng, theta_scale=1.0)
     folded = [s[None] for s in pair_segments(x_l, x_r, hand_model)]
-    for e0, e1, rads in [pair_segments(*pairs, hand_model), folded]:
+    x_l.vector[46] = x_r.vector[46] = -15.0      # every signed radius negative
+    thin = [s[None] for s in pair_segments(x_l, x_r, hand_model)]
+    for e0, e1, rads in [pair_segments(*pairs, hand_model), folded, thin]:
         clouds = sample_surface_points(e0, e1, rads, 512, seed=7)
         for c in range(len(clouds)):
             assert _gaps(clouds[c], e0[c], e1[c], rads[c])[0].min(axis=1).max() < 1e-12
