@@ -5,9 +5,10 @@ the canonical frame, and mirrors it into a left hand. Phase 2 draws the
 interacting right hand conditioned on that anchor: every reverse step mixes
 conditional and unconditional clean estimates (classifier-free guidance),
 steps from the mix, and descends the mix's inter-hand penetration loss
-(anti-penetration guidance). Both phases share one network and one
-deterministic noise stream per sample, so a (weights, config) pair fully
-determines the output.
+(anti-penetration guidance). Both estimates come from one denoiser call on
+the conditional rows stacked over their fully dropped copies. Both phases
+share one network and one deterministic noise stream per sample, so a
+(weights, config) pair fully determines the output.
 
 penetration_set owns contact: its one nearest-vertex query of the moving
 hand's points against an anchor mesh (whose normals and k-d tree it reads),
@@ -75,6 +76,8 @@ class SampleConfig:
             raise ValueError("steps must be >= 1")
         if self.count < 0:
             raise ValueError("count must be >= 0")
+        if not np.isfinite(self.w_cfg):
+            raise ValueError("w_cfg must be finite")
 
     def w_pen_at(self, k: int) -> float:
         """APG weight W_PEN_START * W_PEN_DECAY**k at reverse step k, counted up from t=0."""
@@ -224,16 +227,27 @@ class SampleResult:
 
 def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
                   object_embedding, anchor_meshes=None):
-    """Reverse steps from x along grid on the condition cond with its drop
-    mask, mixed with the unconditional estimate at CFG weight w_cfg."""
+    """Reverse steps from x (B, 64) along grid on the condition cond with its
+    drop mask, mixed with the unconditional estimate at CFG weight w_cfg.
+
+    With w_cfg != 0 each step is one predict on 2B stacked rows: x twice,
+    cond over zeros, drop over an all-dropped mask (the null token replaces
+    those zeros), and the object token tiled once per pass. Its first B
+    rows are the conditional estimates and its last B the unconditional.
+    With w_cfg == 0 each step predicts the B rows alone.
+    """
+    B = len(x)
+    guided = w_cfg != 0.0
+    if guided:
+        cond = np.concatenate([cond, np.zeros_like(cond)])
+        drop = np.concatenate([drop, np.ones(B, dtype=bool)])
+        if object_embedding is not None:
+            object_embedding = np.tile(object_embedding, (2, 1))
     for si, (t, t_prev) in enumerate(grid):
-        tt = np.full(len(x), t)
-        x0 = denoiser.predict(x, cond, drop, tt, object_embedding=object_embedding)
-        if w_cfg != 0.0:
-            # Every row is dropped, so the null token replaces these zeros.
-            x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(len(x), dtype=bool), tt,
-                                    object_embedding=object_embedding)
-            x0 = cfg_mix(x0, x0_u, w_cfg)
+        x0 = denoiser.predict(np.tile(x, (2, 1)) if guided else x, cond, drop,
+                              np.full(len(cond), t), object_embedding=object_embedding)
+        if guided:
+            x0 = cfg_mix(x0[:B], x0[B:], w_cfg)
         x = ddim_step(x, x0, t, t_prev, sched)
         if anchor_meshes is not None:
             w = config.w_pen_at(len(grid) - 1 - si)

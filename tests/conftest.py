@@ -129,9 +129,10 @@ class PointMassDenoiser:
 class NearestModeDenoiser:
     """Oracle encoding a factored two-mode distribution.
 
-    Unconditional calls (all dropped) snap to the nearest anchor mode;
-    conditional calls identify the anchor from the condition and snap to the
-    nearest of that anchor's partner modes.
+    Row by row: a dropped row snaps to the nearest anchor mode; a
+    conditional row identifies its anchor from its condition and snaps to
+    the nearest of that anchor's partner modes. A mixed drop mask, as a
+    guided step's stacked call sends, answers each row as its own call would.
     """
 
     config = None
@@ -148,13 +149,12 @@ class NearestModeDenoiser:
     def predict(self, x_t, cond, drop_mask=None, t=None, **kw):
         x_t = np.atleast_2d(x_t)
         cond = np.atleast_2d(cond)
-        drop = np.asarray(drop_mask, dtype=bool)
+        drop = np.zeros(len(x_t), dtype=bool) if drop_mask is None else drop_mask
+        drop = np.asarray(drop, dtype=bool)
         out = np.empty_like(x_t)
-        if drop.all():
-            return self.anchor_modes[self._nearest(x_t, self.anchor_modes)]
-        anchor_theta = self.anchor_modes[:, :45]
-        which = self._nearest(cond[:, :45], anchor_theta)
-        for i in range(len(x_t)):
+        out[drop] = self.anchor_modes[self._nearest(x_t[drop], self.anchor_modes)]
+        which = self._nearest(cond[:, :45], self.anchor_modes[:, :45])
+        for i in np.flatnonzero(~drop):
             modes = self.partner_modes[which[i]]
             out[i] = modes[self._nearest(x_t[i:i + 1], modes)[0]]
         return out

@@ -1,5 +1,7 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conftest import (
 )
 from handpair.checkpoint import load_denoiser
 from handpair.denoiser import Denoiser, DenoiserConfig
-from handpair.diffusion import forward_diffuse, make_schedule
+from handpair.diffusion import ddim_step, forward_diffuse, make_schedule
 from handpair.hand_model import (
     _BOX_MARGIN,
     BETA,
@@ -341,6 +343,12 @@ def test_negative_count_is_rejected():
     SampleConfig(count=0)
 
 
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_non_finite_cfg_weight_is_rejected(w):
+    with pytest.raises(ValueError, match="w_cfg"):
+        SampleConfig(w_cfg=w)
+
+
 def test_w_pen_schedule():
     assert SampleConfig().w_pen_at(0) == pytest.approx(4.0)
     assert SampleConfig().w_pen_at(1) == pytest.approx(3.6)
@@ -544,20 +552,24 @@ def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config
 
     Each clean estimate becomes its implied noise, guidance mixes the noises,
     the DDIM step goes back to x0 through sqrt(alpha_bar_t), and APG takes
-    its clean estimate back from x_prev and the mixed noise.
+    its clean estimate back from x_prev and the mixed noise. Like the
+    sampler, a guided step predicts the conditional rows and their fully
+    dropped copies in one stacked call.
     """
+    B, guided = len(x), w_cfg != 0.0
+    if guided:
+        cond = np.concatenate([cond, np.zeros_like(cond)])
+        drop = np.concatenate([drop, np.ones(B, dtype=bool)])
+        if object_embedding is not None:
+            object_embedding = np.concatenate([object_embedding, object_embedding])
     for k, (t, t_prev) in enumerate(grid):
         ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t_prev]
-        tt = np.full(len(x), t)
-
-        def noise(cond_rows, dropped):
-            x0 = denoiser.predict(x, cond_rows, dropped, tt, object_embedding=object_embedding)
-            return (x - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
-
-        eps = noise(cond, drop)
-        if w_cfg != 0.0:
-            eps_u = noise(np.zeros_like(x), np.ones(len(x), dtype=bool))
-            eps = (1.0 + w_cfg) * eps - w_cfg * eps_u
+        xs = np.concatenate([x, x]) if guided else x
+        x0 = denoiser.predict(xs, cond, drop, np.full(len(xs), t),
+                              object_embedding=object_embedding)
+        eps = (xs - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
+        if guided:
+            eps = (1.0 + w_cfg) * eps[:B] - w_cfg * eps[B:]
         x0 = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
         x = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
         if anchor_meshes is not None:
@@ -565,6 +577,45 @@ def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config
             x = x - config.w_pen_at(len(grid) - 1 - k) * apg_gradient(
                 x0_prev, t_prev, anchor_meshes, sched, model)
     return x
+
+
+def two_call_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
+                          object_embedding, anchor_meshes=None):
+    """The reverse pass with the conditional and unconditional estimates from
+    two separate B-row predict calls, as a reference for the stacked call."""
+    for k, (t, t_prev) in enumerate(grid):
+        tt = np.full(len(x), t)
+        x0 = denoiser.predict(x, cond, drop, tt, object_embedding=object_embedding)
+        if w_cfg != 0.0:
+            x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(len(x), dtype=bool), tt,
+                                    object_embedding=object_embedding)
+            x0 = cfg_mix(x0, x0_u, w_cfg)
+        x = ddim_step(x, x0, t, t_prev, sched)
+        if anchor_meshes is not None:
+            x = apg_step(x, x0, t_prev, anchor_meshes, config.w_pen_at(len(grid) - 1 - k),
+                         sched, model)
+    return x
+
+
+class RowwiseDenoiser:
+    """Fake whose clean estimate for a row reads that row's x, condition,
+    drop flag, t and object token, and nothing else, through exactly rounded
+    arithmetic: a row gets the same bits however the rows are stacked."""
+
+    def __init__(self, object_conditional=False):
+        self.config = SimpleNamespace(object_conditional=object_conditional)
+
+    def embed_object(self, points):
+        return np.asarray(points, dtype=float).ravel()[:8]
+
+    def predict(self, x_t, cond, drop_mask, t, object_embedding=None):
+        drop = np.asarray(drop_mask, dtype=bool)[:, None]
+        x0 = (0.5 * x_t + 0.25 * np.roll(x_t, 1, axis=1) + np.where(drop, -0.2, 0.6 * cond)
+              + 1e-3 * np.asarray(t, dtype=float)[:, None])
+        if self.config.object_conditional:
+            assert object_embedding.shape == (len(x_t), 8)
+            x0 = x0 + 0.1 * object_embedding[:, 3:4]
+        return x0
 
 
 def test_clean_estimate_steps_match_noise_space_reference(monkeypatch):
@@ -592,6 +643,78 @@ def test_clean_estimate_steps_match_noise_space_reference(monkeypatch):
     expected = sample_pairs(denoiser, config, sched, model)
     np.testing.assert_allclose(got.x_l, expected.x_l, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.x_r, expected.x_r, rtol=0, atol=1e-12)
+
+
+def test_stacked_halves_match_separate_calls_on_fixture():
+    # One 2B-row call against two B-row calls of the committed float32
+    # fixture: BLAS rounds the two batch shapes differently, within 1e-5.
+    denoiser, sched, _ = load_denoiser(FIXTURE)
+    rng = np.random.default_rng(4)
+    B = 16
+    x, cond = rng.standard_normal((B, 64)), rng.standard_normal((B, 64))
+    for t in (1, sched.T // 2, sched.T):
+        tt = np.full(B, t)
+        stacked = denoiser.predict(np.concatenate([x, x]), np.concatenate([cond, 0 * cond]),
+                                   np.repeat([False, True], B), np.full(2 * B, t))
+        x0_c = denoiser.predict(x, cond, np.zeros(B, dtype=bool), tt)
+        x0_u = denoiser.predict(x, np.zeros_like(x), np.ones(B, dtype=bool), tt)
+        np.testing.assert_allclose(stacked[:B], x0_c, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(stacked[B:], x0_u, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_stacked_guidance_matches_two_calls_on_fixture(seed, monkeypatch):
+    # With APG off the stacked call moves the partners by float32 rounding
+    # alone; the unguided anchors keep every bit.
+    from handpair import sampler
+
+    denoiser, sched, _ = load_denoiser(FIXTURE)
+    config, model = SampleConfig(seed=seed, count=16, apg=False), CapsuleHand()
+    got = sample_pairs(denoiser, config, sched, model)
+    monkeypatch.setattr(sampler, "_reverse_pass", two_call_reverse_pass)
+    expected = sample_pairs(denoiser, config, sched, model)
+    np.testing.assert_array_equal(got.x_l, expected.x_l)
+    np.testing.assert_allclose(got.x_r, expected.x_r, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("object_conditional", [False, True])
+def test_stacked_guidance_equals_two_calls_exactly(object_conditional, monkeypatch):
+    # A row-wise fake rounds every row alike in any stack, so the stacked
+    # pass must give the two-call pass's bits: the halves in order, the
+    # dropped rows routed to the null token, the object token on every row.
+    from handpair import sampler
+
+    denoiser = RowwiseDenoiser(object_conditional)
+    points = np.random.default_rng(6).standard_normal((16, 3)) if object_conditional else None
+    config = SampleConfig(seed=3, count=5, steps=8, w_cfg=0.7, apg=False,
+                          object_points=points)
+    sched, model = make_schedule(256), CapsuleHand()
+    got = sample_pairs(denoiser, config, sched, model)
+    monkeypatch.setattr(sampler, "_reverse_pass", two_call_reverse_pass)
+    expected = sample_pairs(denoiser, config, sched, model)
+    assert np.isfinite(got.x_r).all()
+    np.testing.assert_array_equal(got.x_l, expected.x_l)
+    np.testing.assert_array_equal(got.x_r, expected.x_r)
+    unguided = sample_pairs(denoiser, replace(config, w_cfg=0.0), sched, model)
+    assert np.abs(got.x_r - unguided.x_r).max(axis=1).min() > 1e-3
+
+
+@pytest.mark.parametrize("w_cfg, rows", [(0.1, [4] * 4 + [8] * 4), (0.0, [4] * 8)])
+def test_each_reverse_step_predicts_once(w_cfg, rows, monkeypatch):
+    # Phase 1 predicts the B anchor rows per step; a guided phase 2 predicts
+    # its B conditional rows and their B dropped copies in one call.
+    mode = HandParam.from_parts(tau=[0.045, 0.0, 0.0])   # partner overlaps its anchor
+    oracle = PointMassDenoiser(mode.vector)
+    calls, predict = [], oracle.predict
+
+    def counting(x_t, *args, **kw):
+        calls.append(len(x_t))
+        return predict(x_t, *args, **kw)
+
+    monkeypatch.setattr(oracle, "predict", counting)
+    sample_pairs(oracle, SampleConfig(seed=2, count=4, steps=4, w_cfg=w_cfg),
+                 make_schedule(256), CapsuleHand())
+    assert calls == rows
 
 
 def test_apg_poses_all_rows_in_one_call_per_step(monkeypatch):
@@ -649,7 +772,7 @@ def test_zero_cfg_no_apg_equals_conditional_only_path(hand_model):
     cfg = SampleConfig(seed=3, count=2, w_cfg=0.0, apg=False)
     result = sample_pairs(den, cfg, sched, hand_model)
 
-    from handpair.diffusion import ddim_step, ddim_time_grid
+    from handpair.diffusion import ddim_time_grid
 
     for i in range(cfg.count):
         rng = rng_stream(cfg.seed, TAG_SAMPLE + i)
@@ -704,6 +827,19 @@ def test_cascade_reproduces_factored_mode_table(hand_model):
     freqs = cells / n
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert np.abs(freqs - 0.25).max() <= 3 * sigma
+
+
+def test_nearest_mode_oracle_answers_a_mixed_mask_row_by_row():
+    rng = np.random.default_rng(8)
+    anchors = rng.standard_normal((2, 64))
+    oracle = NearestModeDenoiser(anchors, rng.standard_normal((2, 3, 64)))
+    x = rng.standard_normal((6, 64))
+    cond = anchors[[0, 1, 0, 1, 1, 0]] + 0.01 * rng.standard_normal((6, 64))
+    drop = np.array([False, True, True, False, False, True])
+    rows = [oracle.predict(x[i:i + 1], cond[i:i + 1], drop[i:i + 1]) for i in range(6)]
+    np.testing.assert_array_equal(oracle.predict(x, cond, drop), np.concatenate(rows))
+    np.testing.assert_array_equal(oracle.predict(x[drop], cond[drop], drop[drop]),
+                                  anchors[oracle._nearest(x[drop], anchors)])
 
 
 def test_apg_only_touches_penetrating_steps(hand_model):
