@@ -229,7 +229,10 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
 
 def split_indices(n: int, fractions=(0.7, 0.15, 0.15), seed: int = 0):
     """Sorted row indices, one array per fraction, of a disjoint, exhaustive,
-    seed-deterministic split: floor(f * n) rows each, leftovers one per part."""
+    seed-deterministic split: floor(f * n) rows each, leftovers one per part.
+    Every fraction must lie in [0, 1] and together they must sum to 1."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"fractions must lie in [0, 1], got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     if n == 0:
@@ -240,8 +243,3 @@ def split_indices(n: int, fractions=(0.7, 0.15, 0.15), seed: int = 0):
         sizes[i % len(sizes)] += 1
     bounds = np.cumsum([0, *sizes])
     return tuple(np.sort(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-
-
-def split(dataset: Dataset, fractions=(0.7, 0.15, 0.15), seed: int = 0):
-    """The (train, val, test) subsets of ``dataset`` at split_indices."""
-    return tuple(dataset.subset(idx) for idx in split_indices(len(dataset), fractions, seed))

@@ -33,7 +33,7 @@ from .nn import (
     Adam,
     Linear,
     TransformerBlock,
-    _acc,
+    accumulate,
     network_params,
     relu_backward,
     relu_forward,
@@ -230,7 +230,7 @@ class Denoiser:
         if self.obj_encoder is not None and self.obj_encoder.name in cache:
             self.obj_encoder.backward_batch(params, part, d_skip[:, 2 * d:], cache)
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
-        _acc(part, "null_token", d_ec[drop_mask].sum(axis=0))
+        accumulate(part, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)
         self.emb_c.backward(params, part, d_ec_raw, cache)
         self.emb_t.backward(params, part, d_et, cache)

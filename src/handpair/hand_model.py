@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import HandMesh
+from .mesh import BOX_MARGIN, HandMesh
 from .rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
@@ -255,11 +255,8 @@ _RADII = np.array([
     [0.0120, 0.0082, 0.0074, 0.0070],
 ])
 
-# CapsuleHand.occupancy sweeps this many query points at a time, and pads
-# each capsule's box by _BOX_MARGIN meters so that rounding at a tangent
-# point cannot drop a point from the exact test.
+# CapsuleHand.occupancy sweeps this many query points at a time.
 _OCC_CHUNK = 1 << 16
-_BOX_MARGIN = 1e-9
 
 # Capsule tessellation: vertices per ring, rings per hemispherical cap, and
 # axial bands along the cylinder.
@@ -271,10 +268,10 @@ N_SIDE = 2
 def capsule_boxes(e0: np.ndarray, e1: np.ndarray, rads: np.ndarray):
     """Axis-aligned boxes (lo, hi), each (..., bones, 3), of capsules with axis
     endpoints e0, e1 (..., bones, 3) and radii (..., bones): the endpoints
-    +- (|radius| + _BOX_MARGIN), as a caller may pass signed radii. Every
+    +- (|radius| + BOX_MARGIN), as a caller may pass signed radii. Every
     point that CapsuleHand.occupancy accepts, and every posed vertex, lies in
     the box of its capsule."""
-    pad = np.abs(rads)[..., None] + _BOX_MARGIN
+    pad = np.abs(rads)[..., None] + BOX_MARGIN
     return np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
 
 

@@ -1,6 +1,7 @@
 """Triangle meshes, which serve only as contact's anchors, and surface clouds of capsules.
 
-Contact reads an anchor's normals and k-d tree; the moving hand reaches it as
+An anchor owns everything contact reads of it: its normals, its k-d tree and
+its reach box, each derived once per mesh. The moving hand reaches contact as
 points. Vertices are meters; faces are counter-clockwise when viewed from outside.
 """
 
@@ -15,11 +16,28 @@ from scipy.spatial import cKDTree
 from .errors import ZeroAreaStar
 from .nn import TAG_SURFACE, rng_stream
 
+# Contact radius, meters: contact looks for a moving point's nearest anchor
+# vertex only this close. Every point inside a capsule of length L and radius
+# r lies within sqrt((L/4)^2 + r^2) of one of its vertices (its rings sit at
+# axial fractions 0, 1/2 and 1), which for default_hand() is at most 2.65 cm
+# at beta = 0 and 4.33 cm at |beta_i| <= 2. So every point inside the anchor
+# still finds its exact nearest vertex and its verdict; the radius drops only
+# points outside the anchor and this far from all of its vertices, whose sign
+# test reads a distant normal. It exceeds metrics.PROXIMITY_TAU_M, so proximity
+# verdicts are unchanged too. HandMesh.reach widens the vertex box by this
+# radius (and BOX_MARGIN): a point outside it is farther than the radius from
+# every vertex, so contact skips its query rather than cutting it short.
+CONTACT_RADIUS = 0.05
+# Meters added to every box that must hold a set of points, so that rounding
+# at a tangent point cannot drop a point from the exact test behind the box.
+BOX_MARGIN = 1e-9
+
 
 @dataclass
 class HandMesh:
-    """Vertices and faces; normals and a k-d tree are derived on first use
-    and cached, so the vertices must not change after either is read."""
+    """Vertices and faces; normals, a k-d tree and the reach box are derived
+    on first use and cached, so the vertices must not change after any of
+    them is read."""
 
     vertices: np.ndarray          # (V, 3) float
     faces: np.ndarray             # (F, 3) int, CCW outward
@@ -37,6 +55,14 @@ class HandMesh:
     def tree(self) -> cKDTree:
         """k-d tree over the vertices, for nearest-vertex queries."""
         return cKDTree(self.vertices)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """(2, 3) corners lo, hi of the vertex box, read off the k-d tree and
+        widened by CONTACT_RADIUS + BOX_MARGIN: a point outside it is, along
+        one axis alone, more than CONTACT_RADIUS from every vertex."""
+        pad = CONTACT_RADIUS + BOX_MARGIN
+        return np.stack([self.tree.mins - pad, self.tree.maxes + pad])
 
 
 def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Distribution metrics (fhid, khid, precision/recall, diversity) operate on
 backbone features of a whole set's capsule surface clouds; geometry metrics
 (penetration volume/distance, proximity ratio) on posed pairs. All metrics
 are pure functions of their inputs and seeds, so reports regenerate bit for
-bit. Only pair_stats poses meshes, for its one contact query per pair.
+bit. Only pair_stats poses a mesh, the anchor of its one contact query per pair.
 
 evaluate scores many generated sets against one reference, so it keeps the
 reference features of its latest call for each live backbone and reuses
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import sampler
+from . import hand_model, sampler
 from .checkpoint import checksum
-from .hand_model import HandParam, default_hand, pair_meshes, pair_occupancy, pair_segments
+from .hand_model import HandParam, default_hand, pair_occupancy, pair_segments
 from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 
@@ -158,8 +158,10 @@ def penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid: float = 1e-3) -> fl
     The cells are counted in blocks of at most VOLUME_BLOCK: occ_a is
     called once per block, and occ_b once per block on the cells inside A.
     Memory is bounded by a block and one byte per cell of the tested
-    cells' bounding box.
+    cells' bounding box. Raises ValueError unless grid is finite and > 0.
     """
+    if not (np.isfinite(grid) and grid > 0):
+        raise ValueError(f"grid must be finite and > 0, got {grid}")
     (lo_a, hi_a), (lo_b, hi_b) = ((np.atleast_2d(lo), np.atleast_2d(hi))
                                   for lo, hi in (boxes_a, boxes_b))
     lo = np.maximum(lo_a[:, None], lo_b[None])      # (Ka, Kb, 3) intersections
@@ -198,11 +200,11 @@ def penetration_distance(mesh_a, mesh_b) -> float:
 def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?).
 
-    The distance is exact below sampler.CONTACT_RADIUS and inf beyond it,
+    The distance is exact below mesh.CONTACT_RADIUS and inf beyond it,
     which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller."""
     model = model or default_hand()
-    mesh_l, mesh_r = pair_meshes(x_l, x_r, model)
-    contact = sampler.penetration_set(mesh_r.vertices, mesh_l)
+    contact = sampler.penetration_set(model.posed_vertices(x_r),
+                                      hand_model.left_hand_mesh(x_l, model))
     pen_dist = _mean_depth_cm(contact)
     penetrating = pen_dist > 0.0
     vol = 0.0

@@ -77,8 +77,8 @@ class Linear:
     def backward(self, params, grads, dy, cache):
         x2 = cache[self.name]
         dy2 = dy.reshape(-1, self.d_out)
-        _acc(grads, self.name + ".W", x2.T @ dy2)
-        _acc(grads, self.name + ".b", dy2.sum(axis=0))
+        accumulate(grads, self.name + ".W", x2.T @ dy2)
+        accumulate(grads, self.name + ".b", dy2.sum(axis=0))
         return (dy2 @ params[self.name + ".W"].T).reshape(*dy.shape[:-1], self.d_in)
 
 
@@ -103,8 +103,8 @@ class LayerNorm:
     def backward(self, params, grads, dy, cache):
         xhat, inv = cache[self.name]
         g = params[self.name + ".g"]
-        _acc(grads, self.name + ".g", np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1))))
-        _acc(grads, self.name + ".b", np.sum(dy, axis=tuple(range(dy.ndim - 1))))
+        accumulate(grads, self.name + ".g", np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1))))
+        accumulate(grads, self.name + ".b", np.sum(dy, axis=tuple(range(dy.ndim - 1))))
         dxhat = dy * g
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -351,7 +351,7 @@ def network_params(init, params: dict | None, seed: int, tag: int) -> dict:
     return params
 
 
-def _acc(grads: dict, name: str, value: np.ndarray) -> None:
+def accumulate(grads: dict, name: str, value: np.ndarray) -> None:
     if name in grads:
         grads[name] += value
     else:

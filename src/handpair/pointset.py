@@ -168,6 +168,8 @@ class PointSetEncoder:
             raise ShapeMismatch(f"expected (N,3) cloud, got {cloud.shape}")
         if len(cloud) < MIN_POINTS:
             raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(cloud)}")
+        if not np.isfinite(cloud).all():
+            raise ValueError("non-finite points in cloud")
         xyz1, f1 = self.sa1.forward(params, cloud, None, cache)
         xyz2, f2 = self.sa2.forward(params, xyz1, f1, cache)
         arg = f2.argmax(axis=0)

@@ -13,11 +13,10 @@ share one network and one deterministic noise stream per sample, so a
 penetration_set owns contact: its one nearest-vertex query of the moving
 hand's points against an anchor mesh (whose normals and k-d tree it reads),
 bounded at CONTACT_RADIUS, is what APG, the synthetic-data rejection rule and
-the geometry metrics read. reach_box owns the broad phase in front of it: B's
-vertex box widened by CONTACT_RADIUS holds every point that the bounded query
-can answer, so penetration_set queries only the points inside it, and APG
-poses vertices only for rows whose capsule box meets it. Neither cull
-changes an output bit.
+the geometry metrics read. The anchor's own HandMesh.reach, derived once per
+mesh, owns the broad phase: every point the bounded query can answer lies in
+it, so penetration_set queries only the points inside it, and APG poses
+vertices only for rows whose capsule box meets it. Neither cull changes a bit.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid
 from .errors import MissingObject
 from .hand_model import (
-    _BOX_MARGIN,
     DIM,
     OMEGA,
     HandParam,
@@ -40,26 +38,13 @@ from .hand_model import (
     mirror,
     pin_root,
 )
-from .mesh import HandMesh
+from .mesh import CONTACT_RADIUS, HandMesh
 from .nn import TAG_SAMPLE, rng_stream
 from .rotations import rot6d_degenerate
 
 
 W_PEN_START = 4.0       # APG step weight at the last reverse step (k = 0), unitless
 W_PEN_DECAY = 0.9       # factor on the APG weight per reverse step further from t=0
-
-# Contact radius, meters: penetration_set looks for an A vertex's nearest B
-# vertex only this close. Every point inside a capsule of length L and radius
-# r lies within sqrt((L/4)^2 + r^2) of one of its vertices (its rings sit at
-# axial fractions 0, 1/2 and 1), which for default_hand() is at most 2.65 cm
-# at beta = 0 and 4.33 cm at |beta_i| <= 2. So every A vertex inside B still
-# finds its exact nearest vertex and its verdict; the radius drops only
-# vertices outside B and this far from all of its vertices, whose sign test
-# reads a distant normal. It exceeds metrics.PROXIMITY_TAU_M, so proximity
-# verdicts are unchanged too. reach_box widens B's vertex box by this
-# radius (and _BOX_MARGIN): an A vertex outside it is farther than the
-# radius from every B vertex, so the query is skipped, not cut short.
-CONTACT_RADIUS = 0.05
 
 
 @dataclass
@@ -107,15 +92,6 @@ def cfg_mix(x0_cond: np.ndarray, x0_uncond: np.ndarray, w: float) -> np.ndarray:
     return (1.0 + w) * x0_cond - w * x0_uncond
 
 
-def reach_box(mesh_b: HandMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Corners lo, hi (3,) of the box that holds every point within
-    CONTACT_RADIUS of a vertex of B: B's vertex box, read off its k-d tree,
-    widened by CONTACT_RADIUS + _BOX_MARGIN. A point outside it is, along
-    one axis alone, more than CONTACT_RADIUS from every B vertex."""
-    pad = CONTACT_RADIUS + _BOX_MARGIN
-    return mesh_b.tree.mins - pad, mesh_b.tree.maxes + pad
-
-
 def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
     """Contact of A's points (V, 3) against the anchor mesh B from one bounded
     nearest-vertex query; len() is P.
@@ -130,7 +106,7 @@ def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
     gives empty delta and depths and a loss of 0. min_distance covers every
     A point, paired or not: exact when below CONTACT_RADIUS, else inf.
 
-    Only the A points inside reach_box(B) are queried; the query would
+    Only the A points inside B.reach are queried; the query would
     answer (inf, len(B)) for the rest. Nearest neighbors come from a k-d
     tree built on B alone, which fixes each query point's answer, exact
     distance ties included, whatever else is queried with it. Raises
@@ -138,7 +114,7 @@ def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
     """
     if not np.isfinite(points).all():
         raise ValueError("non-finite points in A")
-    lo, hi = reach_box(mesh_b)
+    lo, hi = mesh_b.reach
     cand = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
     if not cand.size:
         return PenetrationReport(np.empty((0, 2), dtype=np.int64), np.empty((0, 3)),
@@ -173,7 +149,7 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     it is found once from x0_hat and not differentiated. The rows' capsule
     boxes come first, from one posed_segments call: a row whose hand box
     (the union of its bones' capsule_boxes, which hold its vertices) misses
-    its anchor's reach_box has no vertex within CONTACT_RADIUS of it, so no
+    its anchor's reach has no vertex within CONTACT_RADIUS of it, so no
     pairs. The other rows are posed in one call and differentiated in one
     call; only their contact is found row by row, by penetration_set, whose
     pairs and delta give the cotangent. A row with no pairs gets a zero
@@ -186,7 +162,7 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     ok = np.flatnonzero(np.isfinite(x0_hat).all(axis=1))
     ok = ok[~rot6d_degenerate(x0_hat[ok, OMEGA])]
     lo, hi = capsule_boxes(*model.posed_segments(HandParam(x0_hat[ok])))
-    reach = np.array([reach_box(anchor_meshes[i]) for i in ok]).reshape(-1, 2, 3)
+    reach = np.array([anchor_meshes[i].reach for i in ok]).reshape(-1, 2, 3)
     ok = ok[((lo.min(axis=1) <= reach[:, 1]) & (hi.max(axis=1) >= reach[:, 0])).all(axis=1)]
     if not ok.size:
         return grad

@@ -7,7 +7,8 @@ every set of weights), diffusion alone turns a clean estimate into noise
 HandMesh (contact's anchors; the moving hand reaches contact as points), and
 only rotations and hand_model read MIRROR_MAT (a left hand is one
 x-negation, hand_model._negate_x). Every stream tag in nn is read by another
-module, and every network holds float32 weights only.
+module, every network holds float32 weights only, and no module reads
+another package module's underscore name.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
@@ -15,7 +16,8 @@ that nothing raises promises callers a failure that cannot happen. A second
 generator, hash, mesh builder or mirror is a second copy of a rule, free to
 drift from the first. A tag that nothing reads keys a stream that nothing
 draws. A network in another dtype would not round-trip bit for bit, and its
-checksum would not name its weights.
+checksum would not name its weights. A private name read from outside its
+module is a rule with a second owner that its own module cannot see.
 """
 
 import ast
@@ -136,6 +138,26 @@ def test_only_rotations_and_hand_model_read_the_mirror_matrix():
                if "MIRROR_MAT" in ([alias.name for alias in node.names]
                                    if isinstance(node, ast.ImportFrom) else [_callee(node)])}
     assert readers <= {"rotations", "hand_model"}, readers
+
+
+def test_no_module_reads_another_modules_private_name():
+    # `from .m import _x`, and `m._x` after `from . import m`; dunders are public.
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = set()
+    for module, tree in _modules():
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads |= {(module, f"{node.module}.{a.name}") for a in node.names
+                          if private(a.name)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in siblings and private(node.attr):
+                reads.add((module, f"{node.value.id}.{node.attr}"))
+    assert not reads, sorted(reads)
 
 
 def test_stream_tags_are_distinct():

@@ -10,7 +10,7 @@ from handpair.data import (
     SyntheticSpec,
     generate_synthetic,
     overlapping_spec,
-    split,
+    split_indices,
     two_mode_spec,
 )
 from handpair.errors import LayoutMismatch, RejectionStall
@@ -151,18 +151,25 @@ def test_label_count_must_match_records(tmp_path, field, count):
 
 def test_split_sizes_and_union():
     ds = generate_synthetic(two_mode_spec(count=100, seed=9))
-    train, val, test = split(ds, (0.7, 0.15, 0.15), seed=3)
+    train, val, test = (ds.subset(idx) for idx in split_indices(len(ds), (0.7, 0.15, 0.15), 3))
     assert (len(train), len(val), len(test)) == (70, 15, 15)
     rows = np.concatenate([train.params, val.params, test.params])
     assert {tuple(r) for r in rows} == {tuple(r) for r in ds.params}
-    again = split(ds, (0.7, 0.15, 0.15), seed=3)
-    np.testing.assert_array_equal(again[0].params, train.params)
+    again = ds.subset(split_indices(len(ds), (0.7, 0.15, 0.15), 3)[0])
+    np.testing.assert_array_equal(again.params, train.params)
 
 
 def test_split_fracs_must_sum_to_one():
-    ds = generate_synthetic(two_mode_spec(count=4, seed=0))
-    with pytest.raises(ValueError):
-        split(ds, (0.5, 0.2, 0.2), seed=0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        split_indices(4, (0.5, 0.2, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("fractions", [(1.2, -0.2, 0.0), (-0.5, 1.5, 0.0), (np.nan, 1.0, 0.0)])
+def test_split_fractions_must_lie_in_the_unit_interval(fractions):
+    # Each sums to 1 (but the nan); on 10 rows the first two split 10/0/0 and
+    # 5/5/0 before the check, so BackboneConfig(val_fraction=1.5) trained on half.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        split_indices(10, fractions)
 
 
 def test_negative_count_is_rejected_and_zero_is_empty():

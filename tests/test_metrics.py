@@ -55,6 +55,21 @@ def test_penetration_volume_disjoint_boxes_is_zero():
     assert penetration_volume(occ_a, occ_b, box_a, box_b) == 0.0
 
 
+@pytest.mark.parametrize("grid", [0.0, -2e-3, np.nan, np.inf])
+def test_penetration_volume_rejects_a_grid_that_is_not_finite_and_positive(hand_model, grid):
+    # Before the check, pair 0 of overlapping_spec(count=6, seed=2), 3,488 mm^3
+    # at 2 mm, read 0.0 at grid 0, -0.0 at -2 mm and nan at nan.
+    occ_a, box_a = _ball([0.0, 0.0, 0.0], 0.03)
+    occ_b, box_b = _ball([0.03, 0.0, 0.0], 0.03)
+    assert penetration_volume(occ_a, occ_b, box_a, box_b, grid=2e-3) > 0.0
+    with pytest.raises(ValueError, match="grid"):
+        penetration_volume(occ_a, occ_b, box_a, box_b, grid=grid)
+    pair = generate_synthetic(overlapping_spec(count=6, seed=2)).pair(0)
+    assert pair_stats(*pair, hand_model, 2e-3)[0] > 0.0
+    with pytest.raises(ValueError, match="grid"):
+        pair_stats(*pair, hand_model, grid)
+
+
 def _zplane_volume(occ_a, occ_b, bounds_a, bounds_b, grid):
     """Reference: the same grid walked one z-plane at a time."""
     lo = np.maximum(bounds_a[0], bounds_b[0]) - grid
@@ -369,8 +384,8 @@ def test_metric_report_json_round_trips_exactly():
 def counting_hot_spots():
     """Count the calls of the traced hot spots at the lookup sites the
     benchmark's tracer wraps (bench/spans.py); yields the counts."""
-    calls = {"occupancy": 0, "posed_mesh": 0, "forward_one": 0, "farthest_point_indices": 0,
-             "penetration_set": 0}
+    calls = {"occupancy": 0, "posed_mesh": 0, "left_hand_mesh": 0, "forward_one": 0,
+             "farthest_point_indices": 0, "penetration_set": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -381,6 +396,8 @@ def counting_hot_spots():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CapsuleHand, "occupancy", counted("occupancy", CapsuleHand.occupancy))
         mp.setattr(CapsuleHand, "posed_mesh", counted("posed_mesh", CapsuleHand.posed_mesh))
+        mp.setattr(metrics.hand_model, "left_hand_mesh",
+                   counted("left_hand_mesh", metrics.hand_model.left_hand_mesh))
         mp.setattr(PointSetEncoder, "forward_one",
                    counted("forward_one", PointSetEncoder.forward_one))
         mp.setattr(pointset, "farthest_point_indices",
@@ -412,7 +429,9 @@ def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
     assert calls["forward_one"] == 8                       # one cloud per pair, both sets
     assert calls["farthest_point_indices"] == 16           # two levels per cloud
     assert calls["penetration_set"] == 4                   # one per generated pair
-    assert calls["posed_mesh"] == 8                        # contact only: both hands once
+    # Contact alone poses a mesh, the left anchor's, once per generated pair;
+    # the right hand reaches contact as points.
+    assert calls["posed_mesh"] == calls["left_hand_mesh"] == 4
     assert calls["occupancy"] >= 2
 
 
@@ -469,7 +488,7 @@ def test_warm_evaluate_equals_cold_and_featurizes_only_the_generated_set(
     assert calls["forward_one"] == 4
     assert calls["farthest_point_indices"] == 8
     assert calls["penetration_set"] == 4
-    assert calls["posed_mesh"] == 8
+    assert calls["posed_mesh"] == calls["left_hand_mesh"] == 4     # each pair's left anchor
 
 
 @pytest.mark.parametrize("change", ["weight", "float64_weight", "reference_row", "seed",

@@ -170,6 +170,22 @@ def hand_clouds(hand_model):
                                       512, seed=0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("point", [0, 100, 511])
+def test_a_non_finite_cloud_point_raises(hand_clouds, point, bad):
+    # Without the check, a NaN at point 0 (or an inf anywhere) raised IndexError
+    # from the pooling's reduceat, and a NaN at point 100 or 511 gave finite
+    # features silently, ~0.1 off the clean cloud's.
+    enc = PointSetEncoder("enc", 16)
+    params = {}
+    enc.init(params, np.random.default_rng(3))
+    cloud = hand_clouds[0].copy()
+    assert np.isfinite(enc.forward_one(params, cloud)).all()
+    cloud[point, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        enc.forward_one(params, cloud)
+
+
 def test_ragged_encoder_matches_padded_reference(hand_clouds):
     enc = PointSetEncoder("enc", 16)
     params = {}

@@ -19,7 +19,6 @@ from handpair.checkpoint import load_denoiser
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import ddim_step, forward_diffuse, make_schedule
 from handpair.hand_model import (
-    _BOX_MARGIN,
     BETA,
     OMEGA,
     TAU,
@@ -30,19 +29,17 @@ from handpair.hand_model import (
     mirror,
     pin_root,
 )
-from handpair.mesh import HandMesh
+from handpair.mesh import BOX_MARGIN, CONTACT_RADIUS, HandMesh
 from handpair.metrics import PROXIMITY_TAU_M
 from handpair.nn import TAG_SAMPLE, rng_stream
 from handpair.rotations import IDENTITY_6D
 from handpair.sampler import (
-    CONTACT_RADIUS,
     SampleConfig,
     apg_gradient,
     apg_step,
     cfg_mix,
     penetration_loss,
     penetration_set,
-    reach_box,
     sample_pairs,
 )
 
@@ -207,10 +204,10 @@ def _planted_at_reach_faces(mesh_b):
     box, each offset along that face's axis from B's extreme vertex there:
     at CONTACT_RADIUS and the margin, and a few rounding steps either side."""
     verts = mesh_b.vertices
-    gap = CONTACT_RADIUS + _BOX_MARGIN
+    gap = CONTACT_RADIUS + BOX_MARGIN
     steps = np.array([CONTACT_RADIUS - 1e-9, CONTACT_RADIUS - 1e-12, CONTACT_RADIUS,
                       CONTACT_RADIUS + 1e-12, gap - 1e-12, gap, gap + 1e-12,
-                      CONTACT_RADIUS + 2 * _BOX_MARGIN])
+                      CONTACT_RADIUS + 2 * BOX_MARGIN])
     planted = []
     for k in range(3):
         for side in (-1.0, 1.0):
@@ -232,7 +229,10 @@ def test_reach_box_faces_match_brute_force(hand_model, tau):
     a_params.vector[TAU] = b_params.vector[TAU] + [0.01, 0.0, 0.0]
     a, b = hand_model.posed_mesh(a_params), hand_model.posed_mesh(b_params)
     planted = _planted_at_reach_faces(b)
-    lo, hi = reach_box(b)
+    lo, hi = b.reach
+    pad = CONTACT_RADIUS + BOX_MARGIN
+    np.testing.assert_array_equal(b.reach, [b.vertices.min(axis=0) - pad,
+                                            b.vertices.max(axis=0) + pad])
     outside = ~((planted >= lo) & (planted <= hi)).all(axis=1)
     assert 0 < outside.sum() < len(planted)
     mixed = np.concatenate([a.vertices, planted])
@@ -266,13 +266,24 @@ def test_tree_fixes_each_query_points_answer_under_exact_ties():
 
 def test_nothing_in_reach_gives_the_empty_report(hand_model):
     b = hand_model.posed_mesh(HandParam.from_parts())
-    lo, hi = reach_box(b)
+    lo, hi = b.reach
     a = np.array([hi + 1e-6, lo - 1e-6, [hi[0] + 1e-6, 0.0, 0.0]])
     report = penetration_set(a, b)
     assert report.pairs.shape == (0, 2) and report.pairs.dtype == np.int64
     assert report.delta.shape == (0, 3) and report.delta.dtype == np.float64
     assert report.depths.shape == (0,) and report.depths.dtype == np.float64
     assert report.loss == 0.0 and report.min_distance == np.inf
+
+
+def test_a_mesh_derives_its_reach_once(hand_model):
+    # Each anchor's box is built on first read and then shared by every
+    # contact query against it; a left hand's box is that of its final,
+    # x-negated vertices.
+    m = left_hand_mesh(random_params(np.random.default_rng(29)), hand_model)
+    assert m.reach is m.reach
+    pad = CONTACT_RADIUS + BOX_MARGIN
+    np.testing.assert_array_equal(m.reach, [m.vertices.min(axis=0) - pad,
+                                            m.vertices.max(axis=0) + pad])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -484,7 +495,7 @@ def test_apg_row_cull_matches_the_uncut_gradient(hand_model, tau, monkeypatch):
     side = np.resize([1.0, -1.0], len(edge))
     x = hand_model.posed_vertices(HandParam(clean[:-2]))[..., 0]
     nearest = np.where(side > 0, x.min(axis=1), x.max(axis=1))
-    face = np.array([reach_box(m)[int(s > 0)][0] for m, s in zip(anchor_meshes, side)])
+    face = np.array([m.reach[int(s > 0), 0] for m, s in zip(anchor_meshes, side)])
     clean[:-2, 61] += face - nearest - side * edge
 
     queried, contact = [], sampler.penetration_set
@@ -496,7 +507,10 @@ def test_apg_row_cull_matches_the_uncut_gradient(hand_model, tau, monkeypatch):
     monkeypatch.setattr(sampler, "penetration_set", recording)
     got = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
     verts = hand_model.posed_vertices(HandParam(clean))
-    boxes = np.array([reach_box(m) for m in anchor_meshes])
+    boxes = np.array([m.reach for m in anchor_meshes])
+    pad = CONTACT_RADIUS + BOX_MARGIN
+    np.testing.assert_array_equal(boxes, [[m.vertices.min(axis=0) - pad,
+                                           m.vertices.max(axis=0) + pad] for m in anchor_meshes])
     in_reach = ((verts >= boxes[:, None, 0]) & (verts <= boxes[:, None, 1])).all(-1).any(-1)
     np.testing.assert_array_equal(in_reach[:len(edge)], np.array(edge) > 0)
     assert set(np.flatnonzero(in_reach)) <= set(queried) != set(range(len(clean)))
