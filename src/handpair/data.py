@@ -104,8 +104,11 @@ class SyntheticSpec:
             raise ValueError("need at least one mode")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if min(self.theta_jitter, self.beta_sigma) < 0:
-            raise ValueError("jitter sigmas must be >= 0")
+        if not (self.theta_jitter >= 0 and self.beta_sigma >= 0):
+            raise ValueError(f"jitter sigmas must be >= 0, got theta_jitter "
+                             f"{self.theta_jitter} and beta_sigma {self.beta_sigma}")
+        if not self.max_penetration >= 0:
+            raise ValueError(f"max_penetration must be >= 0, got {self.max_penetration}")
 
     def classify(self, x_l: HandParam, x_r: HandParam):
         """Nearest mode by normalized root-transform + articulation distance;
@@ -212,7 +215,8 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
             row = np.concatenate([x_l.vector, x_r.vector]).astype("<f4")
             if spec.max_penetration == np.inf:
                 break
-            stored_l, stored_r = Dataset(row).pair(0)
+            stored = row.astype(float)
+            stored_l, stored_r = HandParam(stored[:DIM]), HandParam(stored[DIM:])
             if sampler.penetration_loss(stored_r, stored_l, model) <= spec.max_penetration:
                 break
             rejects += 1

@@ -26,10 +26,13 @@ and its mesh (faces flipped) and capsules are that hand's with x negated by
 _negate_x, the one owner of the negation (left_hand_mesh, _left_segments).
 
 The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
-occupancy, watertight per component. Its kinematic chain is a forward sweep
-(_chain) that turns theta and the per-joint rest offsets into joint
-rotations and positions, and its reverse sweep (_chain_vjp). beta scales the
-offsets and the capsule radii, so the offset cotangents flow back into beta.
+occupancy, watertight per component. Its joints are in finger-major order:
+the wrist, then joint 1 + 3f + s for segment s of finger f, at depth s + 1.
+So its kinematic chain sweeps three depth levels, each one strided view of
+five joints, not 15 joints one by one: a forward sweep (_chain) that turns
+theta and the per-joint rest offsets into joint rotations and positions, and
+its reverse sweep (_chain_vjp), deepest level first. beta scales the offsets
+and the capsule radii, so the offset cotangents flow back into beta.
 """
 
 from __future__ import annotations
@@ -175,43 +178,53 @@ def compose_root(base: HandParam, rel: HandParam) -> HandParam:
 # Kinematic chain
 
 
-def _chain(parents: np.ndarray, theta: np.ndarray, offsets: np.ndarray):
+# Joint 1 + 3f + s sits at depth s + 1: level s + 1 is _LEVELS[s], and its
+# parents are the level before it, or the wrist as 0:1, which broadcasts.
+_LEVELS = [slice(1 + s, N_JOINTS, 3) for s in range(3)]
+_LEVEL_PARENTS = [slice(0, 1), *_LEVELS[:-1]]
+
+
+def _chain(theta: np.ndarray, offsets: np.ndarray):
     """Forward sweep: per-joint rotations Q (..., J, 3, 3) and positions p (..., J, 3).
 
     Joint j rotates by axis-angle theta[..., 3(j-1):3j] relative to its
     parent and sits at offsets[..., j, :], in the parent's frame, from it.
     Joint 0, the wrist, has identity rotation and sits at the origin of the
-    canonical frame. Every parent must precede its children.
+    canonical frame. The sweep relies on the finger-major joint order: it
+    steps through the three depth levels (_LEVELS), posing a level's five
+    joints with the products that a joint-by-joint sweep forms for each.
     """
     local = axis_angle_to_matrix(theta.reshape(*theta.shape[:-1], N_JOINTS - 1, 3))
     Q = np.zeros((*theta.shape[:-1], N_JOINTS, 3, 3))
     p = np.zeros((*theta.shape[:-1], N_JOINTS, 3))
     Q[..., 0, :, :] = np.eye(3)
-    for j in range(1, N_JOINTS):
-        par = parents[j]
-        p[..., j, :] = p[..., par, :] + _apply(Q[..., par, :, :], offsets[..., j, :])
-        Q[..., j, :, :] = Q[..., par, :, :] @ local[..., j - 1, :, :]
+    for s in (0, 1, 2):
+        lvl, par = _LEVELS[s], _LEVEL_PARENTS[s]
+        p[..., lvl, :] = p[..., par, :] + _apply(Q[..., par, :, :], offsets[..., lvl, :])
+        Q[..., lvl, :, :] = Q[..., par, :, :] @ local[..., s::3, :, :]
     return Q, p
 
 
-def _chain_vjp(parents, theta, offsets, Q, Q_bar, p_bar):
-    """Reverse sweep of _chain given the cotangents of its Q and p.
+def _chain_vjp(theta, offsets, Q, Q_bar, p_bar):
+    """Reverse sweep of _chain given the cotangents of its Q and p, deepest level first.
 
-    Accumulates into Q_bar and p_bar in place. Returns the theta gradient
-    (..., 45) and the offset cotangents (..., J, 3).
+    Accumulates into Q_bar and p_bar in place, except at the wrist, whose
+    cotangents nothing reads. Returns the theta gradient (..., 45) and the
+    offset cotangents (..., J, 3).
     """
     axes = theta.reshape(*theta.shape[:-1], N_JOINTS - 1, 3)
     local_T = np.swapaxes(axis_angle_to_matrix(axes), -1, -2)
     Q_T = np.swapaxes(Q, -1, -2)
     local_bar = np.empty_like(local_T)
     off_bar = np.zeros(p_bar.shape)
-    for j in range(N_JOINTS - 1, 0, -1):
-        par = parents[j]
-        local_bar[..., j - 1, :, :] = Q_T[..., par, :, :] @ Q_bar[..., j, :, :]
-        Q_bar[..., par, :, :] += Q_bar[..., j, :, :] @ local_T[..., j - 1, :, :] \
-            + p_bar[..., j, :, None] * offsets[..., j, None, :]
-        off_bar[..., j, :] = _apply(Q_T[..., par, :, :], p_bar[..., j, :])
-        p_bar[..., par, :] += p_bar[..., j, :]
+    for s in (2, 1, 0):
+        lvl, par = _LEVELS[s], _LEVEL_PARENTS[s]
+        local_bar[..., s::3, :, :] = Q_T[..., par, :, :] @ Q_bar[..., lvl, :, :]
+        off_bar[..., lvl, :] = _apply(Q_T[..., par, :, :], p_bar[..., lvl, :])
+        if s:
+            Q_bar[..., par, :, :] += Q_bar[..., lvl, :, :] @ local_T[..., s::3, :, :] \
+                + p_bar[..., lvl, :, None] * offsets[..., lvl, None, :]
+            p_bar[..., par, :] += p_bar[..., lvl, :]
     return axis_angle_vjp(axes, local_bar).reshape(theta.shape), off_bar
 
 
@@ -345,8 +358,6 @@ class CapsuleHand:
     """
 
     def __init__(self):
-        self.parents = np.full(N_JOINTS, -1, dtype=int)
-
         a, n_local, faces = _capsule_template()
         self._tmpl_a = a
         self._tmpl_faces = faces
@@ -355,9 +366,6 @@ class CapsuleHand:
         attach, dirs, len0, rad0 = [], [], [], []
         for f in range(N_FINGERS):
             mcp, pip, dip = 1 + 3 * f, 2 + 3 * f, 3 + 3 * f
-            self.parents[mcp] = 0
-            self.parents[pip] = mcp
-            self.parents[dip] = pip
             palm_len = np.linalg.norm(_MCP_POS[f])
             palm_dir = _MCP_POS[f] / palm_len
             attach += [0, mcp, pip, dip]
@@ -414,7 +422,7 @@ class CapsuleHand:
 
     def joint_transforms(self, theta: np.ndarray, beta: np.ndarray):
         """Canonical-space (rotation, position) per joint; root is identity."""
-        return _chain(self.parents, theta, self.joint_offsets(beta))
+        return _chain(theta, self.joint_offsets(beta))
 
     def _bone_local(self, beta: np.ndarray) -> np.ndarray:
         """Bone-frame capsule vertices (..., bones, K, 3): axial point plus radial offset."""
@@ -493,7 +501,7 @@ class CapsuleHand:
         lead = theta.shape[:-1]
         cot = np.asarray(cotangent, dtype=float).reshape(*lead, self.n_vertices, 3)
         offsets = self.joint_offsets(beta)
-        Q, p = _chain(self.parents, theta, offsets)
+        Q, p = _chain(theta, offsets)
         local = self._bone_local(beta)
         R = rot6d_to_matrix(params.omega)
 
@@ -510,7 +518,7 @@ class CapsuleHand:
         rad_bar = np.einsum("...bki,bki->...b", local_bar, self._bone_n) \
             * np.sign(1.0 + _apply(self.rad_basis, beta))
 
-        grad[..., THETA], off_bar = _chain_vjp(self.parents, theta, offsets, Q, Q_bar, p_bar)
+        grad[..., THETA], off_bar = _chain_vjp(theta, offsets, Q, Q_bar, p_bar)
         off_len_bar = np.einsum("...ji,ji->...j", off_bar, self.offset_dir)
         grad[..., BETA] = _apply(self.len_basis.T, self.bone_len0 * len_bar) \
             + _apply(self.rad_basis.T, self.bone_rad0 * rad_bar) \

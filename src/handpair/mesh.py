@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ZeroAreaStar
 from .nn import TAG_SURFACE, rng_stream
+from .rotations import cross
 
 # Contact radius, meters: contact looks for a moving point's nearest anchor
 # vertex only this close. Every point inside a capsule of length L and radius
@@ -58,11 +59,12 @@ class HandMesh:
 
     @cached_property
     def reach(self) -> np.ndarray:
-        """(2, 3) corners lo, hi of the vertex box, read off the k-d tree and
-        widened by CONTACT_RADIUS + BOX_MARGIN: a point outside it is, along
-        one axis alone, more than CONTACT_RADIUS from every vertex."""
+        """(2, 3) corners lo, hi of the vertex box (the k-d tree's mins and
+        maxes, bit for bit, without building the tree), widened by
+        CONTACT_RADIUS + BOX_MARGIN: a point outside it is, along one axis
+        alone, more than CONTACT_RADIUS from every vertex."""
         pad = CONTACT_RADIUS + BOX_MARGIN
-        return np.stack([self.tree.mins - pad, self.tree.maxes + pad])
+        return np.stack([self.vertices.min(axis=0) - pad, self.vertices.max(axis=0) + pad])
 
 
 def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -70,14 +72,17 @@ def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
     The unnormalized face cross products already carry the area weighting;
     each vertex accumulates the cross products of its incident faces, in
-    the order of faces[:, 0], then faces[:, 1], then faces[:, 2].
-    Raises ZeroAreaStar if any accumulated normal has norm < 1e-12.
+    the order of faces[:, 0], then faces[:, 1], then faces[:, 2]; a norm is
+    sqrt((x^2 + y^2) + z^2), np.linalg.norm's sum. Raises ZeroAreaStar if
+    any accumulated normal has norm < 1e-12.
     """
-    v0, v1, v2 = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    cross = np.tile(np.cross(v1 - v0, v2 - v0), (3, 1))
-    acc = np.stack([np.bincount(faces.T.ravel(), cross[:, c], minlength=len(vertices))
-                    for c in range(3)], axis=1)
-    norms = np.linalg.norm(acc, axis=1)
+    v0, v1, v2 = vertices.take(faces.T, axis=0)
+    # Row c holds component c of every face's cross product, once per corner.
+    weights = np.tile(cross(v1 - v0, v2 - v0).T, 3)
+    corners = faces.T.ravel()
+    acc = np.stack([np.bincount(corners, w, minlength=len(vertices)) for w in weights], axis=1)
+    x, y, z = acc.T
+    norms = np.sqrt((x * x + y * y) + z * z)
     bad = np.flatnonzero(norms < 1e-12)
     if bad.size:
         raise ZeroAreaStar(f"degenerate vertex star(s) at indices {bad[:8].tolist()}")

@@ -144,6 +144,12 @@ def diversity(features: np.ndarray, seed: int = 0) -> float:
 # Geometry metrics
 
 
+def _check_grid(grid: float) -> None:
+    """The one rule on a volume grid: its cell edge, in meters, is finite and > 0."""
+    if not (np.isfinite(grid) and grid > 0):
+        raise ValueError(f"grid must be finite and > 0, got {grid}")
+
+
 def penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid: float = 1e-3) -> float:
     """Shared volume in mm^3 on a world-origin-aligned grid of cell centers.
 
@@ -160,8 +166,7 @@ def penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid: float = 1e-3) -> fl
     Memory is bounded by a block and one byte per cell of the tested
     cells' bounding box. Raises ValueError unless grid is finite and > 0.
     """
-    if not (np.isfinite(grid) and grid > 0):
-        raise ValueError(f"grid must be finite and > 0, got {grid}")
+    _check_grid(grid)
     (lo_a, hi_a), (lo_b, hi_b) = ((np.atleast_2d(lo), np.atleast_2d(hi))
                                   for lo, hi in (boxes_a, boxes_b))
     lo = np.maximum(lo_a[:, None], lo_b[None])      # (Ka, Kb, 3) intersections
@@ -201,7 +206,10 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     """(pen_vol mm^3, pen_dist cm, min vertex distance m, penetrating?).
 
     The distance is exact below mesh.CONTACT_RADIUS and inf beyond it,
-    which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller."""
+    which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller.
+    Raises ValueError unless grid is finite and > 0, before posing either
+    hand, whether or not the pair penetrates."""
+    _check_grid(grid)
     model = model or default_hand()
     contact = sampler.penetration_set(model.posed_vertices(x_r),
                                       hand_model.left_hand_mesh(x_l, model))
@@ -311,7 +319,10 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     and reference rows byte-equal to the stored ones. A reused entry is the
     read-only array a cold call computed, so the report is the same bit for
     bit.
+
+    Raises ValueError unless grid is finite and > 0, before any features.
     """
+    _check_grid(grid)
     model = model or default_hand()
     categories = None
     if getattr(reference, "categories", None) and getattr(generated, "categories", None):

@@ -10,6 +10,7 @@ matrix_to_rot6d map (..., 6) to (..., 3, 3) and back, rot6d_vjp takes
 axis_angle_vjp take (..., 3) vectors, and geodesic_angle maps (..., 3, 3)
 pairs to (...) angles. One Gram-Schmidt, _gram_schmidt, serves the decode
 and says which encodings it rejects; rot6d_degenerate returns that mask.
+cross is np.cross bit for bit, and mesh forms face normals with it too.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ def _gram_schmidt(omega: np.ndarray):
     """(b1, u2, |u2| (..., 1), rot6d_degenerate's mask) of (..., 6) encodings;
     b1 is a1 itself where |a1| <= 1e-8, so a zero column warns of nothing."""
     a1, a2 = omega[..., :3], omega[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    n1 = _norm(a1)
     b1 = a1 / np.where(n1 <= _EPS, 1.0, n1)
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    n2 = _norm(u2)
     return b1, u2, n2, (n1[..., 0] <= _EPS) | (n2[..., 0] <= _EPS)
 
 
@@ -60,7 +61,7 @@ def rot6d_to_matrix(omega: np.ndarray) -> np.ndarray:
     if np.any(degenerate):
         raise DegenerateRotation("first column near zero or columns (near-)collinear")
     b2 = u2 / n2
-    return np.stack([b1, b2, _cross(b1, b2)], axis=-1)
+    return np.stack([b1, b2, cross(b1, b2)], axis=-1)
 
 
 def matrix_to_rot6d(mat: np.ndarray) -> np.ndarray:
@@ -81,8 +82,8 @@ def rot6d_vjp(omega: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
     n2 = np.sqrt(_dot(u2, u2))[..., None]
     b2 = u2 / n2
     # b3 = b1 x b2: triple-product identities route the cross backward.
-    b1_bar = G[..., :, 0] + _cross(b2, G[..., :, 2])
-    b2_bar = G[..., :, 1] + _cross(G[..., :, 2], b1)
+    b1_bar = G[..., :, 0] + cross(b2, G[..., :, 2])
+    b2_bar = G[..., :, 1] + cross(G[..., :, 2], b1)
     # b2 = u2/|u2|
     u2_bar = (b2_bar - _dot(b2, b2_bar)[..., None] * b2) / n2
     # u2 = a2 - (b1.a2) b1
@@ -118,7 +119,7 @@ def axis_angle_vjp(vec: np.ndarray, mat_cotangent: np.ndarray) -> np.ndarray:
     small = angle_sq < _EPS**2
     R = axis_angle_to_matrix(vec)
     # Row i of vxc is v x (I - R) e_i; dR[..., i, :, :] is dR/dv_i.
-    vxc = _cross(vec[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2))
+    vxc = cross(vec[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2))
     dR = ((vec[..., :, None, None] * _skew(vec)[..., None, :, :] + _skew(vxc))
           / np.where(small, 1.0, angle_sq)[..., None, None, None]) @ R[..., None, :, :]
     lead = vec.shape[:-1]
@@ -133,7 +134,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| (..., 1) of (..., 3) vectors as sqrt((x^2 + y^2) + z^2): np.linalg.norm's
+    sum, bit for bit, without its reduction over a three-wide axis."""
+    return np.sqrt((v[..., 0] ** 2 + v[..., 1] ** 2) + v[..., 2] ** 2)[..., None]
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, (..., 3); the products np.cross forms, minus for minus."""
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -48,6 +49,22 @@ def test_generation_is_byte_identical_per_seed(tmp_path):
         save_dataset(tmp_path / run, generate_synthetic(two_mode_spec(count=16, seed=3)))
     assert (tmp_path / "a/weights.f32").read_bytes() == (tmp_path / "b/weights.f32").read_bytes()
     assert (tmp_path / "a/manifest.json").read_text() == (tmp_path / "b/manifest.json").read_text()
+
+
+# sha256 of the float32 records, then the int64 mode ids, of
+# generate_synthetic(two_mode_spec(count=16, seed=3)) as the per-joint chain
+# and three-gather normals generated them. Posing and contact decide every
+# accept, so a change there that flips one decision, or moves one stored bit,
+# changes the digest.
+GOLDEN_16_SEED_3 = "e981e4deb8c44fa35133dfefcdb9da742ee894c4be9c5309c681c47ef7b8a2a9"
+
+
+def test_generation_matches_the_golden_digest():
+    ds = generate_synthetic(two_mode_spec(count=16, seed=3))
+    assert ds.params.dtype == "<f4" and ds.mode_ids.dtype == "<i8"
+    digest = hashlib.sha256(ds.params.tobytes())
+    digest.update(ds.mode_ids.tobytes())
+    assert digest.hexdigest() == GOLDEN_16_SEED_3
 
 
 def test_infinite_threshold_accepts_every_draw_untested(monkeypatch):
@@ -177,6 +194,17 @@ def test_negative_count_is_rejected_and_zero_is_empty():
         two_mode_spec(count=-1)
     empty = generate_synthetic(two_mode_spec(count=0, seed=2))
     assert len(empty) == 0 and empty.params.shape == (0, 128)
+
+
+@pytest.mark.parametrize("field, value", [("theta_jitter", np.nan), ("beta_sigma", np.nan),
+                                          ("max_penetration", -1.0),
+                                          ("max_penetration", np.nan)])
+def test_spec_rejects_a_nan_sigma_and_a_negative_or_nan_threshold(field, value):
+    # min(nan, x) < 0 is False: a NaN jitter stored NaN records without a
+    # word, and a NaN or negative threshold, which no loss meets, spent 1,000
+    # candidates before a RejectionStall.
+    with pytest.raises(ValueError, match=field):
+        SyntheticSpec(two_mode_spec().modes, count=3, **{field: value})
 
 
 def test_overlapping_spec_produces_penetrations():

@@ -23,6 +23,8 @@ from handpair.mesh import HandMesh, vertex_normals
 from handpair.rotations import (
     IDENTITY_6D,
     MIRROR_MAT,
+    axis_angle_to_matrix,
+    axis_angle_vjp,
     matrix_to_rot6d,
     rot6d_to_matrix,
 )
@@ -199,6 +201,74 @@ def test_stacked_kinematics_match_per_row_calls(hand_model):
     empty = HandParam(np.zeros((0, 64)))
     assert hand_model.posed_vertices(empty).shape == (0, hand_model.n_vertices, 3)
     assert hand_model.vjp(empty, np.zeros((0, hand_model.n_vertices, 3))).shape == (0, 64)
+
+
+# The finger-major kinematic tree: finger f's joints 1 + 3f, 2 + 3f and 3 + 3f
+# hang from the wrist, from 1 + 3f and from 2 + 3f.
+PARENTS = [-1] + [0 if j % 3 == 1 else j - 1 for j in range(1, 16)]
+
+
+def _chain_per_joint(theta, offsets):
+    """Reference for _chain: the same forward sweep, one joint at a time."""
+    local = axis_angle_to_matrix(theta.reshape(*theta.shape[:-1], 15, 3))
+    Q = np.zeros((*theta.shape[:-1], 16, 3, 3))
+    p = np.zeros((*theta.shape[:-1], 16, 3))
+    Q[..., 0, :, :] = np.eye(3)
+    for j in range(1, 16):
+        par = PARENTS[j]
+        p[..., j, :] = p[..., par, :] + (Q[..., par, :, :] @ offsets[..., j, :, None])[..., 0]
+        Q[..., j, :, :] = Q[..., par, :, :] @ local[..., j - 1, :, :]
+    return Q, p
+
+
+def _chain_vjp_per_joint(theta, offsets, Q, Q_bar, p_bar):
+    """Reference for _chain_vjp: the same reverse sweep, one joint at a time."""
+    axes = theta.reshape(*theta.shape[:-1], 15, 3)
+    local_T = np.swapaxes(axis_angle_to_matrix(axes), -1, -2)
+    Q_T = np.swapaxes(Q, -1, -2)
+    local_bar = np.empty_like(local_T)
+    off_bar = np.zeros(p_bar.shape)
+    for j in range(15, 0, -1):
+        par = PARENTS[j]
+        local_bar[..., j - 1, :, :] = Q_T[..., par, :, :] @ Q_bar[..., j, :, :]
+        Q_bar[..., par, :, :] += Q_bar[..., j, :, :] @ local_T[..., j - 1, :, :] \
+            + p_bar[..., j, :, None] * offsets[..., j, None, :]
+        off_bar[..., j, :] = (Q_T[..., par, :, :] @ p_bar[..., j, :, None])[..., 0]
+        p_bar[..., par, :] += p_bar[..., j, :]
+    return axis_angle_vjp(axes, local_bar).reshape(theta.shape), off_bar
+
+
+def _kinematic_outputs(model, params, cot):
+    Q, p = model.joint_transforms(params.theta, params.beta)
+    return [Q, p, model.posed_vertices(params), *model.posed_segments(params),
+            model.vjp(params, cot)]
+
+
+def test_level_sweep_is_the_per_joint_sweep_byte_for_byte(hand_model, monkeypatch):
+    from handpair import hand_model as hm
+
+    rng = np.random.default_rng(47)
+    rows = np.stack([random_params(rng).vector for _ in range(15)])
+    rows[1, 3:6] = 0.0              # a straight joint: the Rodrigues series branch
+    rows[2, 20] = np.nan            # a NaN row
+    rows[3, [0, 7, 14, 62]] = -0.0  # signed zeros in theta and tau
+    rows[3, 9:12] = -0.0            # a straight joint of signed zeros
+    rows[4, 46] = -15.0             # every signed radius negative
+    assert (hand_model.bone_rad0 * (1.0 + hand_model.rad_basis @ rows[4, 45:55]) < 0).all()
+    stacks = {(): rows[3], (1,): rows[4:5], (7,): rows[:7], (3, 5): rows.reshape(3, 5, 64),
+              (0,): rows[:0]}
+    cases = [(HandParam(v), rng.normal(size=(*shape, hand_model.n_vertices, 3)))
+             for shape, v in stacks.items()]
+    got = [_kinematic_outputs(hand_model, params, cot) for params, cot in cases]
+    monkeypatch.setattr(hm, "_chain", _chain_per_joint)
+    monkeypatch.setattr(hm, "_chain_vjp", _chain_vjp_per_joint)
+    for shape, params_cot, outputs in zip(stacks, cases, got):
+        expected = _kinematic_outputs(hand_model, *params_cot)
+        for a, b in zip(outputs, expected):
+            assert a.shape == b.shape and a.shape[:len(shape)] == shape
+            assert a.tobytes() == b.tobytes(), shape
+    vjp_7 = got[2][-1]               # the NaN row's gradient is NaN, and no other row's
+    assert np.isnan(vjp_7[2]).any() and np.isfinite(np.delete(vjp_7, 2, axis=0)).all()
 
 
 def test_hand_param_rejects_wrong_last_axis():

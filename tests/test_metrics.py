@@ -70,6 +70,26 @@ def test_penetration_volume_rejects_a_grid_that_is_not_finite_and_positive(hand_
         pair_stats(*pair, hand_model, grid)
 
 
+@pytest.mark.parametrize("grid", [np.nan, 0.0, -2e-3, np.inf])
+def test_pair_stats_and_evaluate_reject_a_bad_grid_before_any_work(hand_model, grid,
+                                                                   monkeypatch):
+    # Pairs 0 and 1 of two_mode_spec(count=4, seed=1) do not penetrate, so
+    # pair_stats never reached penetration_volume's check and returned
+    # (0.0, 0.0, d, False) at grid nan, 0 and -2 mm alike.
+    ds = generate_synthetic(two_mode_spec(count=4, seed=1))
+    assert not any(pair_stats(*ds.pair(i), hand_model)[3] for i in (0, 1))
+    work = []
+    monkeypatch.setattr(CapsuleHand, "posed_vertices", lambda *args: work.append(args))
+    monkeypatch.setattr(metrics, "dataset_features", lambda *args: work.append(args))
+    for i in (0, 1):
+        with pytest.raises(ValueError, match="grid"):
+            pair_stats(*ds.pair(i), hand_model, grid)
+    with pytest.raises(ValueError, match="grid"):
+        evaluate(ds, ds, FeatureBackbone(BackboneConfig(feature_dim=16, n_surface=64)),
+                 hand_model, grid=grid)
+    assert not work
+
+
 def _zplane_volume(occ_a, occ_b, bounds_a, bounds_b, grid):
     """Reference: the same grid walked one z-plane at a time."""
     lo = np.maximum(bounds_a[0], bounds_b[0]) - grid

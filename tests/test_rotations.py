@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from handpair.errors import DegenerateRotation
 from handpair.rotations import (
-    _cross,
+    _gram_schmidt,
     axis_angle_to_matrix,
     axis_angle_vjp,
+    cross,
     geodesic_angle,
     matrix_to_rot6d,
     rot6d_degenerate,
@@ -156,6 +157,33 @@ def test_rot6d_degenerate_is_where_the_decode_raises():
     assert mask.ravel().tolist() == raises == [True, True, True, False]
 
 
+def _gram_schmidt_with_linalg_norm(omega):
+    """Reference for _gram_schmidt: the same steps, its two norms by np.linalg.norm."""
+    a1, a2 = omega[..., :3], omega[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    b1 = a1 / np.where(n1 <= 1e-8, 1.0, n1)
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    return b1, u2, n2, (n1[..., 0] <= 1e-8) | (n2[..., 0] <= 1e-8)
+
+
+def test_gram_schmidt_norms_are_linalg_norms_byte_for_byte():
+    rng = np.random.default_rng(37)
+    rows = rng.normal(size=(12, 6)) * np.logspace(-12, 4, 12)[:, None]
+    rows[0, :3] = 0.0                       # zero first column
+    rows[1] = [-0.0, -0.0, -0.0, 0.0, 1.0, -0.0]   # a first column of signed zeros
+    rows[2, :3] = [1e-9, -1e-9, 0.0]        # first column below the cut
+    rows[3] = [1.0, -0.0, 0.0, 2.0, 1e-9, -0.0]    # second column 1e-9 off collinear
+    rows[4, 3:] = 0.0                       # zero second column
+    rows[5, 3:] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (rows[1], rows[:1], rows, rows.reshape(3, 4, 6), rows[:0]):
+            for got, expected in zip(_gram_schmidt(omega), _gram_schmidt_with_linalg_norm(omega)):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert _gram_schmidt(rows)[3][:6].all() and not _gram_schmidt(rows)[3][-1]
+
+
 def test_axis_angle_vjp_takes_skew_limit_near_zero():
     G = np.random.default_rng(5).normal(size=(3, 3))
     limit = [G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]]
@@ -167,11 +195,11 @@ def test_cross_is_bit_equal_to_np_cross_on_stacks():
     a = rng.normal(size=(4, 5, 3)) * np.logspace(-9, 3, 20).reshape(4, 5, 1)
     b = rng.normal(size=(4, 5, 3))
     b[0, 0] = a[0, 0]                      # parallel: exact zero
-    np.testing.assert_array_equal(_cross(a, b), np.cross(a, b))
+    np.testing.assert_array_equal(cross(a, b), np.cross(a, b))
     # Broadcast as axis_angle_vjp uses it: one vector against three rows.
     c = rng.normal(size=(4, 5, 3, 3))
-    np.testing.assert_array_equal(_cross(a[..., None, :], c), np.cross(a[..., None, :], c))
-    np.testing.assert_array_equal(_cross(a[0, 0], b[0, 1]), np.cross(a[0, 0], b[0, 1]))
+    np.testing.assert_array_equal(cross(a[..., None, :], c), np.cross(a[..., None, :], c))
+    np.testing.assert_array_equal(cross(a[0, 0], b[0, 1]), np.cross(a[0, 0], b[0, 1]))
 
 
 def test_geodesic_angle_is_the_axis_angle_norm_and_broadcasts():

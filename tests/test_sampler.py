@@ -265,10 +265,13 @@ def test_tree_fixes_each_query_points_answer_under_exact_ties():
 
 
 def test_nothing_in_reach_gives_the_empty_report(hand_model):
+    # The box comes from the vertices, so a contact with nothing in reach
+    # never builds B's k-d tree.
     b = hand_model.posed_mesh(HandParam.from_parts())
     lo, hi = b.reach
     a = np.array([hi + 1e-6, lo - 1e-6, [hi[0] + 1e-6, 0.0, 0.0]])
     report = penetration_set(a, b)
+    assert "tree" not in vars(b)
     assert report.pairs.shape == (0, 2) and report.pairs.dtype == np.int64
     assert report.delta.shape == (0, 3) and report.delta.dtype == np.float64
     assert report.depths.shape == (0,) and report.depths.dtype == np.float64
@@ -284,6 +287,9 @@ def test_a_mesh_derives_its_reach_once(hand_model):
     pad = CONTACT_RADIUS + BOX_MARGIN
     np.testing.assert_array_equal(m.reach, [m.vertices.min(axis=0) - pad,
                                             m.vertices.max(axis=0) + pad])
+    # The vertex box is the k-d tree's, bit for bit, read without building it.
+    assert "tree" not in vars(m)
+    assert m.reach.tobytes() == np.stack([m.tree.mins - pad, m.tree.maxes + pad]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
