@@ -35,6 +35,15 @@ class BackboneConfig:
     val_fraction: float = 0.15
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("feature_dim", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 def regression_target(x_l: HandParam, x_r: HandParam) -> np.ndarray:
     omega_rel, tau_rel = relative_root(x_l, x_r)

@@ -15,8 +15,9 @@ load_checkpoint(path, kind) checks, in this order, the kind, then the
 layout (every entry is "<f4", and the entries in sorted-name order tile the
 blob exactly, with no gap), then the checksum. So a truncated blob raises
 LayoutMismatch and a blob with a changed byte raises ChecksumMismatch. A
-manifest that is not a JSON object, or a tensor entry that is not a mapping
-with a shape, raises LayoutMismatch too, chained from the original error.
+manifest that is not a JSON object, a tensor entry that is not a mapping
+with a shape, or a shape that is not a list of non-negative ints raises
+LayoutMismatch too, chained from the original error where there is one.
 Tensors load as stored, float32, and every loader keeps them, so a reload
 is the saved artifact bit for bit.
 The network loaders also raise LayoutMismatch, chained from the original
@@ -91,12 +92,14 @@ def load_checkpoint(path, kind: str):
         entry = entries[name]
         try:
             placed = entry.get("dtype") == "<f4" and entry.get("offset") == offset
-            size = 4 * math.prod(entry["shape"])
-        except (AttributeError, KeyError, TypeError) as err:
+            shape = entry["shape"]
+        except (AttributeError, KeyError) as err:
             raise LayoutMismatch(f"{name}: malformed tensor entry: {err!r}") from err
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise LayoutMismatch(f"{name}: shape {shape!r} is not a list of non-negative ints")
         if not placed:
             raise LayoutMismatch(f"{name}: expected a '<f4' tensor at byte {offset}")
-        offset += size
+        offset += 4 * math.prod(shape)
     if offset != len(blob):
         raise LayoutMismatch(f"tensors cover {offset} bytes of a {len(blob)}-byte blob")
     tensors = {
@@ -149,7 +152,7 @@ def load_backbone(path) -> FeatureBackbone:
     try:
         config = BackboneConfig(**manifest["config"])
         curve = list(manifest["val_loss_curve"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise LayoutMismatch(f"manifest names no backbone config or loss curve: {err!r}") from err
     bb = FeatureBackbone(config, params=tensors)
     bb.val_loss_curve = curve

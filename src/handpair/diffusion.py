@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError(f"p_uncond must be in [0,1], got {self.p_uncond}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
     def schedule(self) -> DiffusionSchedule:
         """The noise schedule training uses: make_schedule's defaults."""

@@ -6,10 +6,12 @@ backbone features of a whole set's capsule surface clouds; geometry metrics
 are pure functions of their inputs and seeds, so reports regenerate bit for
 bit. Only pair_stats poses a mesh, the anchor of its one contact query per pair.
 
-evaluate scores many generated sets against one reference, so it keeps the
-reference features of its latest call for each live backbone and reuses
-them, bit for bit, when every input they depend on is unchanged (see
-evaluate). The generated set is featurized anew on every call.
+evaluate scores a generated set in one pass: each set is featurized once,
+reference record i drawing its cloud at seed + i and generated record i at
+seed + len(reference) + i, pair_stats runs once per generated pair, and each
+object category is a row group of those arrays. It keeps the reference
+features of its latest call for each live backbone and reuses them, bit for
+bit, when every input they depend on is unchanged (see evaluate).
 """
 
 from __future__ import annotations
@@ -269,37 +271,21 @@ def dataset_features(dataset, backbone, model, seed: int) -> np.ndarray:
     return backbone.features(clouds)
 
 
-def _geometry_stats(dataset, model, grid):
-    vols, dists, mins, pens = zip(*(pair_stats(*dataset.pair(i), model, grid)
-                                    for i in range(len(dataset))))
-    return (float(np.mean(vols)), float(np.mean(dists)),
-            proximity_ratio(mins, pens))
-
-
-@dataclass(frozen=True)
-class _ReferenceMemo:
-    """The reference features of one evaluate call and what they depend on.
-
-    ``key`` is (model, seed, backbone config, weight checksum) and
-    ``features`` maps the bytes of a reference's float32 rows to its
-    read-only features.
-    """
-
-    key: tuple
-    features: dict
-
-
-# The latest evaluate call's _ReferenceMemo for each live backbone.
-_REFERENCE_MEMO = weakref.WeakKeyDictionary()
+_REFERENCE_MEMO = weakref.WeakKeyDictionary()  # backbone -> (key, reference features)
 
 
 def evaluate(reference, generated, backbone, model=None, seed: int = 0,
              grid: float = 1e-3) -> MetricReport:
     """Full metric report of a generated set against a reference set.
 
-    When both sets carry object category labels, metrics are computed per
-    category and the top-level fields are the category means; a generated
-    category with no reference records raises ValueError.
+    The whole reference and the whole generated set are featurized once
+    each (dataset_features, at seed and at seed + len(reference)), and
+    pair_stats runs once per generated pair. Each report reads a row group
+    of those arrays. When both sets carry object category labels, each
+    category is a group (its rows in each set), per_category holds its
+    report, and the top-level fields are the category means; a generated
+    category with no reference records raises ValueError. Otherwise the one
+    group is every row, and per_category is empty.
 
     FHID fits a covariance to each set's backbone features. More than
     ``backbone.config.feature_dim`` (128) pairs per set (or per category)
@@ -308,80 +294,54 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     A rank-deficient set warns DegenerateCovariance, and the value is still
     exact to rounding (see fhid).
 
-    Reference features are memoised per backbone. Each call stores the
-    reference features it used, one entry per category subset, and replaces
-    what the previous call stored for ``backbone``. The store holds the
-    backbone weakly, so the entry goes away with it, and it holds at most
-    one call's reference features. A later call reuses an entry only if
-    every weight is float32, so that checkpoint.checksum names the weights
-    exactly, and it has the same ``model`` object (hands are immutable), the
-    same ``seed``, an equal ``backbone.config``, the same weight checksum,
-    and reference rows byte-equal to the stored ones. A reused entry is the
-    read-only array a cold call computed, so the report is the same bit for
-    bit.
+    Each call stores one memo entry per backbone, (key, read-only reference
+    features), in place of the last; it goes away with the backbone. A call
+    reuses it only if every weight is float32 (so checkpoint.checksum names
+    the weights exactly) and the key is equal: the same ``model`` object
+    (hands are immutable), ``seed``, ``backbone.config``, weight checksum
+    and reference row bytes. So a warm report is bit for bit a cold one.
 
     Raises ValueError unless grid is finite and > 0, before any features.
     """
     _check_grid(grid)
     model = model or default_hand()
-    categories = None
+    groups = {None: (slice(None), slice(None))}
     if getattr(reference, "categories", None) and getattr(generated, "categories", None):
-        categories = sorted(set(generated.categories))
-        missing = sorted(set(categories) - set(reference.categories))
+        ref_labels, gen_labels = np.array(reference.categories), np.array(generated.categories)
+        groups = {cat: (ref_labels == cat, gen_labels == cat)
+                  for cat in sorted(set(generated.categories))}
+        missing = [cat for cat, (in_ref, _) in groups.items() if not in_ref.any()]
         if missing:
             raise ValueError(f"no reference records of categories {missing}")
 
     weight_checksum = checksum(backbone.params)
-    memo_key = (model, seed, backbone.config, weight_checksum)
+    key = (model, seed, backbone.config, weight_checksum, reference.params.tobytes())
     memo = _REFERENCE_MEMO.get(backbone)
-    stored = {}
-    if memo is not None and memo.key == memo_key and \
+    if memo is not None and memo[0] == key and \
             all(w.dtype == np.float32 for w in backbone.params.values()):
-        stored = memo.features
-    ref_features = {}  # this call's entries
-
-    def reference_features(ref):
-        rows = ref.params.tobytes()
-        features = stored.get(rows)
-        if features is None:
-            features = dataset_features(ref, backbone, model, seed)
-            features.flags.writeable = False
-        ref_features[rows] = features
-        return features
-
-    def compute(ref, gen):
-        f_ref = reference_features(ref)
-        f_gen = dataset_features(gen, backbone, model, seed + len(ref))
-        p, r = precision_recall(f_ref, f_gen)
-        vol, dist, prox = _geometry_stats(gen, model, grid)
-        return {
-            "fhid": fhid(f_ref, f_gen),
-            "khid": khid(f_ref, f_gen),
-            "diversity": diversity(f_gen, seed=seed),
-            "precision": p,
-            "recall": r,
-            "pen_vol_mm3": vol,
-            "pen_dist_cm": dist,
-            "prox_ratio": prox,
-        }
-
-    per_category = {}
-    if categories:
-        for cat in categories:
-            ref_idx = [i for i, c in enumerate(reference.categories) if c == cat]
-            gen_idx = [i for i, c in enumerate(generated.categories) if c == cat]
-            per_category[cat] = compute(reference.subset(ref_idx),
-                                        generated.subset(gen_idx))
-        agg = {key: float(np.mean([v[key] for v in per_category.values()]))
-               for key in next(iter(per_category.values()))}
+        f_ref = memo[1]
     else:
-        agg = compute(reference, generated)
-    _REFERENCE_MEMO[backbone] = _ReferenceMemo(memo_key, ref_features)
+        f_ref = dataset_features(reference, backbone, model, seed)
+        f_ref.flags.writeable = False
+        _REFERENCE_MEMO[backbone] = (key, f_ref)
+    f_gen = dataset_features(generated, backbone, model, seed + len(reference))
+    vols, dists, mins, pens = np.array([pair_stats(*generated.pair(i), model, grid)
+                                        for i in range(len(generated))]).reshape(-1, 4).T
 
+    reports = {}
+    for cat, (r, g) in groups.items():
+        f_r, f_g = f_ref[r], f_gen[g]
+        precision, recall = precision_recall(f_r, f_g)
+        reports[cat] = {"fhid": fhid(f_r, f_g), "khid": khid(f_r, f_g),
+                        "diversity": diversity(f_g, seed=seed),
+                        "precision": precision, "recall": recall,
+                        "pen_vol_mm3": float(np.mean(vols[g])),
+                        "pen_dist_cm": float(np.mean(dists[g])),
+                        "prox_ratio": proximity_ratio(mins[g], pens[g])}
     return MetricReport(
-        **agg,
+        **{k: float(np.mean([v[k] for v in reports.values()])) for k in reports[cat]},
         n_reference=len(reference),
         n_generated=len(generated),
         backbone_checksum=weight_checksum,
-        per_category=per_category,
+        per_category={} if None in reports else reports,
     )

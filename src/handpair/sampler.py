@@ -110,10 +110,13 @@ def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
     answer (inf, len(B)) for the rest. Nearest neighbors come from a k-d
     tree built on B alone, which fixes each query point's answer, exact
     distance ties included, whatever else is queried with it. Raises
-    ValueError when A has a non-finite point.
+    ValueError when A has a non-finite point or B's reach is not finite,
+    as a non-finite B vertex makes it.
     """
     if not np.isfinite(points).all():
         raise ValueError("non-finite points in A")
+    if not np.isfinite(mesh_b.reach).all():
+        raise ValueError("non-finite reach box of B")
     lo, hi = mesh_b.reach
     cand = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
     if not cand.size:
@@ -155,7 +158,8 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     pairs and delta give the cotangent. A row with no pairs gets a zero
     gradient, as does a row whose clean estimate is non-finite or whose
     root rotation is rot6d_degenerate (both possible under untrained
-    weights). ``model`` must be the one that posed the anchors.
+    weights), or whose anchor's reach is not finite. ``model`` must be the
+    one that posed the anchors.
     """
     x0_hat = np.asarray(x0_hat, dtype=float)
     grad = np.zeros_like(x0_hat)
@@ -163,7 +167,8 @@ def apg_gradient(x0_hat: np.ndarray, t_prev: int, anchor_meshes: list[HandMesh],
     ok = ok[~rot6d_degenerate(x0_hat[ok, OMEGA])]
     lo, hi = capsule_boxes(*model.posed_segments(HandParam(x0_hat[ok])))
     reach = np.array([anchor_meshes[i].reach for i in ok]).reshape(-1, 2, 3)
-    ok = ok[((lo.min(axis=1) <= reach[:, 1]) & (hi.max(axis=1) >= reach[:, 0])).all(axis=1)]
+    ok = ok[((lo.min(axis=1) <= reach[:, 1]) & (hi.max(axis=1) >= reach[:, 0])
+             & np.isfinite(reach).all(axis=1)).all(axis=1)]
     if not ok.size:
         return grad
     verts = model.posed_vertices(HandParam(x0_hat[ok]))

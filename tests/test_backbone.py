@@ -81,3 +81,14 @@ def test_train_step_gradients_match_central_differences(dataset, hand_model):
             assert abs(grad[i] - fd) <= 1e-8 + 1e-5 * abs(fd), (name, i, grad[i], fd)
             nonzero += grad[i] != 0.0
     assert nonzero >= 24     # most sampled entries carry a gradient
+
+
+# Before the checks, batch_size 0 and feature_dim 0 raised ZeroDivisionError
+# inside train_backbone and a NaN lr trained to NaN weights.
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("feature_dim", 0), ("epochs", -1),
+    ("lr", 0.0), ("lr", -1e-3), ("lr", np.nan), ("lr", np.inf),
+])
+def test_config_rejects_a_value_training_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        BackboneConfig(**{field: value})

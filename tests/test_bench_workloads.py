@@ -4,6 +4,8 @@ metrics.evaluate reuses a backbone's reference features across calls, and
 the workload keeps one backbone for all its ops, so every op after the
 first scores against the memoised reference. APG culls the rows and
 vertices out of contact range, which must not change a sampled bit.
+The evaluate op-0 checksum at seed 1 is pinned, so a bit change in the
+benchmarked evaluate fails here without running the harness.
 bench/ is imported read-only.
 """
 
@@ -24,6 +26,20 @@ def test_evaluate_op_checksum_is_the_same_warm_as_cold():
     work.op(op1)
     warm = work.output_bytes(work.op(op0))
     assert warm == cold
+
+
+# The op-0 checksum of workloads.Evaluate(1), as bench/run.py --seed 1
+# reports it, recorded before evaluate became one pass over row groups.
+EVALUATE_OP0 = "f597b79abe1be156e2a6ea6e7998f7e1627666f03e2e7c5151773f451bfe4fac"
+
+
+def test_evaluate_op_checksum_is_pinned():
+    """The report digest depends on the BLAS build numpy links, as the
+    backbone features go through its matmuls: it was recorded with numpy
+    2.4 and scipy-openblas 0.3.31 on x86-64, where it is the same on one
+    BLAS thread as on several."""
+    work = workloads.Evaluate(1)
+    assert work.output_bytes(work.op(work.inputs(0))) == EVALUATE_OP0
 
 
 def test_sample_op_is_the_same_with_the_uncut_contact(monkeypatch):

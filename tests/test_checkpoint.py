@@ -1,6 +1,7 @@
 """Round trips and damage checks of the one on-disk artifact format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,19 +125,37 @@ def test_manifest_without_tensors_rejected(artifact):
         load(path)
 
 
+def _tiling_negative_shape(manifest):
+    """The first tensor's shape becomes [-1] and the second starts 4 bytes
+    early and grows to end where it did, so the entries still tile the blob."""
+    first, second = (manifest["tensors"][name] for name in sorted(manifest["tensors"])[:2])
+    second["shape"] = [math.prod(first["shape"]) + math.prod(second["shape"]) + 1]
+    first["shape"], second["offset"] = [-1], -4
+
+
+# The cause is the error the loader mapped to LayoutMismatch; None when it
+# raised LayoutMismatch itself.
 @pytest.mark.parametrize("damage, cause", [
     (lambda path: _edit_manifest(path, lambda m: m["tensors"][min(m["tensors"])].pop("shape")),
      KeyError),
     (lambda path: _edit_manifest(path, lambda m: m["tensors"].update(
         {min(m["tensors"]): [1, 2]})), AttributeError),
     (lambda path: (path / "manifest.json").write_text('{"kind": '), json.JSONDecodeError),
-], ids=["entry_without_shape", "entry_not_a_mapping", "manifest_not_json"])
+    # Each shape below covers the same bytes as the one it replaces, or tiles
+    # the blob, so only the shape check can catch it.
+    (lambda path: _edit_manifest(path, lambda m: m["tensors"][min(m["tensors"])].update(
+        shape=[float(n) for n in m["tensors"][min(m["tensors"])]["shape"]])), None),
+    (lambda path: _edit_manifest(path, lambda m: m["tensors"][min(m["tensors"])].update(
+        shape=[str(math.prod(m["tensors"][min(m["tensors"])]["shape"]))])), None),
+    (lambda path: _edit_manifest(path, _tiling_negative_shape), None),
+], ids=["entry_without_shape", "entry_not_a_mapping", "manifest_not_json",
+        "shape_of_floats", "shape_of_a_string", "negative_shape"])
 def test_malformed_manifest_rejected(artifact, damage, cause):
     path, load, _ = artifact
     damage(path)
     with pytest.raises(LayoutMismatch) as caught:
         load(path)
-    assert isinstance(caught.value.__cause__, cause)
+    assert isinstance(caught.value.__cause__, cause or type(None))
 
 
 # The cause is the error the loader mapped to LayoutMismatch; None when the
@@ -152,6 +171,7 @@ def test_malformed_manifest_rejected(artifact, damage, cause):
     ("backbone", lambda m: m["config"].update(feature_dim=64), None),
     ("backbone", lambda m: m["config"].update(depth=3), TypeError),
     ("backbone", lambda m: m.pop("val_loss_curve"), KeyError),
+    ("backbone", lambda m: m["config"].update(batch_size=0), ValueError),
     ("dataset", lambda m: m.update(mode_ids=5), ValueError),
     ("dataset", lambda m: m.update(categories=5), TypeError),
     ("dataset", lambda m: m.update(mode_ids="a" * len(m["mode_ids"])), ValueError),
@@ -160,6 +180,7 @@ def test_malformed_manifest_rejected(artifact, damage, cause):
         "denoiser_schedule_without_betaT", "denoiser_schedule_T_string",
         "backbone_feature_dim",
         "backbone_unknown_config_key", "backbone_without_val_loss_curve",
+        "backbone_batch_size_zero",
         "dataset_mode_ids_a_number", "dataset_categories_a_number",
         "dataset_mode_ids_a_string"])
 def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit, cause):

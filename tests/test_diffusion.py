@@ -295,6 +295,12 @@ def test_batch_size_below_one_is_rejected(batch_size):
     TrainConfig(batch_size=1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -2e-4, np.nan, np.inf])
+def test_lr_that_is_not_finite_and_positive_is_rejected(lr):
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=lr)
+
+
 def test_non_finite_loss_aborts(tiny_dataset):
     class NaNDenoiser:
         config = None

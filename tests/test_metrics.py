@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -405,7 +406,8 @@ def counting_hot_spots():
     """Count the calls of the traced hot spots at the lookup sites the
     benchmark's tracer wraps (bench/spans.py); yields the counts."""
     calls = {"occupancy": 0, "posed_mesh": 0, "left_hand_mesh": 0, "forward_one": 0,
-             "farthest_point_indices": 0, "penetration_set": 0}
+             "farthest_point_indices": 0, "penetration_set": 0, "dataset_features": 0,
+             "pair_stats": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -424,6 +426,9 @@ def counting_hot_spots():
                    counted("farthest_point_indices", pointset.farthest_point_indices))
         mp.setattr(sampler, "penetration_set",
                    counted("penetration_set", sampler.penetration_set))
+        mp.setattr(metrics, "dataset_features",
+                   counted("dataset_features", metrics.dataset_features))
+        mp.setattr(metrics, "pair_stats", counted("pair_stats", metrics.pair_stats))
         yield calls
 
 
@@ -458,6 +463,18 @@ def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
 def test_evaluate_report_round_trips_exactly(traced_evaluate):
     report, _ = traced_evaluate
     assert MetricReport.from_json(report.to_json()) == report
+
+
+# sha256 of to_json() of the traced_evaluate report, recorded before evaluate
+# became one pass over row groups; it holds bit for bit on an uncategorized
+# run. The features go through BLAS matmuls, so the digest is that of one
+# BLAS build (numpy 2.4 with scipy-openblas 0.3.31 on x86-64).
+EVALUATE_GOLDEN = "0cd63878a6cda271c251b01c06c1dad0330ff49ec89c7fa6d913ae49b9581737"
+
+
+def test_evaluate_report_matches_the_golden_digest(traced_evaluate):
+    report, _ = traced_evaluate
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == EVALUATE_GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -546,12 +563,49 @@ def test_evaluate_recomputes_the_reference_when_an_input_changes(
 def test_per_category_evaluate_reuses_every_category(hand_model, category_sets):
     reference, generated = category_sets
     backbone = FeatureBackbone()
-    cold = _evaluate(reference, generated, backbone, hand_model)
+    with counting_hot_spots() as cold_calls:
+        cold = _evaluate(reference, generated, backbone, hand_model)
     with counting_hot_spots() as calls:
         warm = _evaluate(reference, generated, backbone, hand_model)
-    assert warm == cold
+    assert warm == cold and warm.to_json() == cold.to_json()
+    # Each set is featurized once, in one call, and each generated pair is
+    # measured once, however many categories read them; a warm call
+    # featurizes only the generated set.
+    assert (cold_calls["dataset_features"], calls["dataset_features"]) == (2, 1)
+    assert cold_calls["pair_stats"] == calls["pair_stats"] == len(generated)
+    assert cold_calls["forward_one"] == len(reference) + len(generated)
     assert calls["forward_one"] == len(generated)
-    assert len(metrics._REFERENCE_MEMO[backbone].features) == 2
+    _, features = metrics._REFERENCE_MEMO[backbone]
+    assert features.shape == (len(reference), backbone.config.feature_dim)
+
+
+def test_per_category_reports_read_the_category_rows_of_the_whole_sets(
+        hand_model, category_sets):
+    # The oracle featurizes and measures each whole set itself, at the
+    # documented cloud seeds, and scores each category on its own rows.
+    reference, generated = category_sets
+    backbone, seed, grid = FeatureBackbone(), 3, 4e-3
+    report = _evaluate(reference, generated, backbone, hand_model, seed)
+    f_ref = dataset_features(reference, backbone, hand_model, seed)
+    f_gen = dataset_features(generated, backbone, hand_model, seed + len(reference))
+    stats = [pair_stats(*generated.pair(i), hand_model, grid) for i in range(len(generated))]
+    assert list(report.per_category) == ["ball", "box"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCovariance)
+        for cat, got in report.per_category.items():
+            assert type(cat) is str
+            r = np.array(reference.categories) == cat
+            g = np.array(generated.categories) == cat
+            vols, dists, mins, pens = zip(*(s for s, keep in zip(stats, g) if keep))
+            precision, recall = precision_recall(f_ref[r], f_gen[g])
+            assert got == {
+                "fhid": fhid(f_ref[r], f_gen[g]), "khid": khid(f_ref[r], f_gen[g]),
+                "diversity": metrics.diversity(f_gen[g], seed=seed),
+                "precision": precision, "recall": recall,
+                "pen_vol_mm3": float(np.mean(vols)), "pen_dist_cm": float(np.mean(dists)),
+                "prox_ratio": metrics.proximity_ratio(mins, pens),
+            }, cat
+    assert MetricReport.from_json(report.to_json()) == report
 
 
 def test_evaluate_rejects_a_category_missing_from_the_reference(hand_model, category_sets):
@@ -565,13 +619,20 @@ def test_reference_memo_is_read_only_and_goes_with_its_backbone(hand_model, four
     reference, generated = four_pair_sets
     backbone = FeatureBackbone()
     _evaluate(reference, generated, backbone, hand_model)
-    entry = metrics._REFERENCE_MEMO[backbone]
-    assert len(entry.features) == 1
-    assert not any(a.flags.writeable for a in entry.features.values())
-    gone = weakref.ref(entry)
-    del backbone, entry
+    key, features = metrics._REFERENCE_MEMO[backbone]
+    assert not features.flags.writeable
+    assert features.shape == (len(reference), backbone.config.feature_dim)
+    # A call on another reference replaces the one entry ...
+    first = weakref.ref(features)
+    del key, features
+    _evaluate(generated, reference, backbone, hand_model)
     gc.collect()
-    assert gone() is None
+    assert first() is None
+    # ... and the entry goes with its backbone.
+    second = weakref.ref(metrics._REFERENCE_MEMO[backbone][1])
+    del backbone
+    gc.collect()
+    assert second() is None
 
 
 def test_suite_ranks_known_bad_sets_below_a_held_out_set(hand_model):

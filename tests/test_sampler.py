@@ -30,7 +30,7 @@ from handpair.hand_model import (
     pin_root,
 )
 from handpair.mesh import BOX_MARGIN, CONTACT_RADIUS, HandMesh
-from handpair.metrics import PROXIMITY_TAU_M
+from handpair.metrics import PROXIMITY_TAU_M, pair_stats
 from handpair.nn import TAG_SAMPLE, rng_stream
 from handpair.rotations import IDENTITY_6D
 from handpair.sampler import (
@@ -302,6 +302,22 @@ def test_non_finite_a_vertices_raise(hand_model, bad):
         penetration_set(a.vertices, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_anchor_raises(hand_model, bad):
+    # Without the check a NaN anchor reach culled every point: no contact.
+    a = hand_model.posed_mesh(HandParam.from_parts())
+    b = hand_model.posed_mesh(HandParam.from_parts())
+    b.vertices[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        penetration_set(a.vertices, b)
+    x_l, x_r = _overlapping_pair()
+    x_l.vector[TAU.start] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        penetration_loss(x_r, x_l, hand_model)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        pair_stats(x_l, x_r, hand_model)
+
+
 # -- penetration loss ----------------------------------------------------------
 
 
@@ -473,6 +489,21 @@ def test_non_finite_clean_rows_get_a_zero_gradient(hand_model):
     bad[1, 3] = np.nan          # theta, with a valid root
     bad[2, 56] = np.inf         # the root itself
     masked = apg_gradient(bad, 8, anchor_meshes, sched, hand_model)
+    np.testing.assert_array_equal(masked[[1, 2]], np.zeros((2, 64)))
+    np.testing.assert_array_equal(masked[[0, 3]], grads[[0, 3]])
+
+
+def test_rows_with_a_non_finite_anchor_get_a_zero_gradient(hand_model):
+    sched = make_schedule(256)
+    anchor_meshes = [left_hand_mesh(HandParam.from_parts(), hand_model) for _ in range(4)]
+    clean = np.stack([HandParam.from_parts(tau=[x, 0.0, 0.0]).vector
+                      for x in (0.045, 0.05, 0.04, 0.048)])
+    grads = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
+    assert np.abs(grads).max(axis=1).min() > 0
+    for i, bad in ((1, np.nan), (2, np.inf)):
+        anchor_meshes[i] = left_hand_mesh(HandParam.from_parts(), hand_model)
+        anchor_meshes[i].vertices[7, 1] = bad
+    masked = apg_gradient(clean, 8, anchor_meshes, sched, hand_model)
     np.testing.assert_array_equal(masked[[1, 2]], np.zeros((2, 64)))
     np.testing.assert_array_equal(masked[[0, 3]], grads[[0, 3]])
 
