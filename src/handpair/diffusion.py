@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDataset, InvalidSchedule, NonFiniteLoss, ScheduleSingularity
-from .hand_model import DIM, OMEGA, TAU, HandParam, mirror, reroot_pair
+from .hand_model import DIM, OMEGA, TAU, HandParam, mirror, negate_x, reroot_pair
 from .nn import rng_stream
+from .rotations import rot6d_to_matrix
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,17 @@ def assemble_batch(dataset, idx, flip_mask):
     return target.vector, cond.vector
 
 
+def assemble_objects(dataset, idx, flip_mask):
+    """Each sampled pair's object cloud (B, N, 3), carried as assemble_batch
+    carries its hands: x negated on a flipped row, then into the frame of
+    the condition's root (R_c, tau_c) before it is pinned, (o - tau_c) R_c."""
+    cond = orient(*dataset.pair(idx), flip_mask)[1]
+    clouds = dataset.objects(idx)
+    flip = np.asarray(flip_mask, dtype=bool)
+    clouds[flip] = negate_x(clouds[flip])
+    return (clouds - cond.tau[:, None, :]) @ rot6d_to_matrix(cond.omega)
+
+
 def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
     """Optimize the denoiser on two-hand pairs per the dropout recipe.
 
@@ -170,7 +182,7 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             eps = rng.standard_normal((batch, DIM))
 
             targets, conds = assemble_batch(dataset, idx, flip)
-            objects = dataset.objects(idx) if has_objects else None
+            objects = assemble_objects(dataset, idx, flip) if has_objects else None
             x_t = forward_diffuse(targets, t, eps, sched)
             # A dropped row's target root is relative to a condition the
             # network does not see, so the loss skips that block.

@@ -21,9 +21,9 @@ model second: left_hand_mesh(x_l, model), pair_occupancy (for volumes),
 pair_meshes and pair_segments (for clouds).
 
 Canonical single-hand space is the right hand; a left hand is stored as the
-parameter vector whose mirror() image is the equivalent right-hand vector,
-and its mesh (faces flipped) and capsules are that hand's with x negated by
-_negate_x, the one owner of the negation (left_hand_mesh, _left_segments).
+parameter vector whose mirror() image is the equivalent right-hand vector:
+the reflection is four sign flips in parameter space, and one x-negation,
+negate_x, in world space (left_hand_mesh, _left_segments; faces flip too).
 
 The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
 occupancy, watertight per component. Its joints are in finger-major order:
@@ -45,7 +45,6 @@ import numpy as np
 from .mesh import BOX_MARGIN, HandMesh
 from .rotations import (
     IDENTITY_6D,
-    MIRROR_MAT,
     axis_angle_to_matrix,
     axis_angle_vjp,
     matrix_to_rot6d,
@@ -58,6 +57,9 @@ THETA = slice(0, 45)
 BETA = slice(45, 55)
 OMEGA = slice(55, 61)
 TAU = slice(61, 64)
+# The entries mirror negates: c1y, c1z and c2x of T R T, and x of T tau.
+_MIRRORED = np.zeros(DIM, dtype=bool)
+_MIRRORED[[*range(OMEGA.start + 1, OMEGA.start + 4), TAU.start]] = True
 
 N_JOINTS = 16
 N_FINGERS = 5
@@ -126,14 +128,14 @@ def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:
 def mirror(params: HandParam) -> HandParam:
     """Reflect across x=0: omega' encodes T R T, tau' = T tau; theta/beta kept.
 
-    Applying the reflection to the root alone suffices because local
-    deformations mirror along the kinematic chain by convention.
+    Four sign flips, no decode: T R T has the columns (c1x, -c1y, -c1z) and
+    (-c2x, c2y, c2z), and every Gram-Schmidt step of the flipped encoding is
+    a sign change of the original's. So it never raises and undoes itself
+    bit for bit, but for a -0 at a flipped entry: 0.0 - v keeps zeros at
+    +0, so a pinned hand is its own mirror. Local deformations mirror along
+    the chain by convention.
     """
-    out = params.copy()
-    R = rot6d_to_matrix(params.omega)
-    out.vector[..., OMEGA] = matrix_to_rot6d(MIRROR_MAT @ R @ MIRROR_MAT)
-    out.vector[..., TAU] = _apply(MIRROR_MAT, params.tau)
-    return out
+    return HandParam(np.where(_MIRRORED, 0.0 - params.vector, params.vector))
 
 
 def pin_root(params: HandParam) -> HandParam:
@@ -540,10 +542,11 @@ def kinematics_vjp(params: HandParam, model, vertex_cotangent: np.ndarray) -> np
     return model.vjp(params, vertex_cotangent)
 
 
-def _negate_x(points: np.ndarray) -> np.ndarray:
-    """Negate x of (..., 3) points in place and return them: MIRROR_MAT's
-    action without a matmul, which would wake the BLAS thread pool; a zero
-    coordinate may keep a sign that the matmul would flip."""
+def negate_x(points: np.ndarray) -> np.ndarray:
+    """Negate x of (..., 3) points in place and return them: the reflection
+    T = diag(-1, 1, 1) in world space, without a matmul, which would wake
+    the BLAS thread pool; a zero coordinate may keep a sign that the matmul
+    would flip."""
     np.negative(points[..., 0], out=points[..., 0])
     return points
 
@@ -552,7 +555,7 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
     """Mesh of a left hand: its mirror image's posed mesh with x negated,
     before any cached property is read, and faces reversed to stay CCW."""
     mesh = model.posed_mesh(mirror(params_left))
-    _negate_x(mesh.vertices)
+    negate_x(mesh.vertices)
     mesh.faces = mesh.faces[:, ::-1]
     return mesh
 
@@ -561,7 +564,7 @@ def _left_segments(params_left: HandParam, model):
     """World capsule segments of a left hand: its mirror image's
     posed_segments with x negated."""
     e0, e1, rads = model.posed_segments(mirror(params_left))
-    return _negate_x(e0), _negate_x(e1), rads
+    return negate_x(e0), negate_x(e1), rads
 
 
 def pair_occupancy(x_l: HandParam, x_r: HandParam, model):

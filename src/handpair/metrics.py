@@ -209,9 +209,11 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
 
     The distance is exact below mesh.CONTACT_RADIUS and inf beyond it,
     which proximity_ratio reads alike, as PROXIMITY_TAU_M is smaller.
-    Raises ValueError unless grid is finite and > 0, before posing either
-    hand, whether or not the pair penetrates."""
+    Raises ValueError unless grid is finite and > 0 and both hands are
+    finite, before posing either hand, whether or not the pair penetrates."""
     _check_grid(grid)
+    if not (np.isfinite(x_l.vector).all() and np.isfinite(x_r.vector).all()):
+        raise ValueError("non-finite hand parameters")
     model = model or default_hand()
     contact = sampler.penetration_set(model.posed_vertices(x_r),
                                       hand_model.left_hand_mesh(x_l, model))

@@ -11,6 +11,8 @@ axis_angle_vjp take (..., 3) vectors, and geodesic_angle maps (..., 3, 3)
 pairs to (...) angles. One Gram-Schmidt, _gram_schmidt, serves the decode
 and says which encodings it rejects; rot6d_degenerate returns that mask.
 cross is np.cross bit for bit, and mesh forms face normals with it too.
+The left-hand reflection needs no matrix: it is hand_model's four sign flips
+in parameter space (mirror) and one x-negation in world space (negate_x).
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ import numpy as np
 from .errors import DegenerateRotation
 
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
-# Reflection across the x=0 plane; maps between left- and right-hand spaces.
-MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
 
 _EPS = 1e-8
 

@@ -1,7 +1,8 @@
 """Cascaded two-hand sampling with guidance.
 
-Phase 1 draws an anchor hand unconditionally (null token), pins its root to
-the canonical frame, and mirrors it into a left hand. Phase 2 draws the
+Phase 1 draws an anchor hand unconditionally (null token) and pins its root,
+which no training step supervises, to the canonical frame; a pinned hand is
+its own mirror, so it is the left hand as it is. Phase 2 draws the
 interacting right hand conditioned on that anchor: every reverse step mixes
 conditional and unconditional clean estimates (classifier-free guidance),
 steps from the mix, and descends the mix's inter-hand penetration loss
@@ -35,7 +36,6 @@ from .hand_model import (
     default_hand,
     kinematics_vjp,
     left_hand_mesh,
-    mirror,
     pin_root,
 )
 from .mesh import CONTACT_RADIUS, HandMesh
@@ -45,6 +45,11 @@ from .rotations import rot6d_degenerate
 
 W_PEN_START = 4.0       # APG step weight at the last reverse step (k = 0), unitless
 W_PEN_DECAY = 0.9       # factor on the APG weight per reverse step further from t=0
+
+
+def w_pen_at(k: int) -> float:
+    """APG weight W_PEN_START * W_PEN_DECAY**k at reverse step k, counted up from t=0."""
+    return W_PEN_START * W_PEN_DECAY**k
 
 
 @dataclass
@@ -63,10 +68,6 @@ class SampleConfig:
             raise ValueError("count must be >= 0")
         if not np.isfinite(self.w_cfg):
             raise ValueError("w_cfg must be finite")
-
-    def w_pen_at(self, k: int) -> float:
-        """APG weight W_PEN_START * W_PEN_DECAY**k at reverse step k, counted up from t=0."""
-        return W_PEN_START * W_PEN_DECAY**k
 
 
 @dataclass
@@ -136,7 +137,10 @@ def penetration_set(points: np.ndarray, mesh_b: HandMesh) -> PenetrationReport:
 
 def penetration_loss(params_clean: HandParam, params_anchor: HandParam,
                      model=None) -> float:
-    """Penetration loss of a right hand (clean) against a left anchor."""
+    """Penetration loss of a right hand (clean) against a left anchor. Raises
+    ValueError before posing either hand when one has a non-finite value."""
+    if not (np.isfinite(params_clean.vector).all() and np.isfinite(params_anchor.vector).all()):
+        raise ValueError("non-finite hand parameters")
     model = model or default_hand()
     return penetration_set(model.posed_vertices(params_clean),
                            left_hand_mesh(params_anchor, model)).loss
@@ -206,7 +210,7 @@ class SampleResult:
         return HandParam(self.x_l[i].copy()), HandParam(self.x_r[i].copy())
 
 
-def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
+def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
                   object_embedding, anchor_meshes=None):
     """Reverse steps from x (B, 64) along grid on the condition cond with its
     drop mask, mixed with the unconditional estimate at CFG weight w_cfg.
@@ -231,8 +235,8 @@ def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
             x0 = cfg_mix(x0[:B], x0[B:], w_cfg)
         x = ddim_step(x, x0, t, t_prev, sched)
         if anchor_meshes is not None:
-            w = config.w_pen_at(len(grid) - 1 - si)
-            x = apg_step(x, x0, t_prev, anchor_meshes, w, sched, model)
+            x = apg_step(x, x0, t_prev, anchor_meshes, w_pen_at(len(grid) - 1 - si),
+                         sched, model)
     return x
 
 
@@ -257,18 +261,12 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
 
     # Phase 1: unconditional anchor in canonical right-hand space, every row dropped.
     x = _reverse_pass(denoiser, noise[0].copy(), np.zeros((B, DIM)), np.ones(B, dtype=bool),
-                      0.0, grid, sched, config, model, object_embedding)
-    anchor = HandParam(x)
-    if object_embedding is None:
-        # Unconditional roots are unsupervised; only the relative
-        # transform is meaningful, so the anchor frame is canonical.
-        anchor = pin_root(anchor)
-    x_l = mirror(anchor).vector
+                      0.0, grid, sched, model, object_embedding)
+    x_l = pin_root(HandParam(x)).vector
 
     # Phase 2: conditional partner with CFG and optional APG.
     anchor_meshes = [left_hand_mesh(HandParam(row), model) for row in x_l] if config.apg else None
     x_r = _reverse_pass(denoiser, noise[1].copy(), x_l.copy(), np.zeros(B, dtype=bool),
-                        config.w_cfg, grid, sched, config, model, object_embedding,
-                        anchor_meshes)
+                        config.w_cfg, grid, sched, model, object_embedding, anchor_meshes)
     return SampleResult(x_l=x_l, x_r=x_r)
 

@@ -4,8 +4,9 @@ metrics.evaluate reuses a backbone's reference features across calls, and
 the workload keeps one backbone for all its ops, so every op after the
 first scores against the memoised reference. APG culls the rows and
 vertices out of contact range, which must not change a sampled bit.
-The evaluate op-0 checksum at seed 1 is pinned, so a bit change in the
-benchmarked evaluate fails here without running the harness.
+The op-0 checksums of train_small, sample and evaluate at seed 1 are
+pinned, so a bit change in what they run (rejection, training orientation,
+sampling, scoring) fails here without running the harness.
 bench/ is imported read-only.
 """
 
@@ -28,18 +29,34 @@ def test_evaluate_op_checksum_is_the_same_warm_as_cold():
     assert warm == cold
 
 
-# The op-0 checksum of workloads.Evaluate(1), as bench/run.py --seed 1
-# reports it, recorded before evaluate became one pass over row groups.
+# The op-0 checksums of workloads.Evaluate(1), TrainSmall(1) and Sample(1),
+# as bench/run.py --seed 1 reports them. Evaluate's was recorded before
+# evaluate became one pass over row groups, the other two before mirror
+# became four sign flips.
 EVALUATE_OP0 = "f597b79abe1be156e2a6ea6e7998f7e1627666f03e2e7c5151773f451bfe4fac"
+TRAIN_SMALL_OP0 = "5c4d1edfd3e2827d07d1548ad949232f7df8efd513b318147417433a9ce706e7"
+SAMPLE_OP0 = "77ac2589cc4b48be017363b1c6a1912a98c61551e08f24452af64095689b6f27"
+
+
+def _op0_checksum(workload):
+    """A digest depends on the BLAS build numpy links, as the networks'
+    features and steps go through its matmuls: each was recorded with numpy
+    2.4 and scipy-openblas 0.3.31 on x86-64, where it is the same on one
+    BLAS thread as on several."""
+    work = workload(1)
+    return work.output_bytes(work.op(work.inputs(0)))
 
 
 def test_evaluate_op_checksum_is_pinned():
-    """The report digest depends on the BLAS build numpy links, as the
-    backbone features go through its matmuls: it was recorded with numpy
-    2.4 and scipy-openblas 0.3.31 on x86-64, where it is the same on one
-    BLAS thread as on several."""
-    work = workloads.Evaluate(1)
-    assert work.output_bytes(work.op(work.inputs(0))) == EVALUATE_OP0
+    assert _op0_checksum(workloads.Evaluate) == EVALUATE_OP0
+
+
+def test_train_small_op_checksum_is_pinned():
+    assert _op0_checksum(workloads.TrainSmall) == TRAIN_SMALL_OP0
+
+
+def test_sample_op_checksum_is_pinned():
+    assert _op0_checksum(workloads.Sample) == SAMPLE_OP0
 
 
 def test_sample_op_is_the_same_with_the_uncut_contact(monkeypatch):

@@ -5,8 +5,9 @@ of data's fixed mode templates, checkpoint alone hashes (its checksum names
 every set of weights), diffusion alone turns a clean estimate into noise
 (the sampler works on clean estimates only), hand_model alone builds a
 HandMesh (contact's anchors; the moving hand reaches contact as points), and
-only rotations and hand_model read MIRROR_MAT (a left hand is one
-x-negation, hand_model._negate_x). Every stream tag in nn is read by another
+no module in src/ names a reflection matrix, MIRROR_MAT (a left hand is
+hand_model.mirror's four sign flips of a hand vector and hand_model.negate_x's
+one x-negation of world points). Every stream tag in nn is read by another
 module, every network holds float32 weights only, and no module reads
 another package module's underscore name.
 
@@ -133,11 +134,11 @@ def test_only_hand_model_builds_hand_meshes():
     assert builders == {"hand_model"}
 
 
-def test_only_rotations_and_hand_model_read_the_mirror_matrix():
-    readers = {module for module, tree in _modules() for node in ast.walk(tree)
-               if "MIRROR_MAT" in ([alias.name for alias in node.names]
-                                   if isinstance(node, ast.ImportFrom) else [_callee(node)])}
-    assert readers <= {"rotations", "hand_model"}, readers
+def test_no_module_names_a_mirror_matrix():
+    names = {module for module, tree in _modules() for node in ast.walk(tree)
+             if "MIRROR_MAT" in ([alias.name for alias in node.names]
+                                 if isinstance(node, ast.ImportFrom) else [_callee(node)])}
+    assert not names, names
 
 
 def test_no_module_reads_another_modules_private_name():

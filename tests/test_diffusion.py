@@ -10,6 +10,7 @@ from handpair.diffusion import (
     DiffusionSchedule,
     TrainConfig,
     assemble_batch,
+    assemble_objects,
     ddim_step,
     ddim_time_grid,
     eps_from_x0,
@@ -23,7 +24,7 @@ from handpair.errors import (
     NonFiniteLoss,
     ScheduleSingularity,
 )
-from handpair.hand_model import mirror, reroot_pair
+from handpair.hand_model import HandParam, left_hand_mesh, mirror, reroot_pair
 
 
 # -- schedule -----------------------------------------------------------------
@@ -228,6 +229,33 @@ def test_assemble_batch_matches_per_row_reference():
         target, cond = reroot_pair(*((mirror(x_l), mirror(x_r)) if f else (x_r, x_l)))
         np.testing.assert_allclose(targets[row], target.vector, rtol=0, atol=1e-14)
         np.testing.assert_allclose(conds[row], cond.vector, rtol=0, atol=1e-14)
+
+
+def _nearest(cloud, vertices):
+    """Distance from the nearest point of a cloud to the nearest vertex."""
+    return np.sqrt(((cloud[:, None, :] - vertices[None, :, :]) ** 2).sum(axis=2).min())
+
+
+def test_object_clouds_ride_into_the_condition_frame(hand_model):
+    # The cloud's distance to each hand is the pair's geometry, so orienting
+    # and re-rooting must keep it: a flipped row's target is the mirrored
+    # x_l and its condition the mirrored x_r. Each pair once per orientation.
+    ds = generate_synthetic(two_mode_spec(count=8, seed=1, with_objects=True), hand_model)
+    idx, flip = np.tile(np.arange(4), 2), np.repeat([False, True], 4)
+    x_l, x_r = ds.pair(idx)
+    world = np.array([[_nearest(ds.objects(i), left_hand_mesh(HandParam(l), hand_model).vertices),
+                       _nearest(ds.objects(i), hand_model.posed_vertices(HandParam(r)))]
+                      for i, l, r in zip(idx, x_l.vector, x_r.vector)])
+    assert (world[:, 0] < 5e-3).all() and (world[:, 1] > 5e-2).all()
+    targets, conds = assemble_batch(ds, idx, flip)
+    clouds = assemble_objects(ds, idx, flip)
+    framed = np.array([[_nearest(o, left_hand_mesh(HandParam(c), hand_model).vertices),
+                        _nearest(o, hand_model.posed_vertices(HandParam(t)))]
+                       for o, t, c in zip(clouds, targets, conds)])
+    np.testing.assert_allclose(framed, np.where(flip[:, None], world[:, ::-1], world),
+                               rtol=0, atol=1e-12)
+    # Every dataset anchor is identity-rooted: an unflipped row keeps its cloud.
+    np.testing.assert_array_equal(clouds[~flip], ds.objects(idx[~flip]))
 
 
 class _DatasetOracle:

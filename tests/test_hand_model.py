@@ -8,6 +8,8 @@ from conftest import icosphere, random_params, random_rotation
 from handpair.errors import ZeroAreaStar
 from handpair.hand_model import (
     _OCC_CHUNK,
+    OMEGA,
+    TAU,
     HandParam,
     compose_root,
     kinematics_vjp,
@@ -22,7 +24,6 @@ from handpair.hand_model import (
 from handpair.mesh import HandMesh, vertex_normals
 from handpair.rotations import (
     IDENTITY_6D,
-    MIRROR_MAT,
     axis_angle_to_matrix,
     axis_angle_vjp,
     matrix_to_rot6d,
@@ -131,6 +132,10 @@ def test_faces_point_outward(hand_model):
 
 # -- mirroring ---------------------------------------------------------------
 
+# The reflection across x = 0, as a matrix: the oracle that mirror's sign
+# flips and negate_x's x-negation must reproduce.
+MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
+
 
 def test_mirror_identity_root_translation_only():
     p = HandParam.from_parts(tau=[0.1, 0.2, 0.3])
@@ -142,24 +147,47 @@ def test_mirror_identity_root_translation_only():
 
 
 def test_mirror_matches_matrix_oracle():
+    # Orthonormal roots and rescaled, non-orthonormal 6D draws alike: the
+    # flipped encoding decodes to T R T, each Gram-Schmidt step a sign change.
+    rng = np.random.default_rng(5)
     ang = np.pi / 2
     R = np.array([
         [np.cos(ang), -np.sin(ang), 0],
         [np.sin(ang), np.cos(ang), 0],
         [0, 0, 1],
     ])
-    p = HandParam.from_parts(omega=matrix_to_rot6d(R))
+    roots = [matrix_to_rot6d(R)] + [random_params(rng).omega for _ in range(100)]
+    roots += list(rng.standard_normal((100, 6)) * rng.uniform(1e-3, 1e3, (100, 1)))
+    p = HandParam(np.tile(HandParam.from_parts().vector, (len(roots), 1)))
+    p.vector[:, OMEGA] = roots
     got = rot6d_to_matrix(mirror(p).omega)
-    expected = MIRROR_MAT @ R @ MIRROR_MAT
-    assert np.abs(got - expected).max() < 1e-8
+    np.testing.assert_array_equal(got, MIRROR_MAT @ rot6d_to_matrix(p.omega) @ MIRROR_MAT)
 
 
 def test_mirror_is_involution():
+    # Bit for bit, and total: degenerate and NaN roots flip like any other.
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        p = random_params(rng)
-        back = mirror(mirror(p))
-        assert np.abs(back.vector - p.vector).max() < 1e-8
+    rows = [random_params(rng).vector for _ in range(100)]
+    rows += list(rng.standard_normal((50, 64)) * rng.uniform(1e-3, 1e3, (50, 1)))
+    for block in (slice(OMEGA.start, OMEGA.start + 3), slice(OMEGA.start + 3, OMEGA.stop),
+                  OMEGA):
+        zero = random_params(rng).vector
+        zero[block] = 0.0
+        rows.append(zero)
+    for entry in (*range(OMEGA.start, OMEGA.stop), TAU.start, 0):
+        nan = random_params(rng).vector
+        nan[entry] = np.nan
+        rows.append(nan)
+    for p in (HandParam(np.stack(rows)), *map(HandParam, rows)):
+        assert mirror(mirror(p)).vector.tobytes() == p.vector.tobytes()
+        assert mirror(p).vector.tobytes() != p.vector.tobytes()
+
+
+def test_a_pinned_hand_is_its_own_mirror():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        p = pin_root(random_params(rng))
+        assert mirror(p).vector.tobytes() == p.vector.tobytes()
 
 
 def test_stacked_algebra_matches_per_row_calls():
@@ -284,7 +312,7 @@ def test_mirror_mesh_commutation(hand_model):
         p = random_params(rng)
         negated = hand_model.posed_mesh(p).vertices @ MIRROR_MAT.T
         mirrored = left_hand_mesh(mirror(p), hand_model).vertices
-        assert np.abs(negated - mirrored).max() < 1e-6
+        np.testing.assert_array_equal(mirrored, negated)
         twice = hand_model.posed_mesh(mirror(mirror(p))).vertices
         assert (mirrored == twice @ MIRROR_MAT.T).all()
 

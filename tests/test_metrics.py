@@ -30,7 +30,9 @@ from handpair.metrics import (
     precision_recall,
 )
 from handpair.pointset import PointSetEncoder
-from handpair.rotations import MIRROR_MAT
+
+# The reflection across x = 0, as a matrix: the reference's left-hand test.
+MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
 
 
 def _ball(center, r):

@@ -22,6 +22,7 @@ from handpair.hand_model import (
     BETA,
     OMEGA,
     TAU,
+    THETA,
     CapsuleHand,
     HandParam,
     default_hand,
@@ -41,6 +42,7 @@ from handpair.sampler import (
     penetration_loss,
     penetration_set,
     sample_pairs,
+    w_pen_at,
 )
 
 
@@ -312,10 +314,35 @@ def test_a_non_finite_anchor_raises(hand_model, bad):
         penetration_set(a.vertices, b)
     x_l, x_r = _overlapping_pair()
     x_l.vector[TAU.start] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         penetration_loss(x_r, x_l, hand_model)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         pair_stats(x_l, x_r, hand_model)
+
+
+class NoPosing:
+    """A hand model that fails any use: proof that nothing was posed."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"posed a hand through model.{name}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("block", [THETA, BETA, OMEGA, TAU], ids=["theta", "beta", "omega", "tau"])
+@pytest.mark.parametrize("hand", ["left", "right"])
+@pytest.mark.parametrize("contact", [
+    lambda x_l, x_r, model: penetration_loss(x_r, x_l, model),
+    lambda x_l, x_r, model: pair_stats(x_l, x_r, model),
+], ids=["penetration_loss", "pair_stats"])
+def test_a_non_finite_hand_raises_before_posing(contact, hand, block, bad, hand_model):
+    # Under the tests' error::RuntimeWarning filter, so posing an inf would
+    # surface as a warning, and posing a NaN would reach the model.
+    x_l, x_r = _overlapping_pair()
+    (x_l if hand == "left" else x_r).vector[block.start] = bad
+    with pytest.raises(ValueError, match="non-finite hand parameters"):
+        contact(x_l, x_r, NoPosing())
+    with pytest.raises(ValueError, match="non-finite hand parameters"):
+        contact(x_l, x_r, hand_model)
 
 
 # -- penetration loss ----------------------------------------------------------
@@ -383,9 +410,9 @@ def test_non_finite_cfg_weight_is_rejected(w):
 
 
 def test_w_pen_schedule():
-    assert SampleConfig().w_pen_at(0) == pytest.approx(4.0)
-    assert SampleConfig().w_pen_at(1) == pytest.approx(3.6)
-    assert SampleConfig().w_pen_at(2) == pytest.approx(3.24)
+    assert w_pen_at(0) == pytest.approx(4.0)
+    assert w_pen_at(1) == pytest.approx(3.6)
+    assert w_pen_at(2) == pytest.approx(3.24)
 
 
 # -- anti-penetration guidance ---------------------------------------------------
@@ -597,7 +624,7 @@ def test_apg_contact_on_fixture_matches_uncut_brute_force(monkeypatch):
     assert touching > 0 and skipped > 0
 
 
-def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
+def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
                              object_embedding, anchor_meshes=None):
     """The reverse pass written in noise space, as an independent reference.
 
@@ -625,12 +652,12 @@ def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config
         x = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
         if anchor_meshes is not None:
             x0_prev = (x - np.sqrt(1.0 - ab_prev) * eps) / np.sqrt(ab_prev)
-            x = x - config.w_pen_at(len(grid) - 1 - k) * apg_gradient(
+            x = x - w_pen_at(len(grid) - 1 - k) * apg_gradient(
                 x0_prev, t_prev, anchor_meshes, sched, model)
     return x
 
 
-def two_call_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, model,
+def two_call_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
                           object_embedding, anchor_meshes=None):
     """The reverse pass with the conditional and unconditional estimates from
     two separate B-row predict calls, as a reference for the stacked call."""
@@ -643,7 +670,7 @@ def two_call_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, config, m
             x0 = cfg_mix(x0, x0_u, w_cfg)
         x = ddim_step(x, x0, t, t_prev, sched)
         if anchor_meshes is not None:
-            x = apg_step(x, x0, t_prev, anchor_meshes, config.w_pen_at(len(grid) - 1 - k),
+            x = apg_step(x, x0, t_prev, anchor_meshes, w_pen_at(len(grid) - 1 - k),
                          sched, model)
     return x
 
@@ -845,6 +872,21 @@ def test_point_mass_oracle_through_cascade(hand_model):
     for i in range(3):
         assert np.abs(result.x_l[i] - expected_l).max() < 1e-5
         assert np.abs(result.x_r[i] - mode.vector).max() < 1e-5
+
+
+def test_object_conditional_anchor_is_pinned_whatever_its_root(hand_model):
+    # No training step supervises a phase-1 root, with an object or without,
+    # so every path pins the anchor: a degenerate root raises nothing.
+    mode = HandParam.from_parts(theta=np.full(45, 0.2), omega=np.zeros(6), tau=[0.13, 0.0, 0.0])
+    oracle = PointMassDenoiser(mode.vector)
+    oracle.config = SimpleNamespace(object_conditional=True)
+    oracle.embed_object = lambda points: np.zeros(8)
+    config = SampleConfig(seed=5, count=3, object_points=np.zeros((16, 3)))
+    result = sample_pairs(oracle, config, make_schedule(256), hand_model)
+    assert (result.x_l[:, OMEGA] == IDENTITY_6D).all()
+    assert (result.x_l[:, TAU] == 0.0).all()
+    np.testing.assert_array_equal(result.x_l[:, :OMEGA.start],
+                                  np.tile(mode.vector[:OMEGA.start], (3, 1)))
 
 
 def test_cascade_reproduces_factored_mode_table(hand_model):
