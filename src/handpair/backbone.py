@@ -20,7 +20,7 @@ from .hand_model import HandParam, default_hand, pair_segments, relative_root
 from .mesh import sample_surface_points
 from .nn import (TAG_BACKBONE_STEP, TAG_INIT, Adam, Linear, network_params, relu_backward,
                  relu_forward, rng_stream)
-from .pointset import PointSetEncoder
+from .pointset import MIN_POINTS, PointSetEncoder
 
 TARGET_DIM = 99
 
@@ -41,6 +41,12 @@ class BackboneConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.n_surface < MIN_POINTS:
+            raise ValueError(f"n_surface must be >= {MIN_POINTS}, got {self.n_surface}")
+        # Below 1, the split's leftover rows go to training first, so at
+        # least one record trains.
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -68,7 +74,7 @@ class FeatureBackbone:
 
     def features(self, clouds, cache=None) -> np.ndarray:
         """Penultimate activations (rectified encoder output), (B, feature_dim)."""
-        enc = self.encoder.forward_batch(self.params, clouds, cache)
+        enc = self.encoder.forward_one(self.params, clouds, cache)
         return relu_forward(enc, "bb.feat_relu", cache)
 
     def predict(self, clouds) -> np.ndarray:
@@ -84,7 +90,7 @@ class FeatureBackbone:
         dpred = (2.0 * err / err.size).astype(pred.dtype, copy=False)
         dfeats = self.reg_head.backward(self.params, grads, dpred, cache)
         dfeats = relu_backward(dfeats, "bb.feat_relu", cache)
-        self.encoder.backward_batch(self.params, grads, dfeats, cache)
+        self.encoder.backward_one(self.params, grads, dfeats, cache)
         opt.step(self.params, grads, lr)
         return loss
 

@@ -140,8 +140,8 @@ class Denoiser:
 
         x_t, cond: (B, 64); drop_mask: (B,) bool or None (none dropped), True routes
         the null token; t: (B,) ints in [1, T]; objects: (B, N, 3) clouds for object models.
-        object_embedding: (B, d) precomputed tokens for a fixed cloud
-        (inference fast path; backward requires raw clouds).
+        object_embedding: precomputed tokens (d,) or (B, d) of a fixed cloud, broadcast
+        to the rows (inference fast path; backward requires raw clouds).
         """
         params = self.params
         dtype = params["null_token"].dtype
@@ -165,9 +165,9 @@ class Denoiser:
         toks = [ex, ec, et]
         if self.obj_encoder is not None:
             if object_embedding is not None:
-                toks.append(np.asarray(object_embedding, dtype=dtype).reshape(B, self.d_token))
+                toks.append(np.broadcast_to(object_embedding, (B, self.d_token)).astype(dtype))
             else:
-                toks.append(self.obj_encoder.forward_batch(params, objects, cache))
+                toks.append(self.obj_encoder.forward_one(params, objects, cache))
         x = np.stack(toks, axis=1)                      # (B, S, d)
         for i, block in enumerate(self.blocks):
             x = block.forward(params, x, cache, rng)
@@ -228,7 +228,7 @@ class Denoiser:
         d_ec, d_et = d_skip[:, :d], d_skip[:, d:2 * d]
         part = {}
         if self.obj_encoder is not None and self.obj_encoder.name in cache:
-            self.obj_encoder.backward_batch(params, part, d_skip[:, 2 * d:], cache)
+            self.obj_encoder.backward_one(params, part, d_skip[:, 2 * d:], cache)
         # Null-token substitution: dropped rows feed the token, kept rows the MLP.
         accumulate(part, "null_token", d_ec[drop_mask].sum(axis=0))
         d_ec_raw = np.where(drop_mask[:, None], 0.0, d_ec)

@@ -104,6 +104,8 @@ class TrainConfig:
             raise ValueError(f"p_uncond must be in [0,1], got {self.p_uncond}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -160,11 +162,9 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
     if n == 0:
         raise EmptyDataset("training requires at least one pair")
     sched = config.schedule()
-    trainable = hasattr(denoiser, "backward")
-    opt = denoiser.new_optimizer() if trainable else None
+    opt = denoiser.new_optimizer()
     steps_per_epoch = max(1, n // config.batch_size)
     batch = min(config.batch_size, n)
-    has_objects = getattr(dataset, "has_objects", False)
 
     result = TrainResult()
     dropped = 0
@@ -182,7 +182,7 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             eps = rng.standard_normal((batch, DIM))
 
             targets, conds = assemble_batch(dataset, idx, flip)
-            objects = assemble_objects(dataset, idx, flip) if has_objects else None
+            objects = assemble_objects(dataset, idx, flip) if dataset.has_objects else None
             x_t = forward_diffuse(targets, t, eps, sched)
             # A dropped row's target root is relative to a condition the
             # network does not see, so the loss skips that block.
@@ -196,11 +196,10 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
                     f"step {step}: non-finite loss on records {np.unique(idx)[:16].tolist()}")
-            if trainable:
-                # Each part's weights step as soon as its gradient is final,
-                # so one part's gradients are alive at a time, not the whole net's.
-                denoiser.backward(2.0 * mask * (pred - targets) / denom, cache,
-                                  lambda part: opt.step(denoiser.params, part, lr))
+            # Each part's weights step as soon as its gradient is final,
+            # so one part's gradients are alive at a time, not the whole net's.
+            denoiser.backward(2.0 * mask * (pred - targets) / denom, cache,
+                              lambda part: opt.step(denoiser.params, part, lr))
 
             losses.append(loss)
             dropped += int(drop.sum())

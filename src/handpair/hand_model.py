@@ -17,13 +17,13 @@ cached k-d tree, the anchor of contact; this module builds every HandMesh)
 and occupancy, which serves one pair's voxel grid in bounded memory. These
 are model methods; the module-level ones are kinematics_vjp, through which
 APG reaches model.vjp, and the left-hand mirror convention, hand first and
-model second: left_hand_mesh(x_l, model), pair_occupancy (for volumes),
+model second: left_hand_mesh(x_l, model), left_segments (for volumes),
 pair_meshes and pair_segments (for clouds).
 
 Canonical single-hand space is the right hand; a left hand is stored as the
 parameter vector whose mirror() image is the equivalent right-hand vector:
 the reflection is four sign flips in parameter space, and one x-negation,
-negate_x, in world space (left_hand_mesh, _left_segments; faces flip too).
+negate_x, in world space (left_hand_mesh, left_segments; faces flip too).
 
 The hand is CapsuleHand: 16 joints, one capsule per bone, analytic
 occupancy, watertight per component. Its joints are in finger-major order:
@@ -560,25 +560,11 @@ def left_hand_mesh(params_left: HandParam, model) -> HandMesh:
     return mesh
 
 
-def _left_segments(params_left: HandParam, model):
+def left_segments(params_left: HandParam, model):
     """World capsule segments of a left hand: its mirror image's
     posed_segments with x negated."""
     e0, e1, rads = model.posed_segments(mirror(params_left))
     return negate_x(e0), negate_x(e1), rads
-
-
-def pair_occupancy(x_l: HandParam, x_r: HandParam, model):
-    """(left test, right test, left boxes, right boxes) of a stored pair.
-
-    The tests map (N,3) points to (N,) bools through model.occupancy on
-    each hand's world capsules, the left hand's from _left_segments; the
-    boxes are their capsule_boxes, so every point a test accepts lies in one
-    of its hand's boxes. Each hand is posed once, here, however many times
-    the tests are called."""
-    left, right = _left_segments(x_l, model), model.posed_segments(x_r)
-    return (lambda points: model.occupancy(left, points),
-            lambda points: model.occupancy(right, points),
-            capsule_boxes(*left), capsule_boxes(*right))
 
 
 def pair_meshes(x_l: HandParam, x_r: HandParam, model):
@@ -589,6 +575,6 @@ def pair_meshes(x_l: HandParam, x_r: HandParam, model):
 def pair_segments(x_l: HandParam, x_r: HandParam, model):
     """Capsule endpoints (..., 2 * bones, 3) twice and radii (..., 2 * bones) of a
     pair or stack of pairs: the left hand's first, mirrored as in left_hand_mesh."""
-    (l0, l1, l_rad), (r0, r1, r_rad) = _left_segments(x_l, model), model.posed_segments(x_r)
+    (l0, l1, l_rad), (r0, r1, r_rad) = left_segments(x_l, model), model.posed_segments(x_r)
     return (np.concatenate([l0, r0], axis=-2), np.concatenate([l1, r1], axis=-2),
             np.concatenate([l_rad, r_rad], -1))

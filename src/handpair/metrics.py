@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from . import hand_model, sampler
 from .checkpoint import checksum
-from .hand_model import HandParam, default_hand, pair_occupancy, pair_segments
+from .hand_model import HandParam, capsule_boxes, default_hand, pair_segments
 from .mesh import sample_surface_points
 from .nn import TAG_METRIC, rng_stream
 
@@ -152,25 +152,22 @@ def _check_grid(grid: float) -> None:
         raise ValueError(f"grid must be finite and > 0, got {grid}")
 
 
-def penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid: float = 1e-3) -> float:
-    """Shared volume in mm^3 on a world-origin-aligned grid of cell centers.
-
-    occ_a/occ_b: callables (N,3)->bool. boxes_a/boxes_b: pairs (lo, hi) of
-    (K, 3) axis-aligned boxes, one per part of the shape; a pair of (3,)
-    arrays is one box (K = 1). The contract: every point that occ_a accepts
-    lies in some box of boxes_a, and likewise for B. So a cell counts only
-    where an A box meets a B box, and only the cells whose centers lie
-    within half a cell of such an intersection are tested, once each
-    however many intersections hold them; the half cell absorbs the
-    rounding of the centers. Boxes that do not meet short-circuit to 0.
-    The cells are counted in blocks of at most VOLUME_BLOCK: occ_a is
-    called once per block, and occ_b once per block on the cells inside A.
-    Memory is bounded by a block and one byte per cell of the tested
-    cells' bounding box. Raises ValueError unless grid is finite and > 0.
+def penetration_volume(segments_a, segments_b, model, grid: float = 1e-3) -> float:
+    """Shared volume in mm^3 of two world capsule sets (e0, e1, radii), as
+    posed_segments returns them, on a world-origin-aligned grid of cell
+    centers. model.occupancy tests the cells, and every point it accepts
+    lies in its capsule's capsule_boxes box. So a cell counts only where an
+    A box meets a B box, and only the cells whose centers lie within half a
+    cell of such an intersection are tested, once each however many
+    intersections hold them; the half cell absorbs the rounding of the
+    centers. Boxes that do not meet short-circuit to 0. The cells are
+    counted in blocks of at most VOLUME_BLOCK: each block is tested against
+    A, then A's hits against B. Memory is bounded by a block and one byte
+    per cell of the tested cells' bounding box. Raises ValueError unless
+    grid is finite and > 0.
     """
     _check_grid(grid)
-    (lo_a, hi_a), (lo_b, hi_b) = ((np.atleast_2d(lo), np.atleast_2d(hi))
-                                  for lo, hi in (boxes_a, boxes_b))
+    (lo_a, hi_a), (lo_b, hi_b) = capsule_boxes(*segments_a), capsule_boxes(*segments_b)
     lo = np.maximum(lo_a[:, None], lo_b[None])      # (Ka, Kb, 3) intersections
     hi = np.minimum(hi_a[:, None], hi_b[None])
     meet = (lo <= hi).all(axis=-1)
@@ -189,7 +186,8 @@ def penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid: float = 1e-3) -> fl
     for start in range(0, len(cells), VOLUME_BLOCK):
         ijk = np.unravel_index(cells[start:start + VOLUME_BLOCK], tested.shape)
         block = (np.stack(ijk, axis=1) + base + 0.5) * grid
-        count += int(occ_b(block[occ_a(block)]).sum())
+        inside_a = block[model.occupancy(segments_a, block)]
+        count += int(model.occupancy(segments_b, inside_a).sum())
     return count * (grid * 1000.0) ** 3
 
 
@@ -221,7 +219,8 @@ def pair_stats(x_l: HandParam, x_r: HandParam, model=None, grid: float = 1e-3):
     penetrating = pen_dist > 0.0
     vol = 0.0
     if penetrating:
-        vol = penetration_volume(*pair_occupancy(x_l, x_r, model), grid)
+        vol = penetration_volume(hand_model.left_segments(x_l, model),
+                                 model.posed_segments(x_r), model, grid)
     return vol, pen_dist, contact.min_distance, penetrating
 
 
@@ -308,7 +307,7 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     _check_grid(grid)
     model = model or default_hand()
     groups = {None: (slice(None), slice(None))}
-    if getattr(reference, "categories", None) and getattr(generated, "categories", None):
+    if reference.categories and generated.categories:
         ref_labels, gen_labels = np.array(reference.categories), np.array(generated.categories)
         groups = {cat: (ref_labels == cat, gen_labels == cat)
                   for cat in sorted(set(generated.categories))}

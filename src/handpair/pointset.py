@@ -162,41 +162,40 @@ class PointSetEncoder:
         self.sa2.init(params, rng)
         self.head.init(params, rng)
 
-    def forward_one(self, params, cloud, cache=None):
-        cloud = np.asarray(cloud, dtype=float)
-        if cloud.ndim != 2 or cloud.shape[1] != 3:
-            raise ShapeMismatch(f"expected (N,3) cloud, got {cloud.shape}")
-        if len(cloud) < MIN_POINTS:
-            raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(cloud)}")
-        if not np.isfinite(cloud).all():
+    def forward_one(self, params, clouds, cache=None):
+        """Embeddings (..., out_dim) of clouds (..., N, 3), one cloud at a time:
+        each cloud's levels and head run on that cloud alone, so a stack
+        embeds bit for bit as its clouds one by one. With cache,
+        cache[self.name] holds one dict per cloud, in stack order."""
+        clouds = np.asarray(clouds, dtype=float)
+        if clouds.ndim < 2 or clouds.shape[-1] != 3:
+            raise ShapeMismatch(f"expected (..., N, 3) clouds, got {clouds.shape}")
+        if clouds.shape[-2] < MIN_POINTS:
+            raise TooFewPoints(f"need at least {MIN_POINTS} points, got {clouds.shape[-2]}")
+        if not np.isfinite(clouds).all():
             raise ValueError("non-finite points in cloud")
-        xyz1, f1 = self.sa1.forward(params, cloud, None, cache)
-        xyz2, f2 = self.sa2.forward(params, xyz1, f1, cache)
-        arg = f2.argmax(axis=0)
-        pooled = f2[arg, np.arange(f2.shape[1])]
-        if cache is not None:
-            cache[self.name + ".gpool"] = (arg, f2.shape, len(xyz1), len(cloud))
-        return self.head.forward(params, pooled[None, :], cache)[0]
-
-    def backward_one(self, params, grads, dout, cache) -> None:
-        dpooled = self.head.backward(params, grads, dout[None, :], cache)[0]
-        arg, f2_shape, n1, n0 = cache[self.name + ".gpool"]
-        df2 = np.zeros(f2_shape, dpooled.dtype)
-        df2[arg, np.arange(f2_shape[1])] = dpooled
-        df1 = self.sa2.backward(params, grads, df2, cache, n1)
-        self.sa1.backward(params, grads, df1, cache, n0)
-
-    def forward_batch(self, params, clouds, cache=None):
-        """(B, out_dim) embeddings; per-cloud caches go under cache[self.name]."""
-        per_cloud = [{} if cache is not None else None for _ in clouds]
-        out = np.empty((len(clouds), self.out_dim), params[self.head.name + ".W"].dtype)
-        for i, (cloud, one) in enumerate(zip(clouds, per_cloud)):
-            out[i] = self.forward_one(params, cloud, one)
+        flat = clouds.reshape(-1, *clouds.shape[-2:])
+        per_cloud = [{} if cache is not None else None for _ in flat]
+        out = np.empty((len(flat), self.out_dim), params[self.head.name + ".W"].dtype)
+        for i, (cloud, one) in enumerate(zip(flat, per_cloud)):
+            xyz1, f1 = self.sa1.forward(params, cloud, None, one)
+            _, f2 = self.sa2.forward(params, xyz1, f1, one)
+            arg = f2.argmax(axis=0)
+            if one is not None:
+                one[self.name + ".gpool"] = (arg, f2.shape, len(xyz1), len(cloud))
+            out[i] = self.head.forward(params, f2[arg, np.arange(f2.shape[1])][None, :], one)[0]
         if cache is not None:
             cache[self.name] = per_cloud
-        return out
+        return out.reshape(*clouds.shape[:-2], self.out_dim)
 
-    def backward_batch(self, params, grads, dout, cache) -> None:
-        """Accumulates grads cloud by cloud for a forward_batch made with cache."""
-        for i, one in enumerate(cache[self.name]):
-            self.backward_one(params, grads, dout[i], one)
+    def backward_one(self, params, grads, dout, cache) -> None:
+        """Accumulates grads, cloud by cloud in stack order, for a forward_one
+        made with cache; dout is (..., out_dim), the shape it returned."""
+        per_cloud = cache[self.name]
+        for d, one in zip(np.reshape(dout, (len(per_cloud), self.out_dim)), per_cloud):
+            dpooled = self.head.backward(params, grads, d[None, :], one)[0]
+            arg, f2_shape, n1, n0 = one[self.name + ".gpool"]
+            df2 = np.zeros(f2_shape, dpooled.dtype)
+            df2[arg, np.arange(f2_shape[1])] = dpooled
+            df1 = self.sa2.backward(params, grads, df2, one, n1)
+            self.sa1.backward(params, grads, df1, one, n0)

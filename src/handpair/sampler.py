@@ -216,9 +216,9 @@ def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
     drop mask, mixed with the unconditional estimate at CFG weight w_cfg.
 
     With w_cfg != 0 each step is one predict on 2B stacked rows: x twice,
-    cond over zeros, drop over an all-dropped mask (the null token replaces
-    those zeros), and the object token tiled once per pass. Its first B
-    rows are the conditional estimates and its last B the unconditional.
+    cond over zeros and drop over an all-dropped mask (the null token
+    replaces those zeros); the one object token serves every row. Its first
+    B rows are the conditional estimates and its last B the unconditional.
     With w_cfg == 0 each step predicts the B rows alone.
     """
     B = len(x)
@@ -226,8 +226,6 @@ def _reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
     if guided:
         cond = np.concatenate([cond, np.zeros_like(cond)])
         drop = np.concatenate([drop, np.ones(B, dtype=bool)])
-        if object_embedding is not None:
-            object_embedding = np.tile(object_embedding, (2, 1))
     for si, (t, t_prev) in enumerate(grid):
         x0 = denoiser.predict(np.tile(x, (2, 1)) if guided else x, cond, drop,
                               np.full(len(cond), t), object_embedding=object_embedding)
@@ -252,10 +250,10 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
         noise[:, i] = rng_stream(config.seed, TAG_SAMPLE + i).standard_normal((2, DIM))
 
     object_embedding = None
-    if getattr(denoiser, "config", None) is not None and denoiser.config.object_conditional:
+    if denoiser.config.object_conditional:
         if config.object_points is None:
             raise MissingObject("object-conditional sampling needs object_points")
-        object_embedding = np.tile(denoiser.embed_object(config.object_points), (B, 1))
+        object_embedding = denoiser.embed_object(config.object_points)
     elif config.object_points is not None:
         raise ValueError("object_points given to a denoiser without an object branch")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from handpair.denoiser import DenoiserConfig
 from handpair.hand_model import HandParam
 from handpair.rotations import matrix_to_rot6d
 
@@ -114,10 +115,22 @@ def hand_model():
     return default_hand()
 
 
-class PointMassDenoiser:
-    """Oracle that always predicts one fixed clean vector."""
+class FixedDenoiser:
+    """What train and sample_pairs read of a denoiser besides predict, for a
+    fake with no weights: a config without an object branch, an optimizer
+    and a backward that hands no part to step."""
 
-    config = None
+    config = DenoiserConfig()
+
+    def new_optimizer(self):
+        return None
+
+    def backward(self, dout, cache, sink) -> None:
+        pass
+
+
+class PointMassDenoiser(FixedDenoiser):
+    """Oracle that always predicts one fixed clean vector."""
 
     def __init__(self, x0):
         self.x0 = np.asarray(x0, dtype=float)
@@ -126,7 +139,7 @@ class PointMassDenoiser:
         return np.tile(self.x0, (len(np.atleast_2d(x_t)), 1))
 
 
-class NearestModeDenoiser:
+class NearestModeDenoiser(FixedDenoiser):
     """Oracle encoding a factored two-mode distribution.
 
     Row by row: a dropped row snaps to the nearest anchor mode; a
@@ -134,8 +147,6 @@ class NearestModeDenoiser:
     the nearest of that anchor's partner modes. A mixed drop mask, as a
     guided step's stacked call sends, answers each row as its own call would.
     """
-
-    config = None
 
     def __init__(self, anchor_modes, partner_modes):
         self.anchor_modes = np.asarray(anchor_modes, dtype=float)   # (A, 64)

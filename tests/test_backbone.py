@@ -3,9 +3,10 @@ import pytest
 
 from handpair.backbone import BackboneConfig, FeatureBackbone, regression_target, train_backbone
 from handpair.checkpoint import checksum
-from handpair.data import generate_synthetic, two_mode_spec
+from handpair.data import generate_synthetic, split_indices, two_mode_spec
 from handpair.hand_model import pair_segments
 from handpair.mesh import sample_surface_points
+from handpair.pointset import MIN_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +85,30 @@ def test_train_step_gradients_match_central_differences(dataset, hand_model):
 
 
 # Before the checks, batch_size 0 and feature_dim 0 raised ZeroDivisionError
-# inside train_backbone and a NaN lr trained to NaN weights.
+# inside train_backbone and a NaN lr trained to NaN weights; val_fraction 1.0
+# split 8 records [0, 8, 0], so every step trained on 0 rows to a NaN loss
+# and the weights never moved; and n_surface 8 raised TooFewPoints only
+# after every cloud had been drawn.
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("feature_dim", 0), ("epochs", -1),
     ("lr", 0.0), ("lr", -1e-3), ("lr", np.nan), ("lr", np.inf),
+    ("val_fraction", 1.0), ("val_fraction", -0.1), ("val_fraction", np.nan),
+    ("n_surface", MIN_POINTS - 1),
 ])
 def test_config_rejects_a_value_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=field):
         BackboneConfig(**{field: value})
+
+
+def test_every_val_fraction_below_one_trains_on_some_rows(dataset):
+    # The split's leftover rows go to training first, so any fraction below
+    # 1 leaves a training row, and training moves the validation loss.
+    BackboneConfig(val_fraction=0.0, n_surface=MIN_POINTS)
+    for n in range(1, 40):
+        for f in (0.15, 0.5, 0.9, 0.99, np.nextafter(1.0, 0.0)):
+            train_idx, val_idx, _ = split_indices(n, (1.0 - f, f, 0.0))
+            assert len(train_idx) >= 1 and len(train_idx) + len(val_idx) == n, (n, f)
+    config = BackboneConfig(feature_dim=16, n_surface=64, epochs=2, batch_size=4,
+                            val_fraction=0.99)
+    curve = train_backbone(dataset.subset(np.arange(8)), config).val_loss_curve
+    assert np.isfinite(curve).all() and curve[0] != curve[-1]

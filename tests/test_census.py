@@ -8,8 +8,9 @@ HandMesh (contact's anchors; the moving hand reaches contact as points), and
 no module in src/ names a reflection matrix, MIRROR_MAT (a left hand is
 hand_model.mirror's four sign flips of a hand vector and hand_model.negate_x's
 one x-negation of world points). Every stream tag in nn is read by another
-module, every network holds float32 weights only, and no module reads
-another package module's underscore name.
+module, every network holds float32 weights only, no module reads another
+package module's underscore name, and no module asks whether an input has
+an attribute: no hasattr(...) call and no getattr(...) with a default.
 
 A field that no call site ever sets is a constant with extra ways to go
 wrong; it belongs in its module as a named constant instead. An error class
@@ -18,7 +19,10 @@ generator, hash, mesh builder or mirror is a second copy of a rule, free to
 drift from the first. A tag that nothing reads keys a stream that nothing
 draws. A network in another dtype would not round-trip bit for bit, and its
 checksum would not name its weights. A private name read from outside its
-module is a rule with a second owner that its own module cannot see.
+module is a rule with a second owner that its own module cannot see. A
+branch on whether an attribute exists serves an input without it, such as
+a test double, and runs no path that real inputs take; a double carries
+the interface instead.
 """
 
 import ast
@@ -159,6 +163,15 @@ def test_no_module_reads_another_modules_private_name():
                     and node.value.id in siblings and private(node.attr):
                 reads.add((module, f"{node.value.id}.{node.attr}"))
     assert not reads, sorted(reads)
+
+
+def test_no_module_probes_an_input_for_an_attribute():
+    probes = sorted((module, call.lineno) for module, tree in _modules()
+                    for _, call in _calls_by_function(tree)
+                    if isinstance(call.func, ast.Name)
+                    and (call.func.id == "hasattr"
+                         or (call.func.id == "getattr" and len(call.args) == 3)))
+    assert not probes, probes
 
 
 def test_stream_tags_are_distinct():

@@ -250,6 +250,21 @@ def test_embed_object_rejects_a_cloud_that_is_not_xyz():
         den.embed_object(np.zeros((64, 2)))
 
 
+def test_one_object_token_predicts_as_the_token_tiled_per_row():
+    # sample_pairs passes embed_object's one (d,) token as it is; predict
+    # broadcasts it to the rows, bit for bit as the tiled (B, d) tokens.
+    den = Denoiser(DenoiserConfig("small", object_conditional=True), seed=4)
+    rng = np.random.default_rng(7)
+    token = den.embed_object(rng.normal(scale=0.04, size=(64, 3)))
+    assert token.shape == (den.d_token,)
+    for B in (1, 3, 16):
+        batch = _batch(rng, min(B, 3))
+        x_t, cond, drop, t = (np.resize(part, (B, *np.shape(part)[1:])) for part in batch)
+        one = den.predict(x_t, cond, drop, t, object_embedding=token)
+        tiled = den.predict(x_t, cond, drop, t, object_embedding=np.tile(token, (B, 1)))
+        assert one.tobytes() == tiled.tobytes(), B
+
+
 def test_paper_profile_builds_and_runs():
     den = Denoiser(DenoiserConfig("paper"), seed=0)
     rng = np.random.default_rng(8)

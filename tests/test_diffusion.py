@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PointMassDenoiser, random_params
+from conftest import FixedDenoiser, PointMassDenoiser, random_params
 from handpair.data import Dataset, generate_synthetic, two_mode_spec
 from handpair.denoiser import Denoiser, DenoiserConfig
 from handpair.diffusion import (
@@ -191,9 +191,7 @@ def tiny_dataset():
     return generate_synthetic(two_mode_spec(count=96, seed=11))
 
 
-class _SpyDenoiser:
-    config = None
-
+class _SpyDenoiser(FixedDenoiser):
     def __init__(self):
         self.drop_masks = []
 
@@ -258,10 +256,8 @@ def test_object_clouds_ride_into_the_condition_frame(hand_model):
     np.testing.assert_array_equal(clouds[~flip], ds.objects(idx[~flip]))
 
 
-class _DatasetOracle:
+class _DatasetOracle(FixedDenoiser):
     """Returns the exact training target implied by the condition vector."""
-
-    config = None
 
     def __init__(self, dataset):
         pairs = {}
@@ -323,6 +319,15 @@ def test_batch_size_below_one_is_rejected(batch_size):
     TrainConfig(batch_size=1)
 
 
+def test_negative_epochs_are_rejected(tiny_dataset):
+    # Before the check, epochs=-1 trained 0 steps and returned empty
+    # epoch_losses without an error.
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-1)
+    result = train(tiny_dataset, _SpyDenoiser(), TrainConfig(epochs=0))
+    assert (result.steps, result.epoch_losses) == (0, [])
+
+
 @pytest.mark.parametrize("lr", [0.0, -2e-4, np.nan, np.inf])
 def test_lr_that_is_not_finite_and_positive_is_rejected(lr):
     with pytest.raises(ValueError, match="lr"):
@@ -330,9 +335,7 @@ def test_lr_that_is_not_finite_and_positive_is_rejected(lr):
 
 
 def test_non_finite_loss_aborts(tiny_dataset):
-    class NaNDenoiser:
-        config = None
-
+    class NaNDenoiser(FixedDenoiser):
         def predict(self, x_t, *a, **kw):
             return np.full_like(np.atleast_2d(x_t), np.nan)
 

@@ -11,11 +11,12 @@ from handpair.hand_model import (
     OMEGA,
     TAU,
     HandParam,
+    capsule_boxes,
     compose_root,
     kinematics_vjp,
     left_hand_mesh,
+    left_segments,
     mirror,
-    pair_occupancy,
     pair_segments,
     pin_root,
     relative_root,
@@ -479,11 +480,11 @@ def test_occupancy_left_is_mirrored_volume(hand_model):
     p = random_params(rng)
     pts = rng.uniform(-0.2, 0.2, size=(500, 3))
     right = hand_model.occupancy(hand_model.posed_segments(mirror(p)), pts @ MIRROR_MAT.T)
-    np.testing.assert_array_equal(pair_occupancy(p, p, hand_model)[0](pts), right)
+    np.testing.assert_array_equal(hand_model.occupancy(left_segments(p, hand_model), pts), right)
 
 
 def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
-    # The left test negates x of the capsules instead of multiplying the
+    # left_segments negates x of the capsules instead of multiplying the
     # points by MIRROR_MAT. The two may disagree on the sign of a zero
     # coordinate, never on a verdict.
     rng = np.random.default_rng(5)
@@ -493,8 +494,9 @@ def test_left_occupancy_negates_x_with_the_matmul_verdicts(hand_model):
     pts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
     expected = hand_model.occupancy(hand_model.posed_segments(mirror(p)), pts @ MIRROR_MAT.T)
     assert expected[zero.any(axis=1)].sum() > 100
-    left, _, (lo, hi), _ = pair_occupancy(p, p, hand_model)
-    np.testing.assert_array_equal(left(pts), expected)
+    left = left_segments(p, hand_model)
+    lo, hi = capsule_boxes(*left)
+    np.testing.assert_array_equal(hand_model.occupancy(left, pts), expected)
     # Every accepted point lies in a world box of the left hand's capsules.
     inside = pts[expected]
     assert ((inside[:, None] >= lo) & (inside[:, None] <= hi)).all(axis=2).any(axis=1).all()

@@ -16,7 +16,7 @@ from handpair import mesh, metrics, pointset, sampler
 from handpair.backbone import BackboneConfig, FeatureBackbone
 from handpair.checkpoint import checksum, load_backbone, save_backbone
 from handpair.data import Dataset, generate_synthetic, overlapping_spec, two_mode_spec
-from handpair.hand_model import CapsuleHand, mirror, pair_meshes, pair_segments
+from handpair.hand_model import CapsuleHand, capsule_boxes, mirror, pair_meshes, pair_segments
 from handpair.metrics import (
     PR_K,
     DegenerateCovariance,
@@ -35,38 +35,38 @@ from handpair.pointset import PointSetEncoder
 MIRROR_MAT = np.diag([-1.0, 1.0, 1.0])
 
 
-def _ball(center, r):
-    center = np.asarray(center, dtype=float)
-    return (lambda pts: np.linalg.norm(pts - center, axis=1) <= r,
-            (center - r, center + r))
+def _balls(centers, r):
+    """A union of balls as capsule segments (e0, e1, radii): a capsule of
+    zero length, e0 == e1, is a ball, and occupancy tests it as one."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return centers, centers.copy(), np.full(len(centers), r)
 
 
 @pytest.mark.parametrize("d", [0.01, 0.03, 0.05])
-def test_penetration_volume_matches_sphere_lens(d):
+def test_penetration_volume_matches_sphere_lens(hand_model, d):
     r = 0.03
-    occ_a, box_a = _ball([0.001, -0.002, 0.0005], r)
-    occ_b, box_b = _ball([0.001 + d, -0.002, 0.0005], r)
-    got = penetration_volume(occ_a, occ_b, box_a, box_b, grid=1e-3)
+    a = _balls([0.001, -0.002, 0.0005], r)
+    b = _balls([0.001 + d, -0.002, 0.0005], r)
+    got = penetration_volume(a, b, hand_model, grid=1e-3)
     r_mm, d_mm = r * 1e3, d * 1e3
     lens = np.pi * (4 * r_mm + d_mm) * (2 * r_mm - d_mm) ** 2 / 12.0
     assert got == pytest.approx(lens, rel=0.01)
 
 
-def test_penetration_volume_disjoint_boxes_is_zero():
-    occ_a, box_a = _ball([0.0, 0.0, 0.0], 0.01)
-    occ_b, box_b = _ball([0.05, 0.0, 0.0], 0.01)
-    assert penetration_volume(occ_a, occ_b, box_a, box_b) == 0.0
+def test_penetration_volume_disjoint_boxes_is_zero(hand_model, monkeypatch):
+    monkeypatch.setattr(CapsuleHand, "occupancy", lambda *args: pytest.fail("tested a cell"))
+    a, b = _balls([0.0, 0.0, 0.0], 0.01), _balls([0.05, 0.0, 0.0], 0.01)
+    assert penetration_volume(a, b, hand_model) == 0.0
 
 
 @pytest.mark.parametrize("grid", [0.0, -2e-3, np.nan, np.inf])
 def test_penetration_volume_rejects_a_grid_that_is_not_finite_and_positive(hand_model, grid):
     # Before the check, pair 0 of overlapping_spec(count=6, seed=2), 3,488 mm^3
     # at 2 mm, read 0.0 at grid 0, -0.0 at -2 mm and nan at nan.
-    occ_a, box_a = _ball([0.0, 0.0, 0.0], 0.03)
-    occ_b, box_b = _ball([0.03, 0.0, 0.0], 0.03)
-    assert penetration_volume(occ_a, occ_b, box_a, box_b, grid=2e-3) > 0.0
+    a, b = _balls([0.0, 0.0, 0.0], 0.03), _balls([0.03, 0.0, 0.0], 0.03)
+    assert penetration_volume(a, b, hand_model, grid=2e-3) > 0.0
     with pytest.raises(ValueError, match="grid"):
-        penetration_volume(occ_a, occ_b, box_a, box_b, grid=grid)
+        penetration_volume(a, b, hand_model, grid=grid)
     pair = generate_synthetic(overlapping_spec(count=6, seed=2)).pair(0)
     assert pair_stats(*pair, hand_model, 2e-3)[0] > 0.0
     with pytest.raises(ValueError, match="grid"):
@@ -147,41 +147,37 @@ def test_pair_stats_volume_equals_zplane_reference(hand_model, overlapping_pairs
     assert checked >= 4
 
 
-def _balls(centers, r):
-    """A union of balls: its occupancy test and its (K, 3) boxes."""
-    centers = np.asarray(centers, dtype=float)
-    return (lambda pts: (np.linalg.norm(pts[:, None] - centers, axis=2) <= r).any(axis=1),
-            (centers - r, centers + r))
-
-
-def test_penetration_volume_of_two_ball_unions_equals_a_dense_count():
+def test_penetration_volume_of_two_ball_unions_equals_a_dense_count(hand_model):
     # Each shape is two balls (K = 2), and each ball of A meets one ball of B
     # in its own region, so a cull that drops either box pair loses a lens.
-    occ_a, boxes_a = _balls([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], 0.02)
-    occ_b, boxes_b = _balls([[0.025, 0.003, 0.0], [0.1, 0.03, 0.001]], 0.02)
+    # The dense count walks the whole hull of each shape's boxes.
+    a = _balls([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], 0.02)
+    b = _balls([[0.025, 0.003, 0.0], [0.1, 0.03, 0.001]], 0.02)
+    hulls = [(lo.min(axis=0), hi.max(axis=0)) for lo, hi in (capsule_boxes(*a),
+                                                             capsule_boxes(*b))]
     for grid in (1e-3, 2e-3):
-        got = penetration_volume(occ_a, occ_b, boxes_a, boxes_b, grid)
-        dense = _zplane_volume(occ_a, occ_b, *((lo.min(axis=0), hi.max(axis=0))
-                                               for lo, hi in (boxes_a, boxes_b)), grid)
-        first_lens = penetration_volume(occ_a, occ_b, (boxes_a[0][:1], boxes_a[1][:1]),
-                                        (boxes_b[0][:1], boxes_b[1][:1]), grid)
+        got = penetration_volume(a, b, hand_model, grid)
+        dense = _zplane_volume(lambda pts: hand_model.occupancy(a, pts),
+                               lambda pts: hand_model.occupancy(b, pts), *hulls, grid)
+        first_lens = penetration_volume(tuple(x[:1] for x in a), tuple(x[:1] for x in b),
+                                        hand_model, grid)
         assert got == dense and 0.0 < first_lens < got
 
 
 def test_penetration_volume_tests_a_tenth_of_the_vertex_box_grid(hand_model, overlapping_pairs,
                                                                 monkeypatch):
-    # Counts, not times: the cells handed to occ_a at 1 mm against the padded
-    # grid of the two hands' vertex boxes, which every cell used to be tested on.
+    # Counts, not times: the cells handed to the first occupancy call of each
+    # block (the left hand's) at 1 mm, against the padded grid of the two
+    # hands' vertex boxes, which every cell used to be tested on. Only
+    # penetration_volume tests occupancy, and it calls A then B per block.
     tested = []
-    original = metrics.penetration_volume
+    original = CapsuleHand.occupancy
 
-    def counting(occ_a, *args):
-        def occ(points):
-            tested.append(len(points))
-            return occ_a(points)
-        return original(occ, *args)
+    def counting(self, segments, points):
+        tested.append(len(points))
+        return original(self, segments, points)
 
-    monkeypatch.setattr(metrics, "penetration_volume", counting)
+    monkeypatch.setattr(CapsuleHand, "occupancy", counting)
     grid, padded = 1e-3, 0
     for pair in overlapping_pairs:
         if not pair_stats(*pair, hand_model, grid)[3]:
@@ -190,8 +186,8 @@ def test_penetration_volume_tests_a_tenth_of_the_vertex_box_grid(hand_model, ove
         lo = np.maximum(mesh_l.vertices.min(axis=0), mesh_r.vertices.min(axis=0)) - grid
         hi = np.minimum(mesh_l.vertices.max(axis=0), mesh_r.vertices.max(axis=0)) + grid
         padded += np.prod(np.ceil(hi / grid).astype(int) - np.floor(lo / grid).astype(int))
-    assert padded > 10**6
-    assert sum(tested) <= 0.1 * padded, sum(tested) / padded
+    assert padded > 10**6 and len(tested) % 2 == 0
+    assert sum(tested[::2]) <= 0.1 * padded, sum(tested[::2]) / padded
 
 
 def test_pair_stats_volume_memory_is_bounded_by_a_block(hand_model, overlapping_pairs):
@@ -313,16 +309,28 @@ def test_precision_recall_counts_on_overlapping_lines(gen_shift, expected):
     assert precision_recall(real, real + np.array(gen_shift)) == expected
 
 
-def test_penetration_volume_calls_each_occupancy_once():
+def test_penetration_volume_calls_each_occupancy_once(hand_model, monkeypatch):
+    # Two occupancy calls per block: A's on the block's cells, then B's on
+    # A's hits alone. A 1 mm cell is 1 mm^3, so the volume is B's hit count.
     calls = []
+    original = CapsuleHand.occupancy
 
-    def occ(pts):
-        calls.append(len(pts))
-        return np.ones(len(pts), dtype=bool)
+    def counting(self, segments, points):
+        inside = original(self, segments, points)
+        calls.append((segments, points, inside))
+        return inside
 
-    box = (np.zeros(3), np.full(3, 0.01))
-    assert penetration_volume(occ, occ, box, box, grid=1e-3) == calls[0]
-    assert len(calls) == 2 and calls[0] == calls[1] >= 10**3
+    monkeypatch.setattr(CapsuleHand, "occupancy", counting)
+    monkeypatch.setattr(metrics, "VOLUME_BLOCK", 1000)
+    a, b = _balls([0.0, 0.0, 0.0], 0.01), _balls([0.01, 0.0, 0.0], 0.01)
+    volume = penetration_volume(a, b, hand_model, grid=1e-3)
+    firsts, seconds = calls[::2], calls[1::2]
+    assert len(firsts) == len(seconds) >= 4
+    assert all(seg is a and len(pts) <= 1000 for seg, pts, _ in firsts)
+    assert all(seg is b for seg, _, _ in seconds)
+    for (_, pts_a, inside_a), (_, pts_b, _) in zip(firsts, seconds):
+        np.testing.assert_array_equal(pts_b, pts_a[inside_a])
+    assert volume == sum(int(inside.sum()) for _, _, inside in seconds) > 0
 
 
 def _frechet_closed_form(mu_a, cov_a, mu_b, cov_b):
@@ -453,7 +461,7 @@ def traced_evaluate(hand_model, four_pair_sets):
 def test_evaluate_calls_the_traced_hot_spots(traced_evaluate):
     report, calls = traced_evaluate
     assert report.pen_vol_mm3 > 0.0
-    assert calls["forward_one"] == 8                       # one cloud per pair, both sets
+    assert calls["forward_one"] == 2                       # one stack per set
     assert calls["farthest_point_indices"] == 16           # two levels per cloud
     assert calls["penetration_set"] == 4                   # one per generated pair
     # Contact alone poses a mesh, the left anchor's, once per generated pair;
@@ -524,7 +532,7 @@ def test_warm_evaluate_equals_cold_and_featurizes_only_the_generated_set(
     with counting_hot_spots() as calls:
         warm = _evaluate(reference, generated, backbone, hand_model)
     assert warm == cold and warm.to_json() == cold.to_json()
-    assert calls["forward_one"] == 4
+    assert calls["forward_one"] == 1
     assert calls["farthest_point_indices"] == 8
     assert calls["penetration_set"] == 4
     assert calls["posed_mesh"] == calls["left_hand_mesh"] == 4     # each pair's left anchor
@@ -556,7 +564,7 @@ def test_evaluate_recomputes_the_reference_when_an_input_changes(
         model = CapsuleHand()
     with counting_hot_spots() as calls:
         report = _evaluate(reference, generated, backbone, model, seed)
-    assert calls["forward_one"] == 8
+    assert calls["forward_one"] == 2
     twin = FeatureBackbone(backbone.config,
                            params={k: v.copy() for k, v in backbone.params.items()})
     assert report == _evaluate(reference, generated, twin, model, seed)
@@ -575,8 +583,7 @@ def test_per_category_evaluate_reuses_every_category(hand_model, category_sets):
     # featurizes only the generated set.
     assert (cold_calls["dataset_features"], calls["dataset_features"]) == (2, 1)
     assert cold_calls["pair_stats"] == calls["pair_stats"] == len(generated)
-    assert cold_calls["forward_one"] == len(reference) + len(generated)
-    assert calls["forward_one"] == len(generated)
+    assert (cold_calls["forward_one"], calls["forward_one"]) == (2, 1)
     _, features = metrics._REFERENCE_MEMO[backbone]
     assert features.shape == (len(reference), backbone.config.feature_dim)
 

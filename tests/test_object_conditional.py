@@ -25,7 +25,6 @@ def test_object_conditional_train_then_sample():
     rng = np.random.default_rng(4)
     x_t, cond = rng.normal(size=(B, 64)), rng.normal(size=(B, 64))
     drop, t = np.array([False, True, False]), np.array([5, 60, 200])
-    token = den.predict(x_t, cond, drop, t,
-                        object_embedding=np.tile(den.embed_object(cloud), (B, 1)))
+    token = den.predict(x_t, cond, drop, t, object_embedding=den.embed_object(cloud))
     raw = den.predict(x_t, cond, drop, t, objects=np.repeat(cloud[None], B, 0))
     np.testing.assert_array_equal(token, raw)

@@ -199,7 +199,7 @@ def test_ragged_encoder_matches_padded_reference(hand_clouds):
         np.testing.assert_array_equal(out, enc.forward_one(params, cloud))
         # Both levels must group unevenly for the comparison to mean anything.
         for sa in (ref.sa1, ref.sa2):
-            assert not ref_cache[sa.name][2].all()
+            assert not ref_cache[ref.name][0][sa.name][2].all()
         dout = rng.normal(size=enc.out_dim)
         grads, ref_grads = {}, {}
         enc.backward_one(params, grads, dout, cache)
@@ -208,6 +208,55 @@ def test_ragged_encoder_matches_padded_reference(hand_clouds):
         for name in grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref_grads[name]).max())
+
+
+@pytest.fixture(scope="module")
+def six_clouds(hand_model):
+    ds = generate_synthetic(two_mode_spec(count=6, seed=9))
+    return sample_surface_points(*pair_segments(*ds.pair(np.arange(6)), hand_model), 512, seed=0)
+
+
+def _float32_encoder():
+    enc = PointSetEncoder("enc", 16)
+    params = {}
+    enc.init(params, np.random.default_rng(3))
+    return enc, {name: w.astype(np.float32) for name, w in params.items()}
+
+
+def _embed_cloud(enc, params, cloud):
+    """One cloud through both levels, the global max pool and a one-row head."""
+    xyz1, f1 = enc.sa1.forward(params, cloud, None)
+    _, f2 = enc.sa2.forward(params, xyz1, f1)
+    return enc.head.forward(params, f2.max(axis=0)[None, :])[0]
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (5,), (2, 3)])
+def test_a_stack_embeds_as_its_clouds_one_by_one(six_clouds, stack):
+    enc, params = _float32_encoder()
+    clouds = six_clouds[:int(np.prod(stack))].reshape(*stack, *six_clouds.shape[1:])
+    got = enc.forward_one(params, clouds)
+    assert got.shape == (*stack, enc.out_dim) and got.dtype == np.float32
+    cache = {}
+    assert enc.forward_one(params, clouds, cache).tobytes() == got.tobytes()
+    assert len(cache[enc.name]) == clouds[..., 0, 0].size
+    for i in np.ndindex(stack):
+        assert got[i].tobytes() == _embed_cloud(enc, params, clouds[i]).tobytes(), i
+
+
+def test_a_stack_backward_accumulates_as_its_clouds_one_by_one(six_clouds):
+    enc, params = _float32_encoder()
+    clouds = six_clouds[:5]
+    dout = np.random.default_rng(2).normal(size=(5, enc.out_dim)).astype(np.float32)
+    cache, grads, per_cloud = {}, {}, {}
+    enc.forward_one(params, clouds, cache)
+    enc.backward_one(params, grads, dout, cache)
+    for cloud, d in zip(clouds, dout):
+        one = {}
+        enc.forward_one(params, cloud, one)
+        enc.backward_one(params, per_cloud, d, one)
+    assert grads.keys() == per_cloud.keys()
+    for name in grads:
+        assert grads[name].tobytes() == per_cloud[name].tobytes(), name
 
 
 def test_ragged_feature_gradient_matches_padded_reference(hand_clouds):

@@ -638,8 +638,6 @@ def noise_space_reverse_pass(denoiser, x, cond, drop, w_cfg, grid, sched, model,
     if guided:
         cond = np.concatenate([cond, np.zeros_like(cond)])
         drop = np.concatenate([drop, np.ones(B, dtype=bool)])
-        if object_embedding is not None:
-            object_embedding = np.concatenate([object_embedding, object_embedding])
     for k, (t, t_prev) in enumerate(grid):
         ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t_prev]
         xs = np.concatenate([x, x]) if guided else x
@@ -691,8 +689,8 @@ class RowwiseDenoiser:
         x0 = (0.5 * x_t + 0.25 * np.roll(x_t, 1, axis=1) + np.where(drop, -0.2, 0.6 * cond)
               + 1e-3 * np.asarray(t, dtype=float)[:, None])
         if self.config.object_conditional:
-            assert object_embedding.shape == (len(x_t), 8)
-            x0 = x0 + 0.1 * object_embedding[:, 3:4]
+            assert object_embedding.shape == (8,)       # the one token of the cloud
+            x0 = x0 + 0.1 * object_embedding[3]
         return x0
 
 
