@@ -113,8 +113,7 @@ def train_backbone(dataset: Dataset, config: BackboneConfig = BackboneConfig(),
     clouds = sample_surface_points(*pair_segments(x_l, x_r, model), config.n_surface, config.seed)
     targets = regression_target(x_l, x_r)
 
-    fractions = (1.0 - config.val_fraction, config.val_fraction, 0.0)
-    train_idx, val_idx, _ = split_indices(len(dataset), fractions, config.seed)
+    train_idx, val_idx = split_indices(len(dataset), config.val_fraction, config.seed)
     if len(val_idx) == 0:
         val_idx = train_idx[: max(1, len(train_idx) // 10)]
 

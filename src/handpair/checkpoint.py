@@ -161,8 +161,8 @@ def load_backbone(path) -> FeatureBackbone:
 
 def save_dataset(path, dataset: Dataset) -> None:
     tensors = {"params": dataset.params}
-    if dataset.has_objects:
-        tensors["objects"] = dataset.objects_
+    if dataset.objects is not None:
+        tensors["objects"] = dataset.objects
     save_checkpoint(path, tensors, {
         "kind": "two-hand-dataset",
         "layout": "xl64,xr64",

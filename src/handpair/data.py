@@ -3,6 +3,7 @@
 A record is 2 * DIM = 128 little-endian float32 values [x_l | x_r] in meters
 (plus an optional 512x3 object cloud and a category label). Datasets hold
 float32 natively, so the values the generator accepts are the values stored.
+split_indices deals a dataset's rows into training and validation rows.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ class Dataset:
                  categories: list[str] | None = None,
                  mode_ids: np.ndarray | None = None):
         self.params = np.ascontiguousarray(params, dtype="<f4").reshape(-1, 2 * DIM)
-        self.objects_ = None
+        self.objects = None                             # or (N, OBJECT_POINTS, 3) float32
         if objects is not None:
-            self.objects_ = np.ascontiguousarray(objects, dtype="<f4").reshape(
+            self.objects = np.ascontiguousarray(objects, dtype="<f4").reshape(
                 len(self.params), OBJECT_POINTS, 3)
         self.categories = list(categories) if categories is not None else None
         self.mode_ids = np.asarray(mode_ids, dtype=np.int64) if mode_ids is not None else None
@@ -42,24 +43,17 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.params)
 
-    @property
-    def has_objects(self) -> bool:
-        return self.objects_ is not None
-
     def pair(self, idx):
         """(x_l, x_r) of record ``idx``, or stacked over an index array."""
         rows = self.params[idx].astype(float)
         return HandParam(rows[..., :DIM]), HandParam(rows[..., DIM:])
-
-    def objects(self, idx) -> np.ndarray:
-        return self.objects_[_rows(idx)].astype(float)
 
     def subset(self, idx) -> "Dataset":
         """Records at an index list or array, or where a boolean mask is true."""
         idx = _rows(idx)
         return Dataset(
             self.params[idx],
-            self.objects_[idx] if self.has_objects else None,
+            self.objects[idx] if self.objects is not None else None,
             [self.categories[i] for i in idx] if self.categories is not None else None,
             self.mode_ids[idx] if self.mode_ids is not None else None,
         )
@@ -231,19 +225,14 @@ def generate_synthetic(spec: SyntheticSpec, model=None) -> Dataset:
     return Dataset(params, objects, categories, mode_ids)
 
 
-def split_indices(n: int, fractions=(0.7, 0.15, 0.15), seed: int = 0):
-    """Sorted row indices, one array per fraction, of a disjoint, exhaustive,
-    seed-deterministic split: floor(f * n) rows each, leftovers one per part.
-    Every fraction must lie in [0, 1] and together they must sum to 1."""
-    if not all(0.0 <= f <= 1.0 for f in fractions):
-        raise ValueError(f"fractions must lie in [0, 1], got {tuple(fractions)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+def split_indices(n: int, val_fraction: float, seed: int = 0):
+    """Sorted (train, val) row indices of a disjoint, exhaustive,
+    seed-deterministic split: floor(val_fraction * n) validation rows and
+    the rest for training. val_fraction must lie in [0, 1)."""
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     if n == 0:
         raise EmptyDataset("cannot split an empty dataset")
     perm = rng_stream(seed, TAG_SPLIT).permutation(n)
-    sizes = [int(np.floor(f * n)) for f in fractions]
-    for i in range(n - sum(sizes)):
-        sizes[i % len(sizes)] += 1
-    bounds = np.cumsum([0, *sizes])
-    return tuple(np.sort(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+    n_train = n - int(np.floor(val_fraction * n))
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])

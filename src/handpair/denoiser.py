@@ -1,12 +1,12 @@
 """Denoising network: token embeddings, self-attention, skip-wired decoder.
 
 Inputs are the noisy hand vector, the conditioning hand vector (replaced by
-a learned null token when dropped), the diffusion time, and optionally an
-object point cloud. Tokens are typed by their embedding pathway, so the
-encoder uses no positional encoding. The decoder is seven fully connected
-layers; every layer sees the condition embeddings again, odd-numbered layers
-additionally see the noisy-hand embedding (order: previous feature, cond,
-time, object, noisy).
+a learned null token when dropped), the diffusion time, and, for an object
+model only, embed_object's token of a point cloud. Tokens are typed by their
+embedding pathway, so the encoder uses no positional encoding. The decoder
+is seven fully connected layers; every layer sees the condition embeddings
+again, odd-numbered layers additionally see the noisy-hand embedding (order:
+previous feature, cond, time, object, noisy).
 
 Profiles:
   "paper": token 512, embed hidden 2056, 2 attention blocks, FFN 2048,
@@ -57,6 +57,10 @@ N_DECODER_LAYERS = 7
 class DenoiserConfig:
     profile: str = "small"
     object_conditional: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.object_conditional, bool):
+            raise ValueError(f"object_conditional must be a bool, got {self.object_conditional!r}")
 
     def widths(self) -> dict:
         if self.profile not in PROFILES:
@@ -134,14 +138,13 @@ class Denoiser:
 
     # -- forward -----------------------------------------------------------
 
-    def predict(self, x_t, cond, drop_mask, t, objects=None,
-                object_embedding=None, rng=None, cache=None):
+    def predict(self, x_t, cond, drop_mask, t, object_embedding=None, rng=None, cache=None):
         """x0 estimate for a batch. Deterministic when ``rng`` is None.
 
         x_t, cond: (B, 64); drop_mask: (B,) bool or None (none dropped), True routes
-        the null token; t: (B,) ints in [1, T]; objects: (B, N, 3) clouds for object models.
-        object_embedding: precomputed tokens (d,) or (B, d) of a fixed cloud, broadcast
-        to the rows (inference fast path; backward requires raw clouds).
+        the null token; t: (B,) ints in [1, T]; object_embedding: embed_object's
+        token (d,) or tokens (B, d), broadcast to the rows. An object model
+        needs it (MissingObject), a plain model takes none (ValueError).
         """
         params = self.params
         dtype = params["null_token"].dtype
@@ -154,8 +157,10 @@ class Denoiser:
             drop_mask = np.zeros(B, dtype=bool)
         drop_mask = np.asarray(drop_mask, dtype=bool).reshape(B)
         t = np.asarray(t, dtype=float).reshape(B)
-        if self.config.object_conditional and objects is None and object_embedding is None:
-            raise MissingObject("object-conditional model called without a cloud")
+        if self.obj_encoder is not None and object_embedding is None:
+            raise MissingObject("object-conditional model called without an object token")
+        if self.obj_encoder is None and object_embedding is not None:
+            raise ValueError("object token given to a denoiser without an object branch")
 
         ex = self.emb_x.forward(params, x_t, cache)
         ec_raw = self.emb_c.forward(params, cond, cache)
@@ -163,11 +168,8 @@ class Denoiser:
         emb = sinusoidal_embedding(t, self.d_token).astype(dtype)
         et = self.emb_t.forward(params, emb, cache)
         toks = [ex, ec, et]
-        if self.obj_encoder is not None:
-            if object_embedding is not None:
-                toks.append(np.broadcast_to(object_embedding, (B, self.d_token)).astype(dtype))
-            else:
-                toks.append(self.obj_encoder.forward_one(params, objects, cache))
+        if object_embedding is not None:
+            toks.append(np.broadcast_to(object_embedding, (B, self.d_token)).astype(dtype))
         x = np.stack(toks, axis=1)                      # (B, S, d)
         for i, block in enumerate(self.blocks):
             x = block.forward(params, x, cache, rng)
@@ -240,8 +242,9 @@ class Denoiser:
     def new_optimizer(self) -> Adam:
         return Adam()
 
-    def embed_object(self, points: np.ndarray) -> np.ndarray:
-        """512-dim (paper) / 128-dim (small) pooled token for one cloud."""
+    def embed_object(self, points: np.ndarray, cache=None) -> np.ndarray:
+        """Pooled tokens (..., d) of clouds (..., N, 3); run with a training
+        step's cache, backward carries their gradient into the encoder."""
         if self.obj_encoder is None:
-            raise MissingObject("model was built without an object branch")
-        return self.obj_encoder.forward_one(self.params, points)
+            raise ValueError("model was built without an object branch")
+        return self.obj_encoder.forward_one(self.params, points, cache)

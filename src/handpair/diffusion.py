@@ -145,7 +145,7 @@ def assemble_objects(dataset, idx, flip_mask):
     carries its hands: x negated on a flipped row, then into the frame of
     the condition's root (R_c, tau_c) before it is pinned, (o - tau_c) R_c."""
     cond = orient(*dataset.pair(idx), flip_mask)[1]
-    clouds = dataset.objects(idx)
+    clouds = dataset.objects[idx].astype(float)         # a copy: negate_x works in place
     flip = np.asarray(flip_mask, dtype=bool)
     clouds[flip] = negate_x(clouds[flip])
     return (clouds - cond.tau[:, None, :]) @ rot6d_to_matrix(cond.omega)
@@ -182,7 +182,6 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             eps = rng.standard_normal((batch, DIM))
 
             targets, conds = assemble_batch(dataset, idx, flip)
-            objects = assemble_objects(dataset, idx, flip) if dataset.has_objects else None
             x_t = forward_diffuse(targets, t, eps, sched)
             # A dropped row's target root is relative to a condition the
             # network does not see, so the loss skips that block.
@@ -190,7 +189,10 @@ def train(dataset, denoiser, config: TrainConfig) -> TrainResult:
             mask[drop, OMEGA.start:TAU.stop] = 0.0
 
             cache = {}
-            pred = denoiser.predict(x_t, conds, drop, t, objects=objects, rng=rng, cache=cache)
+            token = None if dataset.objects is None else \
+                denoiser.embed_object(assemble_objects(dataset, idx, flip), cache)
+            pred = denoiser.predict(x_t, conds, drop, t, object_embedding=token,
+                                    rng=rng, cache=cache)
             denom = mask.sum()
             loss = float(np.sum(mask * (pred - targets) ** 2) / denom)
             if not np.isfinite(loss):

@@ -14,7 +14,7 @@ reroot_pair, compose_root), the chain and its reverse sweep, posed_vertices
 (..., V, 3), posed_segments (..., bones, 3) and the VJPs (..., 64). The
 exceptions return one object per hand: posed_mesh (a HandMesh with its own
 cached k-d tree, the anchor of contact; this module builds every HandMesh)
-and occupancy, which serves one pair's voxel grid in bounded memory. These
+and occupancy, which tests one penetration_volume block's points. These
 are model methods; the module-level ones are kinematics_vjp, through which
 APG reaches model.vjp, and the left-hand mirror convention, hand first and
 model second: left_hand_mesh(x_l, model), left_segments (for volumes),
@@ -270,9 +270,6 @@ _RADII = np.array([
     [0.0120, 0.0082, 0.0074, 0.0070],
 ])
 
-# CapsuleHand.occupancy sweeps this many query points at a time.
-_OCC_CHUNK = 1 << 16
-
 # Capsule tessellation: vertices per ring, rings per hemispherical cap, and
 # axial bands along the cylinder.
 N_SEG = 8
@@ -464,12 +461,11 @@ class CapsuleHand:
     def occupancy(self, segments, points: np.ndarray) -> np.ndarray:
         """Analytic point-in-capsule-union test of one hand's posed_segments: (N,3) -> (N,) bool.
 
-        A sweep, not a broadcast: the points go through in chunks of
-        _OCC_CHUNK (2**16) rows, each sorted by x once. Each capsule
-        binary-searches the x-slab of its capsule_boxes box, keeps the slab
-        rows inside the box in y and z, and runs the exact segment-distance
-        test on those rows only, so a point it accepts lies in that box.
-        Memory is bounded by the chunk, whatever N is.
+        A sweep, not a broadcast: the points are sorted by x once. Each
+        capsule binary-searches the x-slab of its capsule_boxes box, keeps the
+        slab rows inside the box in y and z, and runs the exact segment-distance
+        test on those rows only, so a point it accepts lies in that box. The
+        caller bounds memory by the points it passes (metrics.VOLUME_BLOCK).
         """
         points = np.asarray(points, dtype=float)
         e0, e1, rads = segments
@@ -477,22 +473,20 @@ class CapsuleHand:
         ww = np.maximum(np.einsum("bi,bi->b", w, w), 1e-30)
         box_lo, box_hi = capsule_boxes(e0, e1, rads)
         out = np.zeros(len(points), dtype=bool)
-        for lo in range(0, len(points), _OCC_CHUNK):
-            chunk = points[lo:lo + _OCC_CHUNK]
-            order = np.argsort(chunk[:, 0], kind="stable")
-            xs, ys, zs = (chunk[:, k][order] for k in range(3))
-            for b in range(len(rads)):
-                i0, i1 = np.searchsorted(xs, (box_lo[b, 0], box_hi[b, 0]))
-                y, z = ys[i0:i1], zs[i0:i1]
-                idx = order[i0:i1][(y >= box_lo[b, 1]) & (y <= box_hi[b, 1])
-                                   & (z >= box_lo[b, 2]) & (z <= box_hi[b, 2])]
-                # The dense test's arithmetic on a one-capsule slice, so the
-                # verdicts are bit-identical to testing every capsule at once.
-                cand = chunk[idx][:, None, :]
-                e0b, wb = e0[b:b + 1], w[b:b + 1]
-                t = np.clip(np.einsum("nbi,bi->nb", cand - e0b, wb) / ww[b:b + 1], 0.0, 1.0)
-                d2 = np.sum((cand - (e0b + t[..., None] * wb)) ** 2, axis=2)
-                out[lo + idx[d2[:, 0] <= rads[b] ** 2]] = True
+        order = np.argsort(points[:, 0], kind="stable")
+        xs, ys, zs = (points[:, k][order] for k in range(3))
+        for b in range(len(rads)):
+            i0, i1 = np.searchsorted(xs, (box_lo[b, 0], box_hi[b, 0]))
+            y, z = ys[i0:i1], zs[i0:i1]
+            idx = order[i0:i1][(y >= box_lo[b, 1]) & (y <= box_hi[b, 1])
+                               & (z >= box_lo[b, 2]) & (z <= box_hi[b, 2])]
+            # The dense test's arithmetic on a one-capsule slice, so the
+            # verdicts are bit-identical to testing every capsule at once.
+            cand = points[idx][:, None, :]
+            e0b, wb = e0[b:b + 1], w[b:b + 1]
+            t = np.clip(np.einsum("nbi,bi->nb", cand - e0b, wb) / ww[b:b + 1], 0.0, 1.0)
+            d2 = np.sum((cand - (e0b + t[..., None] * wb)) ** 2, axis=2)
+            out[idx[d2[:, 0] <= rads[b] ** 2]] = True
         return out
 
     # -- reverse-mode kinematics -------------------------------------------

@@ -34,7 +34,8 @@ from .nn import TAG_METRIC, rng_stream
 DIVERSITY_PAIRS = 300   # random index pairs averaged into one diversity value
 PROXIMITY_TAU_M = 0.02  # metres: a pair closer than this counts as in proximity
 PR_K = 3                # precision_recall's k: a point's k-th neighbour sets its ball
-# Most grid cells per penetration_volume block: 3 MB of points. The cells
+# Most grid cells per penetration_volume block: 3 MB of points, and the one
+# bound on occupancy's memory, as it tests a block in one pass. The cells
 # tested on 56 interpenetrating overlapping_spec pairs (median 70,040, at most
 # 201,017 at 1 mm; at most 26,963 at 2 mm) fit one or two blocks.
 VOLUME_BLOCK = 1 << 17
@@ -284,9 +285,8 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     pair_stats runs once per generated pair. Each report reads a row group
     of those arrays. When both sets carry object category labels, each
     category is a group (its rows in each set), per_category holds its
-    report, and the top-level fields are the category means; a generated
-    category with no reference records raises ValueError. Otherwise the one
-    group is every row, and per_category is empty.
+    report, and the top-level fields are the category means. Otherwise the
+    one group is every row, and per_category is empty.
 
     FHID fits a covariance to each set's backbone features. More than
     ``backbone.config.feature_dim`` (128) pairs per set (or per category)
@@ -302,7 +302,9 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
     (hands are immutable), ``seed``, ``backbone.config``, weight checksum
     and reference row bytes. So a warm report is bit for bit a cold one.
 
-    Raises ValueError unless grid is finite and > 0, before any features.
+    Raises ValueError, before any features, unless grid is finite and > 0
+    and every group holds at least PR_K + 1 records in each set (so a
+    generated category with no reference records raises).
     """
     _check_grid(grid)
     model = model or default_hand()
@@ -311,9 +313,12 @@ def evaluate(reference, generated, backbone, model=None, seed: int = 0,
         ref_labels, gen_labels = np.array(reference.categories), np.array(generated.categories)
         groups = {cat: (ref_labels == cat, gen_labels == cat)
                   for cat in sorted(set(generated.categories))}
-        missing = [cat for cat, (in_ref, _) in groups.items() if not in_ref.any()]
-        if missing:
-            raise ValueError(f"no reference records of categories {missing}")
+    for cat, (r, g) in groups.items():
+        counts = len(reference.params[r]), len(generated.params[g])
+        if min(counts) < PR_K + 1:
+            where = "each set" if cat is None else f"category {cat!r}"
+            raise ValueError(f"{where} needs at least k+1={PR_K + 1} records in both sets, "
+                             f"got {counts[0]} reference and {counts[1]} generated")
 
     weight_checksum = checksum(backbone.params)
     key = (model, seed, backbone.config, weight_checksum, reference.params.tobytes())

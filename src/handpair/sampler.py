@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionSchedule, ddim_step, ddim_time_grid
-from .errors import MissingObject
 from .hand_model import (
     DIM,
     OMEGA,
@@ -249,13 +248,8 @@ def sample_pairs(denoiser, config: SampleConfig, sched: DiffusionSchedule,
     for i in range(B):
         noise[:, i] = rng_stream(config.seed, TAG_SAMPLE + i).standard_normal((2, DIM))
 
-    object_embedding = None
-    if denoiser.config.object_conditional:
-        if config.object_points is None:
-            raise MissingObject("object-conditional sampling needs object_points")
-        object_embedding = denoiser.embed_object(config.object_points)
-    elif config.object_points is not None:
-        raise ValueError("object_points given to a denoiser without an object branch")
+    object_embedding = None if config.object_points is None else \
+        denoiser.embed_object(config.object_points)
 
     # Phase 1: unconditional anchor in canonical right-hand space, every row dropped.
     x = _reverse_pass(denoiser, noise[0].copy(), np.zeros((B, DIM)), np.ones(B, dtype=bool),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from handpair.denoiser import DenoiserConfig
 from handpair.hand_model import HandParam
 from handpair.rotations import matrix_to_rot6d
 
@@ -116,11 +115,8 @@ def hand_model():
 
 
 class FixedDenoiser:
-    """What train and sample_pairs read of a denoiser besides predict, for a
-    fake with no weights: a config without an object branch, an optimizer
-    and a backward that hands no part to step."""
-
-    config = DenoiserConfig()
+    """What train reads of a denoiser besides predict, for a fake with no
+    weights: an optimizer and a backward that hands no part to step."""
 
     def new_optimizer(self):
         return None

@@ -101,12 +101,12 @@ def test_config_rejects_a_value_training_cannot_use(field, value):
 
 
 def test_every_val_fraction_below_one_trains_on_some_rows(dataset):
-    # The split's leftover rows go to training first, so any fraction below
-    # 1 leaves a training row, and training moves the validation loss.
+    # The split floors the validation rows, so any fraction below 1 leaves
+    # a training row, and training moves the validation loss.
     BackboneConfig(val_fraction=0.0, n_surface=MIN_POINTS)
     for n in range(1, 40):
         for f in (0.15, 0.5, 0.9, 0.99, np.nextafter(1.0, 0.0)):
-            train_idx, val_idx, _ = split_indices(n, (1.0 - f, f, 0.0))
+            train_idx, val_idx = split_indices(n, f)
             assert len(train_idx) >= 1 and len(train_idx) + len(val_idx) == n, (n, f)
     config = BackboneConfig(feature_dim=16, n_surface=64, epochs=2, batch_size=4,
                             val_fraction=0.99)

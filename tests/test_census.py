@@ -1,5 +1,5 @@
 """Every config field is passed by some caller in src/, bench/ or tests/,
-every error class is raised somewhere in src/, and each of five rules has
+every error class is raised somewhere in src/, and each of six rules has
 one owner in src/: nn.rng_stream builds every random generator but the one
 of data's fixed mode templates, checkpoint alone hashes (its checksum names
 every set of weights), diffusion alone turns a clean estimate into noise
@@ -7,7 +7,10 @@ every set of weights), diffusion alone turns a clean estimate into noise
 HandMesh (contact's anchors; the moving hand reaches contact as points), and
 no module in src/ names a reflection matrix, MIRROR_MAT (a left hand is
 hand_model.mirror's four sign flips of a hand vector and hand_model.negate_x's
-one x-negation of world points). Every stream tag in nn is read by another
+one x-negation of world points). The denoiser alone owns the object rule
+(an object model needs an object token, a plain model takes none): no other
+module raises MissingObject, and none but checkpoint, which saves the flag,
+reads object_conditional. Every stream tag in nn is read by another
 module, every network holds float32 weights only, no module reads another
 package module's underscore name, and no module asks whether an input has
 an attribute: no hasattr(...) call and no getattr(...) with a default.
@@ -172,6 +175,20 @@ def test_no_module_probes_an_input_for_an_attribute():
                     and (call.func.id == "hasattr"
                          or (call.func.id == "getattr" and len(call.args) == 3)))
     assert not probes, probes
+
+
+def test_only_the_denoiser_owns_the_object_rule():
+    # An object model needs an object token and a plain model takes none:
+    # Denoiser.predict and embed_object enforce it, and checkpoint writes
+    # and reads the flag; any other reader would be a second copy.
+    strays = sorted(
+        (module, node.lineno) for module, tree in _modules() for node in ast.walk(tree)
+        if (module != "denoiser" and isinstance(node, ast.Raise) and node.exc is not None
+            and _callee(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            == "MissingObject")
+        or (module not in ("denoiser", "checkpoint") and isinstance(node, ast.Attribute)
+            and node.attr == "object_conditional"))
+    assert not strays, strays
 
 
 def test_stream_tags_are_distinct():

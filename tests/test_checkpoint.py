@@ -163,6 +163,7 @@ def test_malformed_manifest_rejected(artifact, damage, cause):
 @pytest.mark.parametrize("kind, edit, cause", [
     ("denoiser", lambda m: m.update(profile="paper"), None),
     ("denoiser", lambda m: m.update(object_conditional=True), None),
+    ("denoiser", lambda m: m.update(object_conditional="yes"), ValueError),
     ("denoiser", lambda m: m.update(profile="huge"), ValueError),
     ("denoiser", lambda m: m.pop("profile"), KeyError),
     ("denoiser", lambda m: m.pop("schedule"), KeyError),
@@ -175,7 +176,8 @@ def test_malformed_manifest_rejected(artifact, damage, cause):
     ("dataset", lambda m: m.update(mode_ids=5), ValueError),
     ("dataset", lambda m: m.update(categories=5), TypeError),
     ("dataset", lambda m: m.update(mode_ids="a" * len(m["mode_ids"])), ValueError),
-], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_unknown_profile",
+], ids=["denoiser_profile", "denoiser_object_branch", "denoiser_object_flag_a_string",
+        "denoiser_unknown_profile",
         "denoiser_without_profile", "denoiser_without_schedule",
         "denoiser_schedule_without_betaT", "denoiser_schedule_T_string",
         "backbone_feature_dim",
@@ -190,3 +192,15 @@ def test_manifest_disagreeing_with_its_tensors_rejected(tmp_path, kind, edit, ca
     with pytest.raises(LayoutMismatch) as caught:
         load(tmp_path)
     assert isinstance(caught.value.__cause__, cause or type(None))
+
+
+@pytest.mark.parametrize("flag", ["yes", 1])
+def test_an_object_denoiser_loads_only_with_a_bool_object_flag(tmp_path, flag):
+    # The object branch's tensors are all there, so only the config's own
+    # check keeps "yes" or 1 out of a loaded (and re-saved) config.
+    save_denoiser(tmp_path, Denoiser(DenoiserConfig("small", object_conditional=True)),
+                  make_schedule(16, 2e-4, 0.02))
+    _edit_manifest(tmp_path, lambda m: m.update(object_conditional=flag))
+    with pytest.raises(LayoutMismatch) as caught:
+        load_denoiser(tmp_path)
+    assert isinstance(caught.value.__cause__, ValueError)

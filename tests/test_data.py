@@ -14,7 +14,7 @@ from handpair.data import (
     split_indices,
     two_mode_spec,
 )
-from handpair.errors import LayoutMismatch, RejectionStall
+from handpair.errors import EmptyDataset, LayoutMismatch, RejectionStall
 from handpair.hand_model import default_hand, pair_meshes
 from handpair.sampler import penetration_set
 
@@ -81,7 +81,7 @@ def test_infinite_threshold_accepts_every_draw_untested(monkeypatch):
         calls.clear()
         ds = generate_synthetic(two_mode_spec(count=8, seed=3, max_penetration=threshold,
                                               with_objects=True))
-        outputs.append((ds.params.tobytes(), ds.objects_.tobytes(), ds.categories,
+        outputs.append((ds.params.tobytes(), ds.objects.tobytes(), ds.categories,
                         ds.mode_ids.tobytes()))
         assert len(calls) == (0 if threshold == np.inf else 8)
     assert outputs[0] == outputs[1]
@@ -91,10 +91,9 @@ def test_subset_of_no_index_is_an_empty_dataset_with_every_field():
     ds = generate_synthetic(two_mode_spec(count=4, seed=1, with_objects=True))
     empty = ds.subset([])
     assert len(empty) == 0 and empty.params.shape == (0, 128)
-    assert empty.objects_.shape == (0, 512, 3)
+    assert empty.objects.shape == (0, 512, 3)
     assert empty.categories == []
     assert empty.mode_ids.shape == (0,)
-    assert ds.objects([]).shape == (0, 512, 3)
 
 
 def test_subset_by_boolean_mask_equals_subset_by_index():
@@ -102,7 +101,7 @@ def test_subset_by_boolean_mask_equals_subset_by_index():
     mask = np.array([True, False, False, True, True, False])
     by_mask, by_index = ds.subset(mask), ds.subset(np.flatnonzero(mask))
     assert by_mask.params.tobytes() == by_index.params.tobytes()
-    assert by_mask.objects_.tobytes() == by_index.objects_.tobytes()
+    assert by_mask.objects.tobytes() == by_index.objects.tobytes()
     assert by_mask.categories == by_index.categories == [ds.categories[i] for i in (0, 3, 4)]
     assert (by_mask.mode_ids == by_index.mode_ids).all()
 
@@ -138,11 +137,11 @@ def test_round_trip_exact(tmp_path):
 
 def test_object_dataset_round_trip(tmp_path):
     ds = generate_synthetic(two_mode_spec(count=8, seed=2, with_objects=True))
-    assert ds.has_objects and len(ds.categories) == 8
+    assert ds.objects.shape == (8, 512, 3) and len(ds.categories) == 8
     assert set(ds.categories) <= {"box", "ball"}
     save_dataset(tmp_path / "ds", ds)
     back = load_dataset(tmp_path / "ds")
-    np.testing.assert_array_equal(back.objects_, ds.objects_)
+    np.testing.assert_array_equal(back.objects, ds.objects)
     assert back.categories == ds.categories
 
 
@@ -168,25 +167,24 @@ def test_label_count_must_match_records(tmp_path, field, count):
 
 def test_split_sizes_and_union():
     ds = generate_synthetic(two_mode_spec(count=100, seed=9))
-    train, val, test = (ds.subset(idx) for idx in split_indices(len(ds), (0.7, 0.15, 0.15), 3))
-    assert (len(train), len(val), len(test)) == (70, 15, 15)
-    rows = np.concatenate([train.params, val.params, test.params])
+    train, val = (ds.subset(idx) for idx in split_indices(len(ds), 0.15, 3))
+    assert (len(train), len(val)) == (85, 15)
+    rows = np.concatenate([train.params, val.params])
     assert {tuple(r) for r in rows} == {tuple(r) for r in ds.params}
-    again = ds.subset(split_indices(len(ds), (0.7, 0.15, 0.15), 3)[0])
+    again = ds.subset(split_indices(len(ds), 0.15, 3)[0])
     np.testing.assert_array_equal(again.params, train.params)
+    # floor(0.5 * 7) = 3 validation rows; the leftover row goes to training.
+    assert [len(part) for part in split_indices(7, 0.5)] == [4, 3]
+    with pytest.raises(EmptyDataset):
+        split_indices(0, 0.15)
 
 
-def test_split_fracs_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_indices(4, (0.5, 0.2, 0.2), seed=0)
-
-
-@pytest.mark.parametrize("fractions", [(1.2, -0.2, 0.0), (-0.5, 1.5, 0.0), (np.nan, 1.0, 0.0)])
-def test_split_fractions_must_lie_in_the_unit_interval(fractions):
-    # Each sums to 1 (but the nan); on 10 rows the first two split 10/0/0 and
-    # 5/5/0 before the check, so BackboneConfig(val_fraction=1.5) trained on half.
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        split_indices(10, fractions)
+@pytest.mark.parametrize("val_fraction", [-0.2, 1.5, np.nan, 1.0])
+def test_split_fractions_must_lie_in_the_unit_interval(val_fraction):
+    # 1.0 leaves no training rows; 1.5 and -0.2 would cut the permutation
+    # at a row outside [0, n].
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        split_indices(10, val_fraction)
 
 
 def test_negative_count_is_rejected_and_zero_is_empty():

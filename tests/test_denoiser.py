@@ -66,10 +66,28 @@ def test_missing_object_raises():
         den.predict(np.zeros((1, 64)), np.zeros((1, 64)), None, [1])
 
 
+@pytest.mark.parametrize("token", [np.full(7, np.nan), np.zeros((1, 128))])
+def test_a_plain_model_given_an_object_token_raises(token):
+    # A 7-wide NaN token and a well-shaped one alike: a plain model takes none.
+    with pytest.raises(ValueError, match="object branch"):
+        Denoiser().predict(np.zeros((1, 64)), np.zeros((1, 64)), None, [1],
+                           object_embedding=token)
+
+
+def test_a_plain_model_embeds_no_cloud():
+    with pytest.raises(ValueError, match="object branch"):
+        Denoiser().embed_object(np.full((2, 64, 3), np.nan))
+
+
+def _tokens(den, objects, cache=None):
+    """embed_object's tokens of the clouds, or None for no clouds."""
+    return None if objects is None else den.embed_object(objects, cache)
+
+
 def _loss_and_grads(den, batch, target, mask, objects=None):
     x_t, cond, drop, t = batch
     cache = {}
-    pred = den.predict(x_t, cond, drop, t, objects=objects, cache=cache)
+    pred = den.predict(x_t, cond, drop, t, _tokens(den, objects, cache), cache=cache)
     denom = mask.sum()
     loss = float(np.sum(mask * (pred - target) ** 2) / denom)
     grads = {}
@@ -120,7 +138,7 @@ def test_network_computes_in_float32(object_conditional):
     x_t, cond, drop, t = _batch(rng)
     objects = rng.normal(scale=0.05, size=(3, 40, 3)) if object_conditional else None
     cache = {}
-    pred = den.predict(x_t, cond, drop, t, objects=objects, rng=rng_stream(0, 1), cache=cache)
+    pred = den.predict(x_t, cond, drop, t, _tokens(den, objects, cache), rng_stream(0, 1), cache)
     assert pred.dtype == np.float64
     grads = {}
     den.backward(pred - rng.normal(size=(3, 64)), cache, grads.update)
@@ -143,8 +161,8 @@ def test_float32_network_agrees_with_its_float64_twin(object_conditional):
     rng = np.random.default_rng(10)
     batch = _batch(rng)
     objects = rng.normal(scale=0.05, size=(3, 40, 3)) if object_conditional else None
-    out = den.predict(*batch, objects=objects)
-    ref = twin.predict(*batch, objects=objects)
+    out = den.predict(*batch, _tokens(den, objects))
+    ref = twin.predict(*batch, _tokens(twin, objects))
     assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
     ds = generate_synthetic(two_mode_spec(count=16, seed=1, with_objects=object_conditional))
     step = TrainConfig(epochs=1, batch_size=16, seed=3)

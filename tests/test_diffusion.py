@@ -21,6 +21,7 @@ from handpair.diffusion import (
 from handpair.errors import (
     EmptyDataset,
     InvalidSchedule,
+    MissingObject,
     NonFiniteLoss,
     ScheduleSingularity,
 )
@@ -241,8 +242,8 @@ def test_object_clouds_ride_into_the_condition_frame(hand_model):
     ds = generate_synthetic(two_mode_spec(count=8, seed=1, with_objects=True), hand_model)
     idx, flip = np.tile(np.arange(4), 2), np.repeat([False, True], 4)
     x_l, x_r = ds.pair(idx)
-    world = np.array([[_nearest(ds.objects(i), left_hand_mesh(HandParam(l), hand_model).vertices),
-                       _nearest(ds.objects(i), hand_model.posed_vertices(HandParam(r)))]
+    world = np.array([[_nearest(ds.objects[i], left_hand_mesh(HandParam(l), hand_model).vertices),
+                       _nearest(ds.objects[i], hand_model.posed_vertices(HandParam(r)))]
                       for i, l, r in zip(idx, x_l.vector, x_r.vector)])
     assert (world[:, 0] < 5e-3).all() and (world[:, 1] > 5e-2).all()
     targets, conds = assemble_batch(ds, idx, flip)
@@ -253,7 +254,12 @@ def test_object_clouds_ride_into_the_condition_frame(hand_model):
     np.testing.assert_allclose(framed, np.where(flip[:, None], world[:, ::-1], world),
                                rtol=0, atol=1e-12)
     # Every dataset anchor is identity-rooted: an unflipped row keeps its cloud.
-    np.testing.assert_array_equal(clouds[~flip], ds.objects(idx[~flip]))
+    np.testing.assert_array_equal(clouds[~flip], ds.objects[idx[~flip]])
+    # A slice of rows is a view of the dataset's clouds; flipping them
+    # must not write through it.
+    stored = ds.objects.tobytes()
+    np.testing.assert_array_equal(assemble_objects(ds, slice(4), flip[4:]), clouds[4:])
+    assert ds.objects.tobytes() == stored
 
 
 class _DatasetOracle(FixedDenoiser):
@@ -348,3 +354,18 @@ def test_null_token_moves_during_training(tiny_dataset):
     before = den.params["null_token"].copy()
     train(tiny_dataset, den, TrainConfig(epochs=2, batch_size=16, p_uncond=0.5, seed=2))
     assert np.linalg.norm(den.params["null_token"] - before) > 0
+
+
+def test_a_plain_model_trained_on_object_data_raises_before_a_step():
+    ds = generate_synthetic(two_mode_spec(count=8, seed=1, with_objects=True))
+    den = Denoiser(DenoiserConfig("small"), seed=0)
+    before = {name: w.tobytes() for name, w in den.params.items()}
+    with pytest.raises(ValueError, match="object branch"):
+        train(ds, den, TrainConfig(epochs=1, batch_size=8))
+    assert {name: w.tobytes() for name, w in den.params.items()} == before
+
+
+def test_an_object_model_trained_without_clouds_raises(tiny_dataset):
+    den = Denoiser(DenoiserConfig("small", object_conditional=True), seed=0)
+    with pytest.raises(MissingObject):
+        train(tiny_dataset, den, TrainConfig(epochs=1, batch_size=8))

@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 from conftest import icosphere, random_params, random_rotation
 from handpair.errors import ZeroAreaStar
 from handpair.hand_model import (
-    _OCC_CHUNK,
     OMEGA,
     TAU,
     HandParam,
@@ -23,6 +22,7 @@ from handpair.hand_model import (
     reroot_pair,
 )
 from handpair.mesh import HandMesh, vertex_normals
+from handpair.metrics import VOLUME_BLOCK
 from handpair.rotations import (
     IDENTITY_6D,
     axis_angle_to_matrix,
@@ -577,11 +577,11 @@ def test_occupancy_sweep_handles_nan_empty_and_chunk_edges(hand_model, posed_han
     got = _occupancy_checked_against_dense(hand_model, p, pts)
     assert not got[3] and not got[7] and got.any()
     assert hand_model.occupancy(hand_model.posed_segments(p), np.empty((0, 3))).shape == (0,)
-    # Two chunks, the second short; both ends of the straddle hit the hand.
-    n = _OCC_CHUNK + 1000
+    # 2**16 + 1000 points in one sort, hits on both sides of row 2**16.
+    n = (1 << 16) + 1000
     pts = e0[rng.integers(0, len(e0), n)] + rng.normal(0.0, 0.02, (n, 3))
     got = _occupancy_checked_against_dense(hand_model, p, pts)
-    assert got[:_OCC_CHUNK].any() and got[_OCC_CHUNK:].any()
+    assert got[:1 << 16].any() and got[1 << 16:].any()
 
 
 def test_occupancy_matches_dense_with_negative_radii(hand_model):
@@ -602,17 +602,19 @@ def test_occupancy_matches_dense_with_negative_radii(hand_model):
 
 
 def test_occupancy_memory_stays_bounded(hand_model, posed_hands):
+    # penetration_volume passes occupancy at most VOLUME_BLOCK points, so
+    # that block bounds its memory: a peak of 7.4 MB on this hand.
     segments = hand_model.posed_segments(posed_hands[1])
     e0, e1, _ = segments
     pts = np.random.default_rng(44).uniform(np.minimum(e0, e1).min(axis=0),
-                                            np.maximum(e0, e1).max(axis=0), (10**6, 3))
+                                            np.maximum(e0, e1).max(axis=0), (VOLUME_BLOCK, 3))
     tracemalloc.start()
     try:
         hand_model.occupancy(segments, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6   # the points alone are 24 MB; an unchunked sort is ~40 MB
+    assert peak < 8e6   # the points alone are 3 MB
 
 
 # -- kinematics VJP -----------------------------------------------------------

@@ -505,6 +505,17 @@ def test_evaluate_averages_the_per_category_reports(hand_model, category_sets):
         assert getattr(report, key) == expected, key
 
 
+def test_evaluate_rejects_a_small_group_before_any_features(hand_model, category_sets):
+    reference = category_sets[0]
+    generated = generate_synthetic(two_mode_spec(count=5, seed=2, with_objects=True))
+    assert generated.categories == ["ball", "box", "ball", "box", "box"]
+    uncategorized = generate_synthetic(two_mode_spec(count=3, seed=2))
+    for gen, where in ((generated, "category 'ball'"), (uncategorized, "each set")):
+        with counting_hot_spots() as calls, pytest.raises(ValueError, match=where):
+            evaluate(reference, gen, FeatureBackbone(), hand_model)
+        assert calls["dataset_features"] == calls["pair_stats"] == 0
+
+
 def test_report_names_its_backbone_by_the_saved_manifest_checksum(hand_model, tmp_path):
     reference = generate_synthetic(two_mode_spec(count=4, seed=1))
     generated = generate_synthetic(two_mode_spec(count=4, seed=2))

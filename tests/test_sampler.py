@@ -1,7 +1,6 @@
 import itertools
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -679,7 +678,7 @@ class RowwiseDenoiser:
     arithmetic: a row gets the same bits however the rows are stacked."""
 
     def __init__(self, object_conditional=False):
-        self.config = SimpleNamespace(object_conditional=object_conditional)
+        self.object_conditional = object_conditional
 
     def embed_object(self, points):
         return np.asarray(points, dtype=float).ravel()[:8]
@@ -688,7 +687,7 @@ class RowwiseDenoiser:
         drop = np.asarray(drop_mask, dtype=bool)[:, None]
         x0 = (0.5 * x_t + 0.25 * np.roll(x_t, 1, axis=1) + np.where(drop, -0.2, 0.6 * cond)
               + 1e-3 * np.asarray(t, dtype=float)[:, None])
-        if self.config.object_conditional:
+        if self.object_conditional:
             assert object_embedding.shape == (8,)       # the one token of the cloud
             x0 = x0 + 0.1 * object_embedding[3]
         return x0
@@ -877,7 +876,6 @@ def test_object_conditional_anchor_is_pinned_whatever_its_root(hand_model):
     # so every path pins the anchor: a degenerate root raises nothing.
     mode = HandParam.from_parts(theta=np.full(45, 0.2), omega=np.zeros(6), tau=[0.13, 0.0, 0.0])
     oracle = PointMassDenoiser(mode.vector)
-    oracle.config = SimpleNamespace(object_conditional=True)
     oracle.embed_object = lambda points: np.zeros(8)
     config = SampleConfig(seed=5, count=3, object_points=np.zeros((16, 3)))
     result = sample_pairs(oracle, config, make_schedule(256), hand_model)
